@@ -47,15 +47,12 @@ from .kernels import (
     GramFactorization,
     KernelSpec,
     MaternParams,
-    base_kernel,
     base_kernel_matrix,
     gram,
+    kernel_diag,
     kernel_matrix,
-    kernel_value,
-    linear_kernel,
     matern_psi,
     matern52_exp5,
-    nonlinear_kernel,
 )
 from .sampling import (
     EigenSystem,
@@ -95,9 +92,8 @@ __all__ = [
     "FitConfig", "GPModel", "build_model", "fit", "log_marginal_likelihood",
     "loocv_error", "predict", "predict_many", "select_kernel",
     "LINEAR", "NONLINEAR", "GramFactorization", "KernelSpec", "MaternParams",
-    "base_kernel", "base_kernel_matrix", "gram", "kernel_matrix",
-    "kernel_value", "linear_kernel", "matern_psi", "matern52_exp5",
-    "nonlinear_kernel",
+    "base_kernel_matrix", "gram", "kernel_diag", "kernel_matrix",
+    "matern_psi", "matern52_exp5",
     "EigenSystem", "PathFamily", "nystrom_eig", "sample_paths_gram",
     "sample_paths_kl", "sine_frequency_family",
     "DecayCurve", "KnotSet", "eigenfunction_design", "empirical_mspe",

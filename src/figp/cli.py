@@ -22,7 +22,7 @@ from .designs import eigenfunction_design, empirical_mspe, knot_design, \
     lattice_knots
 from .domain import Domain, build_grid, sample_function
 from .errors import FigpError
-from .gp import FitConfig, fit, loocv_error, predict, select_kernel
+from .gp import FitConfig, fit, loocv_error, predict_many, select_kernel
 from .kernels import LINEAR, NONLINEAR, KernelSpec, MaternParams, PREMAPS
 from .reproduce import TARGETS, run_reproduce
 from .sampling import nystrom_eig, sample_paths_gram, sine_frequency_family
@@ -91,10 +91,9 @@ def _cmd_predict(args) -> int:
     model = storage.load_model(args.model)
     grid = model.inputs[0].grid
     tests = _test_inputs(args, grid)
-    rows = []
-    for g in tests:
-        mean, var = predict(model, g)
-        rows.append({"input": g.label, "mean": mean, "variance": var})
+    means, variances = predict_many(model, tests)
+    rows = [{"input": g.label, "mean": float(m), "variance": float(v)}
+            for g, m, v in zip(tests, means, variances)]
     report = {"model_file": args.model, "predictions": rows}
     lines = [
         f"{r['input']}: mean {r['mean']:.6g}, variance {r['variance']:.6g}"

@@ -25,8 +25,8 @@ from .kernels import (
     MaternParams,
     base_kernel_matrix,
     gram,
+    kernel_diag,
     kernel_matrix,
-    kernel_value,
 )
 from .sampling import EigenSystem, nystrom_eig
 
@@ -194,7 +194,7 @@ def _gram_mspe(design, tests, spec: KernelSpec) -> np.ndarray:
     """Posterior variance at each test input via the factorized Gram."""
     fact = gram(design, spec)
     K_cross = kernel_matrix(design, tests, spec)
-    kgg = np.array([kernel_value(g, g, spec) for g in tests])
+    kgg = kernel_diag(tests, spec)
     quad = np.einsum("ij,ij->j", K_cross, fact.solve(K_cross))
     return np.clip(kgg - quad, 0.0, None)
 

@@ -187,7 +187,10 @@ class FunctionalInput:
         return FunctionalInput(self.grid, -self.values)
 
 
-def _check_same_grid(g1: FunctionalInput, g2: FunctionalInput):
+def _check_same_grid(g1, g2):
+    """Raise GridMismatchError unless g1 and g2 (functional inputs, or
+    anything else carrying a `grid`, such as an EigenSystem) share one
+    grid."""
     if g1.grid != g2.grid:
         raise GridMismatchError(
             "functional inputs live on different grids; resampling is not "

@@ -27,8 +27,8 @@ from .kernels import (
     KernelSpec,
     MaternParams,
     gram,
+    kernel_diag,
     kernel_matrix,
-    kernel_value,
 )
 
 LOG_THETA_BOUNDS = (-3.0, 3.0)
@@ -236,48 +236,39 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
                    model.factorization, model.alpha, log_likelihood=ll)
 
 
-def _cross_vector(model: GPModel, g: FunctionalInput) -> np.ndarray:
-    return kernel_matrix(list(model.inputs), [g], model.spec)[:, 0]
-
-
 def predict(model: GPModel, g: FunctionalInput) -> Tuple[float, float]:
-    """Posterior predictive mean and variance at a new input."""
-    _check_same_grid(model.inputs[0], g)
-    k = _cross_vector(model, g)
-    mean = model.mu_hat + float(k @ model.alpha)
-    kgg = kernel_value(g, g, model.spec)
-    var = kgg - float(k @ model.factorization.solve(k))
-    var = _clamp_variance(var, model.sigma2_hat, kgg)
-    return mean, var
+    """Posterior predictive mean and variance at one new input.
 
-
-def _clamp_variance(var: float, sigma2: float, kgg: float) -> float:
-    if var >= 0:
-        return var
-    tol = VARIANCE_CLAMP_REL * max(sigma2, abs(kgg))
-    if var > -tol:
-        return 0.0
-    raise FigpError(
-        f"posterior variance {var:.3e} is negative beyond round-off; "
-        "the factorization looks broken"
-    )
+    A one-input `predict_many`; batch inputs through `predict_many`,
+    which builds the kernel quantities once per call, not per input.
+    """
+    means, variances = predict_many(model, [g])
+    return float(means[0]), float(variances[0])
 
 
 def predict_many(model: GPModel, inputs: Sequence[FunctionalInput]):
-    """Vectorized predict over a list of inputs sharing the training grid."""
+    """Posterior predictive means and variances at a batch of inputs.
+
+    The inputs must share the training grid (GridMismatchError
+    otherwise).  The cost is one cross-kernel matrix and one
+    `kernel_diag` call for the whole batch.  A slightly negative
+    variance is clamped to zero; one more negative than
+    VARIANCE_CLAMP_REL * max(sigma2, K(g, g)) raises FigpError.
+    """
     inputs = list(inputs)
-    for g in inputs:
-        _check_same_grid(model.inputs[0], g)
     K_cross = kernel_matrix(list(model.inputs), inputs, model.spec)
     means = model.mu_hat + K_cross.T @ model.alpha
-    kgg = np.array([kernel_value(g, g, model.spec) for g in inputs])
+    kgg = kernel_diag(inputs, model.spec)
     quad = np.einsum("ij,ij->j", K_cross, model.factorization.solve(K_cross))
     raw = kgg - quad
-    variances = np.array([
-        _clamp_variance(float(v), model.sigma2_hat, float(kg))
-        for v, kg in zip(raw, kgg)
-    ])
-    return means, variances
+    tol = VARIANCE_CLAMP_REL * np.maximum(model.sigma2_hat, np.abs(kgg))
+    broken = ~(raw > -tol)  # a NaN variance counts as broken too
+    if broken.any():
+        raise FigpError(
+            f"posterior variance {raw[broken][0]:.3e} is negative beyond "
+            "round-off; the factorization looks broken"
+        )
+    return means, np.where(raw >= 0, raw, 0.0)
 
 
 def loocv_error(model: GPModel) -> float:

@@ -25,7 +25,6 @@ from .domain import (
     FunctionalInput,
     _check_same_grid,
     apply_pointwise_map,
-    l2_norm,
 )
 from .errors import FigpError, GramFactorizationError
 
@@ -173,21 +172,6 @@ def matern52_exp5(r):
     return out
 
 
-def base_kernel(x, xp, params: MaternParams) -> float:
-    """Base kernel between two domain points: the Matern profile of the
-    lengthscale-weighted Euclidean distance."""
-    x = np.asarray(x, dtype=float).ravel()
-    xp = np.asarray(xp, dtype=float).ravel()
-    theta = np.asarray(params.lengthscales, dtype=float)
-    if x.size != xp.size or x.size != theta.size:
-        raise FigpError(
-            f"point dims {x.size}/{xp.size} do not match "
-            f"{theta.size} lengthscale(s)"
-        )
-    r = float(np.linalg.norm(theta * (x - xp)))
-    return float(matern_psi(r, params))
-
-
 def base_kernel_matrix(points_a, points_b, params: MaternParams) -> np.ndarray:
     """Matern base kernel evaluated on all pairs of rows."""
     a = np.atleast_2d(np.asarray(points_a, dtype=float))
@@ -212,35 +196,6 @@ def _apply_premap(g: FunctionalInput, name: Optional[str]) -> FunctionalInput:
     return apply_pointwise_map(g, fn)
 
 
-def linear_kernel(g1: FunctionalInput, g2: FunctionalInput,
-                  params: MaternParams, premap: Optional[str] = None) -> float:
-    """Double quadrature integral of g1(x) g2(x') against the base kernel."""
-    _check_same_grid(g1, g2)
-    g1 = _apply_premap(g1, premap)
-    g2 = _apply_premap(g2, premap)
-    grid = g1.grid
-    psi = base_kernel_matrix(grid.nodes, grid.nodes, params)
-    a = grid.weights * g1.values
-    b = grid.weights * g2.values
-    return float(a @ psi @ b)
-
-
-def nonlinear_kernel(g1: FunctionalInput, g2: FunctionalInput,
-                     outer: MaternParams, gamma: float) -> float:
-    """Radial kernel in the scaled L2 distance between the two inputs."""
-    _check_same_grid(g1, g2)
-    if not gamma > 0:
-        raise FigpError("gamma must be positive")
-    return float(matern_psi(gamma * l2_norm(g1 - g2), outer))
-
-
-def kernel_value(g1: FunctionalInput, g2: FunctionalInput,
-                 spec: KernelSpec) -> float:
-    if spec.family == LINEAR:
-        return linear_kernel(g1, g2, spec.base, spec.premap)
-    return nonlinear_kernel(g1, g2, spec.base, spec.gamma)
-
-
 def _values_matrix(inputs: List[FunctionalInput],
                    premap: Optional[str]) -> np.ndarray:
     cols = [_apply_premap(g, premap).values for g in inputs]
@@ -252,9 +207,14 @@ def kernel_matrix(inputs_a: List[FunctionalInput],
                   spec: KernelSpec) -> np.ndarray:
     """Cross-kernel matrix K[i, j] = K(a_i, b_j), without any nugget.
 
-    All inputs must share one grid.  The linear kernel reuses a single
-    base-kernel matrix for every pair, so the cost is one n_q x n_q
-    evaluation plus matrix products.
+    All inputs must share one grid (GridMismatchError otherwise).  The
+    linear kernel is (W A)^T Psi (W B), where the columns of A and B
+    hold the premapped input values on the grid and W the quadrature
+    weights; one base-kernel matrix Psi serves every pair, so the cost
+    is one n_q x n_q evaluation plus matrix products.  The nonlinear
+    kernel needs no Psi: it applies the Matern profile to the scaled
+    L2 distances between inputs.  For the diagonal K(g, g) alone use
+    `kernel_diag`, which skips the cross products.
     """
     for g in list(inputs_a[1:]) + list(inputs_b):
         _check_same_grid(inputs_a[0], g)
@@ -273,6 +233,25 @@ def kernel_matrix(inputs_a: List[FunctionalInput],
     d2 = na[:, None] + nb[None, :] - 2.0 * (VA.T @ (w[:, None] * VB))
     dist = np.sqrt(np.clip(d2, 0.0, None))
     return matern_psi(spec.gamma * dist, spec.base)
+
+
+def kernel_diag(inputs: List[FunctionalInput], spec: KernelSpec) -> np.ndarray:
+    """Prior variances K(g, g) of each input, without any nugget.
+
+    Equals diag(kernel_matrix(inputs, inputs, spec)) without forming
+    the cross terms.  The linear kernel builds one base-kernel matrix
+    for the whole batch; the nonlinear kernel is sigma2 for every
+    input, exactly, because matern_psi(0) is sigma2.
+    """
+    inputs = list(inputs)
+    for g in inputs[1:]:
+        _check_same_grid(inputs[0], g)
+    if spec.family == NONLINEAR:
+        return np.full(len(inputs), spec.base.sigma2)
+    grid = inputs[0].grid
+    B = _values_matrix(inputs, spec.premap) * grid.weights[:, None]
+    psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
+    return np.einsum("ij,ij->j", B, psi @ B)
 
 
 @dataclass(frozen=True)
@@ -314,13 +293,12 @@ class GramFactorization:
 
 
 def _try_cholesky(K: np.ndarray) -> Optional[np.ndarray]:
-    """Lower Cholesky factor of K, or None when Cholesky raises or the
-    pivot test (see PIVOT_TOL) rejects the factor."""
+    """Lower Cholesky factor of the finite matrix K, or None when
+    Cholesky finds K not positive definite or the pivot test (see
+    PIVOT_TOL) rejects the factor."""
     try:
         L = cholesky(K, lower=True)
     except np.linalg.LinAlgError:
-        return None
-    except Exception:
         return None
     pivot = L.diagonal().min()
     if pivot * pivot <= PIVOT_TOL * K.shape[0] * _EPS * K.diagonal().max():
@@ -338,11 +316,18 @@ def gram(inputs: List[FunctionalInput], spec: KernelSpec) -> GramFactorization:
     gets one attempt.  With `spec.nugget` unset, the
     automatic policy starts at 1e-8 * sigma2 and escalates tenfold until
     a factorization passes or the 1e-4 * sigma2 ceiling is passed.  On
-    failure the inputs are reported as degenerate either way.
+    failure the inputs are reported as degenerate either way.  A Gram
+    with non-finite entries (the kernel overflowed, e.g. at a huge
+    sigma2) is reported as such before any factorization is tried.
     """
     if len(inputs) < 1:
         raise FigpError("gram requires at least one input")
     K = kernel_matrix(inputs, inputs, spec)
+    if not np.isfinite(K).all():
+        raise GramFactorizationError(
+            "Gram assembly produced non-finite entries (the kernel "
+            "overflowed); no factorization was attempted"
+        )
     K = np.triu(K) + np.triu(K, 1).T
     n = K.shape[0]
     eye = np.eye(n)

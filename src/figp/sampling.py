@@ -56,13 +56,8 @@ class EigenSystem:
 
     def coefficients(self, g: FunctionalInput) -> np.ndarray:
         """Weighted projections <phi_j, g> for all retained j."""
-        _check_same_grid_obj(self.grid, g)
+        _check_same_grid(self, g)
         return (self.grid.weights * g.values) @ self.eigenfunctions
-
-
-def _check_same_grid_obj(grid: QuadratureGrid, g: FunctionalInput):
-    if grid != g.grid:
-        raise FigpError("input grid does not match the eigensystem grid")
 
 
 def nystrom_eig(params: MaternParams, grid: QuadratureGrid,

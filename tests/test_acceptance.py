@@ -14,7 +14,7 @@ import pytest
 from figp import (Domain, FieldDataset, FitConfig, FunctionalInput,
                   KernelSpec, LINEAR, MaternParams, NONLINEAR, build_grid,
                   build_model, field_mape, fit, fit_emulator, gram,
-                  kernel_matrix, kernel_value, l2_inner, loocv_error,
+                  kernel_matrix, l2_inner, loocv_error,
                   nystrom_eig, pca_reduce, predict, predict_field,
                   sample_function, sample_paths_gram, sample_paths_kl,
                   sine_frequency_family)
@@ -22,7 +22,7 @@ from figp.cli import cli_dispatch
 from figp.reproduce import (FUNCTIONALS, TARGETS, TRAINING_EXPRESSIONS,
                             run_reproduce)
 
-from figp_testlib import brute_loocv, random_poly_inputs
+from figp_testlib import brute_loocv, kernel_entry, random_poly_inputs
 
 # reference values for the benchmark integrals, rounded to two decimals
 REFERENCE_TABLE = {
@@ -105,8 +105,8 @@ def test_criterion_05_linearity(square_grid, bench_inputs, bench_outputs):
     for _ in range(100):
         g1, g2, h = random_poly_inputs(square_grid, 3, rng)
         a, b = rng.uniform(-2.0, 2.0, 2)
-        lhs = kernel_value(a * g1 + b * g2, h, spec)
-        rhs = (a * kernel_value(g1, h, spec) + b * kernel_value(g2, h, spec))
+        lhs = kernel_entry(a * g1 + b * g2, h, spec)
+        rhs = (a * kernel_entry(g1, h, spec) + b * kernel_entry(g2, h, spec))
         assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-12)
     # a zero-mean posterior mean is linear in the input under this kernel
     model = build_model(

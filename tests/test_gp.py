@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import figp.kernels
 from figp import (Domain, FigpError, FitConfig, KernelSpec, LINEAR,
                   MaternParams, NONLINEAR, build_grid, build_model, fit,
                   kernel_matrix, log_marginal_likelihood, loocv_error,
@@ -121,6 +122,27 @@ def test_predict_many_matches_predict(bench_models, square_grid):
         m, v = predict(model, g)
         assert math.isclose(means[i], m, rel_tol=1e-12, abs_tol=1e-300)
         assert math.isclose(variances[i], v, rel_tol=1e-12, abs_tol=1e-15)
+
+
+def test_predict_many_psi_builds_do_not_grow_with_batch(bench_models,
+                                                        square_grid,
+                                                        monkeypatch):
+    model = bench_models[("f1", LINEAR)]
+    real = figp.kernels.base_kernel_matrix
+    calls = {"n": 0}
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(figp.kernels, "base_kernel_matrix", counted)
+    rng = np.random.default_rng(53)
+    counts = []
+    for size in (1, 50):
+        calls["n"] = 0
+        predict_many(model, random_poly_inputs(square_grid, size, rng))
+        counts.append(calls["n"])
+    assert counts[0] == counts[1]
 
 
 def test_posterior_mean_additive_in_y(square_grid):

@@ -6,11 +6,11 @@ import pytest
 import figp.kernels
 from figp import (Domain, FigpError, FunctionalInput, GramFactorizationError,
                   KernelSpec, LINEAR, MaternParams, NONLINEAR,
-                  apply_pointwise_map, build_grid, gram, kernel_matrix,
-                  kernel_value, linear_kernel, matern52_exp5, matern_psi,
-                  nonlinear_kernel, sample_function)
+                  apply_pointwise_map, build_grid, gram, kernel_diag,
+                  kernel_matrix, matern52_exp5, matern_psi, sample_function)
 
-from figp_testlib import random_poly_inputs
+from figp_testlib import (kernel_entry, pairwise_kernel_oracle,
+                          random_poly_inputs)
 
 
 # values frozen from a high-precision evaluation of the closed forms
@@ -84,25 +84,26 @@ def test_kernel_spec_validation():
 
 def test_linear_kernel_refined_grid_oracle():
     # the quadrature value must be stable when the grid is refined 20 -> 40
-    p = MaternParams(2.5, 1.0, (1.0, 1.0))
+    spec = KernelSpec(LINEAR, MaternParams(2.5, 1.0, (1.0, 1.0)))
     dom = Domain(((0.0, 1.0), (0.0, 1.0)))
     g20, g40 = build_grid(dom, 20), build_grid(dom, 40)
     for e1, e2 in [("1", "1"), ("x1", "sin(3*x1)+x2")]:
-        coarse = linear_kernel(sample_function(e1, g20),
-                               sample_function(e2, g20), p)
-        fine = linear_kernel(sample_function(e1, g40),
-                             sample_function(e2, g40), p)
+        coarse = kernel_entry(sample_function(e1, g20),
+                              sample_function(e2, g20), spec)
+        fine = kernel_entry(sample_function(e1, g40),
+                            sample_function(e2, g40), spec)
         assert math.isclose(coarse, fine, rel_tol=1e-6)
 
 
 def test_linear_kernel_bilinear(square_grid):
-    p = MaternParams(2.5, 1.5, (0.7, 1.3))
+    spec = KernelSpec(LINEAR, MaternParams(2.5, 1.5, (0.7, 1.3)))
     rng = np.random.default_rng(21)
     for _ in range(10):
         g1, g2, g3 = random_poly_inputs(square_grid, 3, rng)
         a, b = rng.uniform(-2.0, 2.0, 2)
-        lhs = linear_kernel(a * g1 + b * g2, g3, p)
-        rhs = a * linear_kernel(g1, g3, p) + b * linear_kernel(g2, g3, p)
+        lhs = kernel_entry(a * g1 + b * g2, g3, spec)
+        rhs = (a * kernel_entry(g1, g3, spec)
+               + b * kernel_entry(g2, g3, spec))
         assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -111,30 +112,30 @@ def test_kernels_symmetric(square_grid):
     g1, g2 = random_poly_inputs(square_grid, 2, rng)
     for spec in (KernelSpec(LINEAR, MaternParams(2.5, 1.0, (1.0, 1.0))),
                  KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=0.8)):
-        assert math.isclose(kernel_value(g1, g2, spec),
-                            kernel_value(g2, g1, spec), rel_tol=1e-12)
+        assert math.isclose(kernel_entry(g1, g2, spec),
+                            kernel_entry(g2, g1, spec), rel_tol=1e-12)
 
 
 def test_nonlinear_kernel_translation_invariant(square_grid):
-    p = MaternParams(2.5, 1.0)
+    spec = KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=0.6)
     rng = np.random.default_rng(9)
     g1, g2, shift = random_poly_inputs(square_grid, 3, rng)
-    a = nonlinear_kernel(g1, g2, p, 0.6)
-    b = nonlinear_kernel(g1 + shift, g2 + shift, p, 0.6)
+    a = kernel_entry(g1, g2, spec)
+    b = kernel_entry(g1 + shift, g2 + shift, spec)
     assert math.isclose(a, b, rel_tol=1e-12)
 
 
 def test_nonlinear_kernel_radial(square_grid):
     # pairs at equal L2 distance get equal kernel values
     from figp import l2_norm
-    p = MaternParams(1.5, 2.0)
+    spec = KernelSpec(NONLINEAR, MaternParams(1.5, 2.0), gamma=1.1)
     x1 = sample_function("x1", square_grid)
     x2 = sample_function("x2", square_grid)
     base = sample_function("1+x1*x2", square_grid)
     v = 0.35 * x1
     w = (l2_norm(v) / l2_norm(x2)) * x2
-    assert math.isclose(nonlinear_kernel(base, base + v, p, 1.1),
-                        nonlinear_kernel(base, base + w, p, 1.1),
+    assert math.isclose(kernel_entry(base, base + v, spec),
+                        kernel_entry(base, base + w, spec),
                         rel_tol=1e-12)
 
 
@@ -151,7 +152,8 @@ def test_kernel_matrix_matches_pairwise_values(square_grid, spec):
     assert K.shape == (4, 3)
     for i in range(4):
         for j in range(3):
-            assert math.isclose(K[i, j], kernel_value(ga[i], gb[j], spec),
+            assert math.isclose(K[i, j],
+                                pairwise_kernel_oracle(ga[i], gb[j], spec),
                                 rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -159,10 +161,24 @@ def test_linear_premap_equals_mapped_inputs(square_grid):
     p = MaternParams(2.5, 1.0, (1.0, 1.0))
     rng = np.random.default_rng(13)
     g1, g2 = random_poly_inputs(square_grid, 2, rng)
-    direct = linear_kernel(g1, g2, p, premap="square")
-    mapped = linear_kernel(apply_pointwise_map(g1, np.square),
-                           apply_pointwise_map(g2, np.square), p)
+    direct = kernel_entry(g1, g2, KernelSpec(LINEAR, p, premap="square"))
+    mapped = kernel_entry(apply_pointwise_map(g1, np.square),
+                          apply_pointwise_map(g2, np.square),
+                          KernelSpec(LINEAR, p))
     assert math.isclose(direct, mapped, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec(LINEAR, MaternParams(2.5, 1.3, (0.9, 1.4))),
+    KernelSpec(LINEAR, MaternParams(2.5, 1.0, (1.0, 1.0)), premap="square"),
+    KernelSpec(NONLINEAR, MaternParams(2.5, 0.7), gamma=0.5),
+])
+def test_kernel_diag_matches_kernel_matrix_diagonal(square_grid, spec):
+    rng = np.random.default_rng(12)
+    ins = random_poly_inputs(square_grid, 6, rng)
+    np.testing.assert_allclose(kernel_diag(ins, spec),
+                               np.diag(kernel_matrix(ins, ins, spec)),
+                               rtol=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -218,6 +234,35 @@ def test_gram_degenerate_zero_nugget_raises(square_grid):
     spec = KernelSpec(LINEAR, MaternParams(2.5, 1.0, (1.0, 1.0)), nugget=0.0)
     with pytest.raises(GramFactorizationError):
         gram([x1, two], spec)
+
+
+def test_gram_non_finite_reports_overflow(square_grid):
+    # independent inputs, but sigma2 = 1e308 overflows the Gram to inf
+    x1 = sample_function("x1", square_grid)
+    x2 = sample_function("x2", square_grid)
+    spec = KernelSpec(LINEAR, MaternParams(2.5, 1e308, (1.0, 1.0)),
+                      nugget=0.0)
+    with np.errstate(over="ignore"), pytest.raises(
+            GramFactorizationError,
+            match="Gram assembly produced non-finite entries"):
+        gram([x1, x2], spec)
+
+
+def test_try_cholesky_pivot_rule_rejects_tiny_schur_complement():
+    # Schur complement exactly 4 eps: every LAPACK factors this matrix
+    # with last pivot 2 sqrt(eps), which the pivot test must reject
+    eps = np.finfo(float).eps
+    K = np.array([[1.0, 1.0], [1.0, 1.0 + 4.0 * eps]])
+    assert np.linalg.cholesky(K)[1, 1] > 0.0
+    assert figp.kernels._try_cholesky(K) is None
+
+
+def test_gram_large_scale_rank_one_escalates_nugget(square_grid):
+    x1 = sample_function("x1", square_grid)
+    spec = KernelSpec(LINEAR, MaternParams(2.5, 1.0, (1.0, 1.0)))
+    with pytest.warns(UserWarning, match="escalated"):
+        fact = gram([1e4 * x1, 2e4 * x1], spec)
+    assert fact.nugget > figp.kernels.NUGGET_START * spec.base.sigma2
 
 
 def test_gram_nugget_escalation_warns(square_grid, monkeypatch):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from figp import (Domain, FigpError, FunctionalInput, KernelSpec, LINEAR,
-                  MaternParams, build_grid, gram, nystrom_eig,
-                  sample_paths_gram, sample_paths_kl, sine_frequency_family)
+from figp import (Domain, FigpError, FunctionalInput, GridMismatchError,
+                  KernelSpec, LINEAR, MaternParams, build_grid, gram,
+                  nystrom_eig, sample_function, sample_paths_gram,
+                  sample_paths_kl, sine_frequency_family)
 from figp.sampling import EigenSystem
 
 
@@ -59,6 +60,12 @@ def test_coefficients_pick_out_modes(eigensystem, interval_grid):
     want = np.zeros(eigensystem.eigenvalues.size)
     want[2] = 1.0
     np.testing.assert_allclose(c, want, atol=1e-10)
+
+
+def test_coefficients_reject_input_on_another_grid(eigensystem):
+    other = build_grid(Domain(((0.0, 1.0),)), 16)
+    with pytest.raises(GridMismatchError):
+        eigensystem.coefficients(sample_function("x1", other))
 
 
 def test_sine_family_labels_and_values(interval_grid):

@@ -52,7 +52,6 @@ from .kernels import (
     kernel_diag,
     kernel_matrix,
     matern_psi,
-    matern52_exp5,
 )
 from .sampling import (
     EigenSystem,
@@ -93,7 +92,7 @@ __all__ = [
     "loocv_error", "predict", "predict_many", "select_kernel",
     "LINEAR", "NONLINEAR", "GramFactorization", "KernelSpec", "MaternParams",
     "base_kernel_matrix", "gram", "kernel_diag", "kernel_matrix",
-    "matern_psi", "matern52_exp5",
+    "matern_psi",
     "EigenSystem", "PathFamily", "nystrom_eig", "sample_paths_gram",
     "sample_paths_kl", "sine_frequency_family",
     "DecayCurve", "KnotSet", "eigenfunction_design", "empirical_mspe",

@@ -11,43 +11,34 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
-from typing import Optional
 
 import numpy as np
 
-from .designs import eigenfunction_design, empirical_mspe, knot_design, \
-    lattice_knots
-from .domain import Domain, build_grid, sample_function
+from .domain import sample_function
+from .emulator import fit_emulator, predict_field
 from .errors import FigpError
 from .gp import FitConfig, fit, loocv_error, predict_many, select_kernel
-from .kernels import LINEAR, NONLINEAR, KernelSpec, MaternParams, PREMAPS
-from .reproduce import TARGETS, run_reproduce
-from .sampling import nystrom_eig, sample_paths_gram, sine_frequency_family
+from .kernels import LINEAR, NONLINEAR, PREMAPS
+from .reproduce import (ALPHA_COUNT, FIGURE_DEFAULTS, MSPE_NU, MSPE_SIZES,
+                        MSPE_THETA, PATHS_PER_PANEL, SINE_BOUNDS, TARGETS,
+                        mspe_decay_curve, mspe_grid, path_kernel,
+                        run_reproduce, sine_family)
+from .sampling import sample_paths_gram
 from . import storage
-
-
-def _json_out(report) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
 
 
 def _emit(args, report, human_lines):
     if getattr(args, "json", False):
-        print(_json_out(report))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in human_lines:
             print(line)
 
 
-def _fit_config(args, seed: Optional[int] = None) -> FitConfig:
-    return FitConfig(
-        multistarts=getattr(args, "multistarts", 8),
-        seed=args.seed if seed is None else seed,
-        anisotropic=getattr(args, "anisotropic", False),
-        nu=getattr(args, "nu", 2.5),
-    )
+def _fit_config(args) -> FitConfig:
+    return FitConfig(multistarts=args.multistarts, seed=args.seed,
+                     anisotropic=args.anisotropic, nu=args.nu)
 
 
 def _cmd_fit(args) -> int:
@@ -56,13 +47,14 @@ def _cmd_fit(args) -> int:
                 premap=args.premap, nugget=args.nugget)
     out = args.out or "model.json"
     storage.save_model(out, model)
+    loocv = loocv_error(model)
     report = {
         "model_file": out,
         "family": args.family,
         "kernel": storage.kernel_spec_to_dict(model.spec),
         "mu_hat": model.mu_hat,
         "log_likelihood": model.log_likelihood,
-        "loocv": loocv_error(model),
+        "loocv": loocv,
         "n": model.n,
     }
     _emit(args, report, [
@@ -70,7 +62,7 @@ def _cmd_fit(args) -> int:
         f"  mu_hat        {model.mu_hat:.6g}",
         f"  sigma2_hat    {model.sigma2_hat:.6g}",
         f"  log_likelihood {model.log_likelihood:.6g}",
-        f"  loocv         {loocv_error(model):.6g}",
+        f"  loocv         {loocv:.6g}",
         f"  saved to      {out}",
     ])
     return 0
@@ -134,16 +126,10 @@ def _cmd_select_kernel(args) -> int:
 
 
 def _cmd_sample_paths(args) -> int:
-    domain = Domain(((args.domain_min, args.domain_max),))
-    grid = build_grid(domain, args.grid_res or 64)
-    alphas = np.linspace(0.0, 1.0, args.alpha_count)
-    inputs = sine_frequency_family(grid, alphas)
-    if args.family == LINEAR:
-        spec = KernelSpec(LINEAR, MaternParams(args.nu, args.sigma2,
-                                               (args.theta,)))
-    else:
-        spec = KernelSpec(NONLINEAR, MaternParams(args.nu, args.sigma2),
-                          gamma=args.gamma)
+    spec = path_kernel(args.family, args.nu, args.sigma2, args.theta,
+                       args.gamma)
+    alphas, inputs = sine_family(args.grid_res, args.alpha_count,
+                                 (args.domain_min, args.domain_max))
     pf = sample_paths_gram(inputs, spec, args.n_paths, args.seed,
                            index_values=alphas)
     out = args.out or "paths.csv"
@@ -156,40 +142,22 @@ def _cmd_sample_paths(args) -> int:
 
 
 def _cmd_mspe_decay(args) -> int:
-    domain = Domain(((0.0, 1.0),))
-    grid = build_grid(domain, args.grid_res or 256)
-    params = MaternParams(args.nu, 1.0, (args.theta,))
-    spec = KernelSpec(LINEAR, params)
     sizes = [int(s) for s in args.sizes.split(",")]
-    test_points = np.linspace(0.1, 0.9, args.n_tests)
-    from .designs import KnotSet
-
-    tests = knot_design(
-        KnotSet(test_points[:, None], float(np.diff(test_points).max())),
-        params, grid)
-    if args.design == "knot":
-        def builder(n):
-            return knot_design(lattice_knots(domain, n), params, grid)
-        rate = -2.0 * args.nu
-    else:
-        eig = nystrom_eig(params, grid, m=max(sizes))
-
-        def builder(n):
-            return eigenfunction_design(eig, n)
-        rate = -4.0 * args.nu
-    curve = empirical_mspe(builder, sizes, tests, spec, seed=args.seed,
-                           method=args.method, replicates=args.replicates,
-                           theoretical_rate=rate)
+    curve = mspe_decay_curve(args.design, mspe_grid(args.grid_res),
+                             seed=args.seed, nu=args.nu, theta=args.theta,
+                             sizes=sizes,
+                             test_points=np.linspace(0.1, 0.9, args.n_tests),
+                             method=args.method, replicates=args.replicates)
     out = args.out or f"mspe_{args.design}.csv"
     storage.save_decay_curve(out, curve)
     report = {
         "file": out, "design": args.design, "sizes": sizes,
         "mspe": [float(v) for v in curve.mspe], "slope": curve.slope,
-        "theoretical_rate": rate,
+        "theoretical_rate": curve.theoretical_rate,
     }
     _emit(args, report, [
         f"{args.design} design slope {curve.slope:.4g} "
-        f"(theoretical {rate:g}); wrote {out}",
+        f"(theoretical {curve.theoretical_rate:g}); wrote {out}",
     ])
     return 0
 
@@ -197,8 +165,6 @@ def _cmd_mspe_decay(args) -> int:
 def _cmd_emulate_fit(args) -> int:
     dataset = storage.load_field_dataset(args.fields, args.manifest)
     emulator_family = None if args.family == "auto" else args.family
-    from .emulator import fit_emulator
-
     emulator = fit_emulator(dataset, threshold=args.threshold,
                             family=emulator_family,
                             config=_fit_config(args))
@@ -222,29 +188,21 @@ def _cmd_emulate_fit(args) -> int:
 
 
 def _cmd_emulate_predict(args) -> int:
-    from .emulator import predict_field
-
     emulator = storage.load_emulator(args.emulator)
     grid = emulator.score_models[0].inputs[0].grid
     tests = _test_inputs(args, grid)
     out = args.out or "field_prediction.csv"
-    import csv as _csv
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["input", "pixel", "mean", "variance"])
-    report_rows = []
+    rows, report_rows = [], []
     for g in tests:
         mean_field, var_field = predict_field(emulator, g)
-        for j, (m, v) in enumerate(zip(mean_field, var_field)):
-            writer.writerow([g.label, j, storage.fmt6(m), storage.fmt6(v)])
+        rows += [[g.label, j, storage.fmt6(m), storage.fmt6(v)]
+                 for j, (m, v) in enumerate(zip(mean_field, var_field))]
         report_rows.append({
             "input": g.label,
             "mean_field": [float(v) for v in mean_field],
             "variance_field": [float(v) for v in var_field],
         })
-    storage.atomic_write_text(out, buf.getvalue())
+    storage.write_csv(out, ["input", "pixel", "mean", "variance"], rows)
     report = {"emulator_file": args.emulator, "file": out,
               "predictions": report_rows}
     _emit(args, report, [f"wrote {len(tests)} field prediction(s) to {out}"])
@@ -313,22 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-paths", parents=[common],
                        help="draw prior sample paths over the sine family")
     p.add_argument("--family", default=LINEAR, choices=[LINEAR, NONLINEAR])
-    p.add_argument("--nu", type=float, default=2.5)
-    p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--n-paths", type=int, default=5)
-    p.add_argument("--alpha-count", type=int, default=101)
-    p.add_argument("--domain-min", type=float, default=0.0)
-    p.add_argument("--domain-max", type=float, default=2.0 * math.pi)
+    for name in ("nu", "theta", "sigma2", "gamma"):
+        p.add_argument(f"--{name}", type=float, default=FIGURE_DEFAULTS[name])
+    p.add_argument("--n-paths", type=int, default=PATHS_PER_PANEL)
+    p.add_argument("--alpha-count", type=int, default=ALPHA_COUNT)
+    p.add_argument("--domain-min", type=float, default=SINE_BOUNDS[0])
+    p.add_argument("--domain-max", type=float, default=SINE_BOUNDS[1])
     p.set_defaults(func=_cmd_sample_paths)
 
     p = sub.add_parser("mspe-decay", parents=[common],
                        help="error-decay experiment for a design family")
     p.add_argument("--design", default="knot", choices=["knot", "eigen"])
-    p.add_argument("--nu", type=float, default=1.5)
-    p.add_argument("--theta", type=float, default=8.0)
-    p.add_argument("--sizes", default="8,16,32,64")
+    p.add_argument("--nu", type=float, default=MSPE_NU)
+    p.add_argument("--theta", type=float, default=MSPE_THETA)
+    p.add_argument("--sizes", default=",".join(map(str, MSPE_SIZES)))
     p.add_argument("--n-tests", type=int, default=4)
     p.add_argument("--method", default="exact", choices=["exact", "mc"])
     p.add_argument("--replicates", type=int, default=200)

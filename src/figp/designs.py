@@ -19,13 +19,13 @@ from scipy.spatial.distance import cdist
 
 from .domain import Domain, FunctionalInput, QuadratureGrid
 from .errors import FigpError
+from .gp import build_model, predict_many
 from .kernels import (
     LINEAR,
     KernelSpec,
     MaternParams,
     base_kernel_matrix,
     gram,
-    kernel_diag,
     kernel_matrix,
 )
 from .sampling import EigenSystem, nystrom_eig
@@ -50,13 +50,12 @@ class KnotSet:
         return self.knots.shape[0]
 
 
-def fill_distance(knots: np.ndarray, domain: Domain,
-                  dense_resolution: int = 0) -> float:
+def fill_distance(knots: np.ndarray, domain: Domain) -> float:
     """Largest distance from any domain point to its nearest knot,
-    measured against a dense uniform evaluation grid."""
+    measured against a dense uniform evaluation grid (512 points in one
+    dimension, 64 per axis otherwise)."""
     knots = np.atleast_2d(np.asarray(knots, dtype=float))
-    if dense_resolution <= 0:
-        dense_resolution = 512 if domain.dim == 1 else 64
+    dense_resolution = 512 if domain.dim == 1 else 64
     axes = [np.linspace(a, b, dense_resolution) for a, b in domain.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     dense = np.column_stack([m.ravel() for m in mesh])
@@ -191,12 +190,10 @@ def _series_mspe(design, tests, spec: KernelSpec) -> np.ndarray:
 
 
 def _gram_mspe(design, tests, spec: KernelSpec) -> np.ndarray:
-    """Posterior variance at each test input via the factorized Gram."""
-    fact = gram(design, spec)
-    K_cross = kernel_matrix(design, tests, spec)
-    kgg = kernel_diag(tests, spec)
-    quad = np.einsum("ij,ij->j", K_cross, fact.solve(K_cross))
-    return np.clip(kgg - quad, 0.0, None)
+    """Posterior variance at each test input, as `predict_many` computes
+    it for a zero-mean model on the design (outputs are irrelevant)."""
+    model = build_model(spec, design, np.zeros(len(design)), mu=0.0)
+    return predict_many(model, tests)[1]
 
 
 def exact_mspe(design: Sequence[FunctionalInput],

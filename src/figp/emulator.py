@@ -162,8 +162,10 @@ def predict_field(emulator: PCAEmulator, g: FunctionalInput,
     The mean adds each score's posterior mean times its component to
     the training mean field.  The variance combines the per-score
     posterior variances through the squared components, which ignores
-    cross-pixel covariance; pass `return_cov_factors` to also get the
-    factors F (k x p, rows sqrt(var_l) u_l) with full covariance F^T F.
+    cross-pixel covariance; `predict_many` clamps each score variance at
+    zero, so the combination needs no clamp of its own.  Pass
+    `return_cov_factors` to also get the factors F (k x p, rows
+    sqrt(var_l) u_l) with full covariance F^T F.
     """
     means = np.empty(emulator.k)
     variances = np.empty(emulator.k)
@@ -171,7 +173,6 @@ def predict_field(emulator: PCAEmulator, g: FunctionalInput,
         means[l], variances[l] = predict(model, g)
     mean_field = emulator.mean_field + means @ emulator.components
     variance_field = variances @ (emulator.components ** 2)
-    variance_field = np.clip(variance_field, 0.0, None)
     if return_cov_factors:
         factors = np.sqrt(variances)[:, None] * emulator.components
         return mean_field, variance_field, factors

@@ -33,6 +33,7 @@ from .kernels import (
 
 LOG_THETA_BOUNDS = (-3.0, 3.0)
 LOG_GAMMA_BOUNDS = (-5.0, 2.0)
+MAX_ITERS = 200  # L-BFGS-B iterations per start
 
 # Relative slack allowed when clamping a slightly negative posterior
 # variance to zero; anything more negative signals a broken factorization.
@@ -49,19 +50,13 @@ class FitConfig:
     """
 
     multistarts: int = 8
-    max_iters: int = 200
     seed: int = 0
     anisotropic: bool = False
     nu: float = 2.5
-    log_theta_bounds: Tuple[float, float] = LOG_THETA_BOUNDS
-    log_gamma_bounds: Tuple[float, float] = LOG_GAMMA_BOUNDS
 
     def __post_init__(self):
         if self.multistarts < 1:
             raise FigpError("multistarts must be at least 1")
-        for lo, hi in (self.log_theta_bounds, self.log_gamma_bounds):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise FigpError("bounds must be finite with lo < hi")
 
 
 @dataclass(frozen=True)
@@ -190,10 +185,10 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     dim = inputs[0].grid.domain.dim
     if family == LINEAR:
         n_free = dim if config.anisotropic else 1
-        box = [config.log_theta_bounds] * n_free
+        box = [LOG_THETA_BOUNDS] * n_free
     elif family == NONLINEAR:
         n_free = 1
-        box = [config.log_gamma_bounds]
+        box = [LOG_GAMMA_BOUNDS]
     else:
         raise FigpError(f"unknown kernel family {family!r}")
     lo = np.array([b[0] for b in box])
@@ -219,7 +214,7 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
         warnings.simplefilter("ignore")  # nugget escalation during search
         for p0 in starts:
             res = minimize(objective, np.asarray(p0), method="L-BFGS-B",
-                           bounds=box, options={"maxiter": config.max_iters})
+                           bounds=box, options={"maxiter": MAX_ITERS})
             if not np.isfinite(res.fun):
                 continue
             if best is None or res.fun < best.fun - 1e-12:
@@ -285,6 +280,25 @@ def loocv_error(model: GPModel) -> float:
     return float(np.mean(resid ** 2))
 
 
+def selection_entry(model: GPModel, loocv: float) -> dict:
+    """One family's kernel-selection report row: LOOCV error, likelihood,
+    profiled mean and variance, and lengthscales (linear) or gamma."""
+    entry = {"loocv": loocv, "log_likelihood": model.log_likelihood,
+             "mu_hat": model.mu_hat, "sigma2_hat": model.sigma2_hat}
+    if model.spec.family == LINEAR:
+        entry["lengthscales"] = list(model.spec.base.lengthscales)
+    else:
+        entry["gamma"] = model.spec.gamma
+    return entry
+
+
+def select_family(loocv_by_family: dict) -> str:
+    """The family with the smallest LOOCV error; a tie goes to the
+    linear kernel, the simpler model."""
+    return min(loocv_by_family,
+               key=lambda f: (loocv_by_family[f], f != LINEAR))
+
+
 def select_kernel(inputs: Sequence[FunctionalInput], y,
                   families: Sequence[str] = (LINEAR, NONLINEAR),
                   config: Optional[FitConfig] = None,
@@ -293,9 +307,10 @@ def select_kernel(inputs: Sequence[FunctionalInput], y,
     """Fit each candidate family and pick the one with the smallest
     leave-one-out error.
 
-    Returns (best_model, report) where the report lists one entry per
-    family.  Ties go to the linear kernel, the simpler model.  A family
-    whose fit fails is skipped with a warning unless every family fails.
+    Returns (best_model, report) where the report lists one
+    `selection_entry` per family, tagged with its family and whether it
+    was selected; `select_family` breaks ties.  A family whose fit fails
+    is skipped with a warning unless every family fails.
     """
     if len(families) < 1:
         raise FigpError("select_kernel needs at least one candidate family")
@@ -309,22 +324,11 @@ def select_kernel(inputs: Sequence[FunctionalInput], y,
             warnings.warn(f"{family} kernel fit failed: {exc}", stacklevel=2)
             continue
         models[family] = model
-        entry = {
-            "family": family,
-            "loocv": loocv_error(model),
-            "log_likelihood": model.log_likelihood,
-            "mu_hat": model.mu_hat,
-            "sigma2_hat": model.sigma2_hat,
-        }
-        if family == LINEAR:
-            entry["lengthscales"] = list(model.spec.base.lengthscales)
-        else:
-            entry["gamma"] = model.spec.gamma
-        report.append(entry)
+        report.append({"family": family,
+                       **selection_entry(model, loocv_error(model))})
     if not models:
         raise FitError("every candidate kernel family failed to fit")
-    order = {LINEAR: 0, NONLINEAR: 1}
-    best_entry = min(report, key=lambda e: (e["loocv"], order.get(e["family"], 9)))
+    best = select_family({e["family"]: e["loocv"] for e in report})
     for e in report:
-        e["selected"] = e is best_entry
-    return models[best_entry["family"]], report
+        e["selected"] = e["family"] == best
+    return models[best], report

@@ -155,23 +155,6 @@ def matern_psi(r, params: MaternParams):
     return out
 
 
-def matern52_exp5(r):
-    """Alternate smoothness-5/2 profile with an exp(-5 r) tail.
-
-    Computes (1 + sqrt(5) r + 5 r^2 / 3) exp(-5 r).  Some sources print
-    this variant for nu = 5/2; it decays faster than matern_psi at
-    nu = 5/2 (tail exp(-sqrt(10) r)) and is kept as a compatibility
-    option, not used by the fitting code.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise FigpError("distances must be non-negative")
-    out = (1.0 + math.sqrt(5.0) * r + (5.0 / 3.0) * r * r) * np.exp(-5.0 * r)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def base_kernel_matrix(points_a, points_b, params: MaternParams) -> np.ndarray:
     """Matern base kernel evaluated on all pairs of rows."""
     a = np.atleast_2d(np.asarray(points_a, dtype=float))
@@ -270,12 +253,12 @@ class GramFactorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         return cho_solve((self.chol, True), np.asarray(b, dtype=float))
 
-    def solve_refined(self, b: np.ndarray, steps: int = 1) -> np.ndarray:
-        """Solve with `steps` rounds of mixed-precision iterative refinement.
+    def solve_refined(self, b: np.ndarray) -> np.ndarray:
+        """Solve with one round of mixed-precision iterative refinement.
 
         Cuts the forward error on ill-conditioned Grams (short
         lengthscales push the condition number past 1e8, where a single
-        Cholesky solve keeps only half the digits).  Each residual
+        Cholesky solve keeps only half the digits).  The residual
         b - K x is accumulated in `np.longdouble` and the correction is
         solved with the float64 Cholesky factor; a float64 residual
         could not bring the error below about cond(K) * eps.  Where
@@ -284,12 +267,8 @@ class GramFactorization:
         """
         b = np.asarray(b, dtype=float)
         x = cho_solve((self.chol, True), b)
-        K = self.gram.astype(np.longdouble)
-        bl = b.astype(np.longdouble)
-        for _ in range(steps):
-            r = bl - K @ x
-            x = x + cho_solve((self.chol, True), r.astype(float))
-        return x
+        r = b.astype(np.longdouble) - self.gram.astype(np.longdouble) @ x
+        return x + cho_solve((self.chol, True), r.astype(float))
 
 
 def _try_cholesky(K: np.ndarray) -> Optional[np.ndarray]:

@@ -2,38 +2,37 @@
 
 Each target writes deterministic CSV files (and a JSON report with full
 precision) into an output directory.  All randomness flows from the
-single seed argument.
+single seed argument.  The sample-path and error-decay experiments are
+also what the CLI's `sample-paths` and `mspe-decay` commands run.
 """
 
 from __future__ import annotations
 
-import io
-import csv
+import functools
 import math
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .designs import (
+    DecayCurve,
     KnotSet,
     empirical_mspe,
     eigenfunction_design,
+    fill_distance,
     knot_design,
     lattice_knots,
 )
-from .domain import Domain, FunctionalInput, build_grid, sample_function
+from .domain import (Domain, FunctionalInput, QuadratureGrid, build_grid,
+                     sample_function)
 from .errors import FigpError
-from .gp import FitConfig, fit, loocv_error, predict_many
+from .gp import (FitConfig, fit, loocv_error, predict_many, select_family,
+                 selection_entry)
 from .kernels import LINEAR, NONLINEAR, KernelSpec, MaternParams
 from .sampling import nystrom_eig, sample_paths_gram, sine_frequency_family
-from .storage import (
-    atomic_write_text,
-    fmt6,
-    save_decay_curve,
-    save_path_family,
-    write_json,
-)
+from .storage import (fmt6, save_decay_curve, save_path_family, write_csv,
+                      write_json)
 
 TARGETS = ("table1", "table2", "figure2", "figure3", "mspe_decay")
 
@@ -76,22 +75,12 @@ def reproduce_table1(out_dir: str, seed: int = 42,
                      grid_res: Optional[int] = None):
     """Quadrature values of the three functionals on the training inputs."""
     grid = _unit_square_grid(grid_res)
-    inputs = _training_set(grid)
-    rows = []
-    for g in inputs:
-        rows.append([g.label] + [evaluate_functional(f, g) for f in FUNCTIONALS])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["input", "f1", "f2", "f3"])
-    for row in rows:
-        writer.writerow([row[0]] + [fmt6(v) for v in row[1:]])
+    header = ["input", *FUNCTIONALS]
+    rows = [[g.label] + [evaluate_functional(f, g) for f in FUNCTIONALS]
+            for g in _training_set(grid)]
     path = os.path.join(out_dir, "table1.csv")
-    atomic_write_text(path, buf.getvalue())
-    report = {
-        "rows": [
-            {"input": r[0], "f1": r[1], "f2": r[2], "f3": r[3]} for r in rows
-        ]
-    }
+    write_csv(path, header, ([r[0]] + [fmt6(v) for v in r[1:]] for r in rows))
+    report = {"rows": [dict(zip(header, r)) for r in rows]}
     write_json(os.path.join(out_dir, "table1.json"), report)
     return [path, os.path.join(out_dir, "table1.json")], report
 
@@ -110,147 +99,125 @@ def draw_test_inputs(grid, a1: float, a2: float, b: float, k: float):
     ]
 
 
+N_DRAWS = 100  # held-out parameter draws of Table 2
+
+
 def reproduce_table2(out_dir: str, seed: int = 42,
-                     grid_res: Optional[int] = None,
-                     n_draws: int = 100):
+                     grid_res: Optional[int] = None):
     """Kernel comparison: leave-one-out errors and held-out MAPE.
 
     For each scalar functional, both kernel families are fitted on the
-    eight training inputs; accuracy is scored on `n_draws` seeded
+    eight training inputs; accuracy is scored on `N_DRAWS` seeded
     parameter draws of the three test families, identical across
-    kernels.
+    kernels.  The report entries and the selection are those of
+    `select_kernel`.
     """
     grid = _unit_square_grid(grid_res)
     inputs = _training_set(grid)
     config = FitConfig(seed=seed)
 
     rng = np.random.default_rng(seed)
-    draw_params = rng.uniform(size=(n_draws, 4))
     all_tests = []
-    for a1, a2, b, k in draw_params:
+    for a1, a2, b, k in rng.uniform(size=(N_DRAWS, 4)):
         all_tests.extend(draw_test_inputs(grid, a1, a2, b, k))
 
-    report: Dict[str, dict] = {}
+    report = {}
     rows = []
     for fname in FUNCTIONALS:
         y = np.array([evaluate_functional(fname, g) for g in inputs])
         truth = np.array([evaluate_functional(fname, g) for g in all_tests])
-        truth_by_draw = truth.reshape(n_draws, 3)
         entry = {}
         for family in (LINEAR, NONLINEAR):
             model = fit(inputs, y, family, config=config)
             preds, _ = predict_many(model, all_tests)
-            ape = np.abs((truth - preds) / truth).reshape(n_draws, 3) * 100.0
-            fam = {
-                "loocv": loocv_error(model),
-                "log_likelihood": model.log_likelihood,
-                "mu_hat": model.mu_hat,
-                "sigma2_hat": model.sigma2_hat,
+            ape = np.abs((truth - preds) / truth).reshape(N_DRAWS, 3) * 100.0
+            entry[family] = selection_entry(model, loocv_error(model))
+            entry[family].update({
                 # balanced design, so the two nestings agree; both are
                 # reported for transparency
                 "mape_by_draw_then_family": float(ape.mean(axis=1).mean()),
                 "mape_by_family_then_draw": float(ape.mean(axis=0).mean()),
                 "mape": float(ape.mean()),
-            }
-            if family == LINEAR:
-                fam["lengthscales"] = list(model.spec.base.lengthscales)
-            else:
-                fam["gamma"] = model.spec.gamma
-            entry[family] = fam
-        if entry[LINEAR]["loocv"] <= entry[NONLINEAR]["loocv"]:
-            selected = LINEAR  # ties go to the simpler linear kernel
-        else:
-            selected = NONLINEAR
+            })
+        selected = select_family({f: entry[f]["loocv"]
+                                  for f in (LINEAR, NONLINEAR)})
         entry["selected"] = selected
         report[fname] = entry
-        for family in (LINEAR, NONLINEAR):
-            rows.append([
-                fname, family,
-                entry[family]["loocv"], entry[family]["mape"],
-                "yes" if family == selected else "no",
-            ])
+        rows += [[fname, f, fmt6(entry[f]["loocv"]), fmt6(entry[f]["mape"]),
+                  "yes" if f == selected else "no"]
+                 for f in (LINEAR, NONLINEAR)]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["function", "kernel", "loocv", "mape_percent", "selected"])
-    for row in rows:
-        writer.writerow([row[0], row[1], fmt6(row[2]), fmt6(row[3]), row[4]])
     csv_path = os.path.join(out_dir, "table2.csv")
-    atomic_write_text(csv_path, buf.getvalue())
+    write_csv(csv_path, ["function", "kernel", "loocv", "mape_percent",
+                         "selected"], rows)
     json_path = os.path.join(out_dir, "table2.json")
-    write_json(json_path, {"seed": seed, "n_draws": n_draws,
+    write_json(json_path, {"seed": seed, "n_draws": N_DRAWS,
                            "functions": report})
     return [csv_path, json_path], report
 
 
-# Sweep values for the sample-path figures.  Each row of a figure fixes
-# all parameters but one; the swept values below bracket the fixed one.
-FIGURE2_SWEEPS = {
-    "nu": ((0.5, 1.5, 2.5), {"theta": 1.0, "sigma2": 1.0}),
-    "theta": ((0.1, 1.0, 10.0), {"nu": 2.5, "sigma2": 1.0}),
-    "sigma2": ((0.1, 1.0, 10.0), {"nu": 2.5, "theta": 1.0}),
-}
-FIGURE3_SWEEPS = {
-    "nu": ((0.5, 1.5, 2.5), {"gamma": 0.01, "sigma2": 1.0}),
-    "gamma": ((0.001, 0.01, 0.1), {"nu": 2.5, "sigma2": 1.0}),
-    "sigma2": ((0.1, 1.0, 10.0), {"nu": 2.5, "gamma": 0.01}),
+# Kernel family and sweep table of each sample-path figure.  Each row of
+# a figure fixes all parameters but one; the swept values bracket the
+# fixed one.
+FIGURES = {
+    "figure2": (LINEAR, {
+        "nu": ((0.5, 1.5, 2.5), {"theta": 1.0, "sigma2": 1.0}),
+        "theta": ((0.1, 1.0, 10.0), {"nu": 2.5, "sigma2": 1.0}),
+        "sigma2": ((0.1, 1.0, 10.0), {"nu": 2.5, "theta": 1.0}),
+    }),
+    "figure3": (NONLINEAR, {
+        "nu": ((0.5, 1.5, 2.5), {"gamma": 0.01, "sigma2": 1.0}),
+        "gamma": ((0.001, 0.01, 0.1), {"nu": 2.5, "sigma2": 1.0}),
+        "sigma2": ((0.1, 1.0, 10.0), {"nu": 2.5, "gamma": 0.01}),
+    }),
 }
 FIGURE_DEFAULTS = {"nu": 2.5, "theta": 1.0, "sigma2": 1.0, "gamma": 0.01}
+PATHS_PER_PANEL = 5
+ALPHA_COUNT = 101
+SINE_BOUNDS = (0.0, 2.0 * math.pi)
 
 
-def _figure_paths(name: str, family: str, sweeps, out_dir, seed,
-                  grid_res, n_paths, alpha_count):
-    grid = build_grid(Domain(((0.0, 2.0 * math.pi),)), grid_res or 64)
+def path_kernel(family: str, nu: float, sigma2: float, theta: float,
+                gamma: float) -> KernelSpec:
+    """The sample-path kernel: lengthscale `theta` for the linear
+    family, distance scale `gamma` for the nonlinear one."""
+    if family == LINEAR:
+        return KernelSpec(LINEAR, MaternParams(nu, sigma2, (theta,)))
+    return KernelSpec(NONLINEAR, MaternParams(nu, sigma2), gamma=gamma)
+
+
+def sine_family(grid_res: Optional[int] = None,
+                alpha_count: int = ALPHA_COUNT,
+                bounds: Tuple[float, float] = SINE_BOUNDS):
+    """The sample-path inputs: (alphas, inputs) for the sine-frequency
+    family on the interval `bounds` at `alpha_count` frequencies in [0, 1]."""
+    grid = build_grid(Domain((bounds,)), grid_res or 64)
     alphas = np.linspace(0.0, 1.0, alpha_count)
-    inputs = sine_frequency_family(grid, alphas)
+    return alphas, sine_frequency_family(grid, alphas)
+
+
+def _figure_paths(name: str, out_dir: str, seed: int = 42,
+                  grid_res: Optional[int] = None):
+    """Sample-path sweeps of one of FIGURES over the sine family."""
+    family, sweeps = FIGURES[name]
+    alphas, inputs = sine_family(grid_res)
     files = []
     summary = {}
     for param, (values, fixed) in sweeps.items():
         for value in values:
-            setting = dict(FIGURE_DEFAULTS)
-            setting.update(fixed)
-            setting[param] = value
-            if family == LINEAR:
-                spec = KernelSpec(LINEAR, MaternParams(
-                    setting["nu"], setting["sigma2"], (setting["theta"],)))
-            else:
-                spec = KernelSpec(NONLINEAR, MaternParams(
-                    setting["nu"], setting["sigma2"]),
-                    gamma=setting["gamma"])
-            pf = sample_paths_gram(inputs, spec, n_paths, seed,
-                                   index_values=alphas)
+            setting = {**FIGURE_DEFAULTS, **fixed, param: value}
+            pf = sample_paths_gram(inputs, path_kernel(family, **setting),
+                                   PATHS_PER_PANEL, seed, index_values=alphas)
             fname = f"{name}_{param}-{value:g}.csv"
             path = os.path.join(out_dir, fname)
             save_path_family(path, pf)
             files.append(path)
             summary[fname] = {k: setting[k] for k in sorted(setting)}
-    return files, summary
-
-
-def reproduce_figure2(out_dir: str, seed: int = 42,
-                      grid_res: Optional[int] = None,
-                      n_paths: int = 5, alpha_count: int = 101):
-    """Sample-path sweeps for the linear kernel over the sine family."""
-    files, summary = _figure_paths("figure2", LINEAR, FIGURE2_SWEEPS,
-                                   out_dir, seed, grid_res, n_paths,
-                                   alpha_count)
-    report = {"seed": seed, "n_paths": n_paths, "alpha_count": alpha_count,
-              "panels": summary}
-    write_json(os.path.join(out_dir, "figure2.json"), report)
-    return files + [os.path.join(out_dir, "figure2.json")], report
-
-
-def reproduce_figure3(out_dir: str, seed: int = 42,
-                      grid_res: Optional[int] = None,
-                      n_paths: int = 5, alpha_count: int = 101):
-    """Sample-path sweeps for the nonlinear kernel over the sine family."""
-    files, summary = _figure_paths("figure3", NONLINEAR, FIGURE3_SWEEPS,
-                                   out_dir, seed, grid_res, n_paths,
-                                   alpha_count)
-    report = {"seed": seed, "n_paths": n_paths, "alpha_count": alpha_count,
-              "panels": summary}
-    write_json(os.path.join(out_dir, "figure3.json"), report)
-    return files + [os.path.join(out_dir, "figure3.json")], report
+    report = {"seed": seed, "n_paths": PATHS_PER_PANEL,
+              "alpha_count": ALPHA_COUNT, "panels": summary}
+    json_path = os.path.join(out_dir, f"{name}.json")
+    write_json(json_path, report)
+    return files + [json_path], report
 
 
 # Configuration of the error-decay experiment: a short-lengthscale
@@ -263,53 +230,58 @@ MSPE_TEST_POINTS = (0.137, 0.361, 0.589, 0.823)
 MSPE_GRID_RES = 256
 
 
+def mspe_grid(grid_res: Optional[int] = None) -> QuadratureGrid:
+    """The error-decay experiment's grid on the unit interval."""
+    return build_grid(Domain(((0.0, 1.0),)), grid_res or MSPE_GRID_RES)
+
+
+def mspe_decay_curve(design: str, grid: QuadratureGrid, seed: int = 42,
+                     nu: float = MSPE_NU, theta: float = MSPE_THETA,
+                     sizes=MSPE_SIZES, test_points=MSPE_TEST_POINTS,
+                     method: str = "exact",
+                     replicates: int = 200) -> DecayCurve:
+    """MSPE decay of the "knot" or "eigen" design on a `mspe_grid`.
+
+    The kernel is linear with unit variance; the test inputs are kernel
+    translates centered at `test_points`.  The theoretical rate is
+    -2 nu / d for knots and -4 nu / d for eigenfunctions.
+    """
+    domain = grid.domain
+    params = MaternParams(nu, 1.0, (theta,))
+    pts = np.asarray(test_points, dtype=float)[:, None]
+    tests = knot_design(KnotSet(pts, fill_distance(pts, domain)), params,
+                        grid)
+    if design == "knot":
+        def builder(n):
+            return knot_design(lattice_knots(domain, n), params, grid)
+        rate = -2.0 * nu / domain.dim
+    else:
+        eig = nystrom_eig(params, grid, m=max(sizes))
+
+        def builder(n):
+            return eigenfunction_design(eig, n)
+        rate = -4.0 * nu / domain.dim
+    return empirical_mspe(builder, sizes, tests, KernelSpec(LINEAR, params),
+                          replicates=replicates, seed=seed, method=method,
+                          theoretical_rate=rate)
+
+
 def reproduce_mspe_decay(out_dir: str, seed: int = 42,
                          grid_res: Optional[int] = None):
     """Exact MSPE decay for the knot and eigenfunction designs."""
-    domain = Domain(((0.0, 1.0),))
-    grid = build_grid(domain, grid_res or MSPE_GRID_RES)
-    params = MaternParams(MSPE_NU, 1.0, (MSPE_THETA,))
-    spec = KernelSpec(LINEAR, params)
-    tests = knot_design(_point_knots(MSPE_TEST_POINTS), params, grid)
-
-    def knot_builder(n):
-        return knot_design(lattice_knots(domain, n), params, grid)
-
-    eig = nystrom_eig(params, grid, m=max(MSPE_SIZES))
-
-    def eigen_builder(n):
-        return eigenfunction_design(eig, n)
-
-    d = domain.dim
-    knot_curve = empirical_mspe(knot_builder, MSPE_SIZES, tests, spec,
-                                seed=seed, method="exact",
-                                theoretical_rate=-2.0 * MSPE_NU / d)
-    eigen_curve = empirical_mspe(eigen_builder, MSPE_SIZES, tests, spec,
-                                 seed=seed, method="exact",
-                                 theoretical_rate=-4.0 * MSPE_NU / d)
+    grid = mspe_grid(grid_res)
     files = []
-    for name, curve in (("knot", knot_curve), ("eigen", eigen_curve)):
+    report = {"sizes": list(MSPE_SIZES), "nu": MSPE_NU, "theta": MSPE_THETA}
+    for name in ("knot", "eigen"):
+        curve = mspe_decay_curve(name, grid, seed=seed)
         path = os.path.join(out_dir, f"mspe_decay_{name}.csv")
         save_decay_curve(path, curve)
         files.append(path)
-    report = {
-        "knot": {"slope": knot_curve.slope,
-                 "mspe": [float(v) for v in knot_curve.mspe]},
-        "eigen": {"slope": eigen_curve.slope,
-                  "mspe": [float(v) for v in eigen_curve.mspe]},
-        "sizes": list(MSPE_SIZES),
-        "nu": MSPE_NU,
-        "theta": MSPE_THETA,
-    }
+        report[name] = {"slope": curve.slope,
+                        "mspe": [float(v) for v in curve.mspe]}
     json_path = os.path.join(out_dir, "mspe_decay.json")
     write_json(json_path, report)
     return files + [json_path], report
-
-
-def _point_knots(points):
-    pts = np.asarray(points, dtype=float)[:, None]
-    spread = float(np.diff(np.sort(pts[:, 0])).max())
-    return KnotSet(pts, spread)
 
 
 def run_reproduce(target: str, out_dir: str, seed: int = 42,
@@ -318,8 +290,8 @@ def run_reproduce(target: str, out_dir: str, seed: int = 42,
     runners = {
         "table1": reproduce_table1,
         "table2": reproduce_table2,
-        "figure2": reproduce_figure2,
-        "figure3": reproduce_figure3,
+        "figure2": functools.partial(_figure_paths, "figure2"),
+        "figure3": functools.partial(_figure_paths, "figure3"),
         "mspe_decay": reproduce_mspe_decay,
     }
     if target not in runners:

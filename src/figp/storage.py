@@ -13,7 +13,7 @@ import io
 import json
 import os
 import tempfile
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +59,15 @@ def atomic_write_text(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path: str, header: Sequence[str], rows) -> None:
+    """Write a header row and then `rows` (sequences of cells) as CSV."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 def write_json(path: str, payload) -> None:
@@ -291,18 +300,13 @@ def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
 
 
 def save_field_dataset(fields_csv: str, manifest_path: str,
-                       dataset: FieldDataset,
-                       grid: Optional[QuadratureGrid] = None) -> None:
-    grid = grid or dataset.inputs[0].grid
-    manifest = dict(grid_to_dict(grid))
+                       dataset: FieldDataset) -> None:
+    manifest = dict(grid_to_dict(dataset.inputs[0].grid))
     manifest["field_shape"] = list(dataset.field_shape)
     write_json(manifest_path, manifest)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["input"] + [f"v{j + 1}" for j in range(dataset.p)])
-    for g, row in zip(dataset.inputs, dataset.fields):
-        writer.writerow([input_to_reference(g)] + [fmt(v) for v in row])
-    atomic_write_text(fields_csv, buf.getvalue())
+    write_csv(fields_csv, ["input"] + [f"v{j + 1}" for j in range(dataset.p)],
+              ([input_to_reference(g)] + [fmt(v) for v in row]
+               for g, row in zip(dataset.inputs, dataset.fields)))
 
 
 # ---------------------------------------------------------------------------

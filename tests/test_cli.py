@@ -139,6 +139,16 @@ def test_sample_paths_nonlinear_family(workdir, capsys):
     assert report["params"]["family"] == "nonlinear"
 
 
+def test_sample_paths_defaults_match_reproduce_figure2(workdir, capsys):
+    # the CLI defaults are figure2's theta = 1 panel, drawn by the same code
+    assert cli_dispatch(["sample-paths", "--seed", "42",
+                         "--out", "paths.csv"]) == 0
+    assert cli_dispatch(["reproduce", "figure2", "--seed", "42",
+                         "--out", "fig2"]) == 0
+    assert ((workdir / "paths.csv").read_bytes()
+            == (workdir / "fig2" / "figure2_theta-1.csv").read_bytes())
+
+
 def test_mspe_decay_command(workdir, capsys):
     rc = cli_dispatch(["mspe-decay", "--design", "eigen",
                        "--sizes", "4,8,16", "--grid-res", "64",

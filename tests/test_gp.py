@@ -8,7 +8,7 @@ from figp import (Domain, FigpError, FitConfig, KernelSpec, LINEAR,
                   MaternParams, NONLINEAR, build_grid, build_model, fit,
                   kernel_matrix, log_marginal_likelihood, loocv_error,
                   predict, predict_many, sample_function, select_kernel)
-from figp.gp import GPModel
+from figp.gp import GPModel, select_family
 from figp.kernels import GramFactorization
 
 from figp_testlib import brute_loocv, random_poly_inputs
@@ -242,6 +242,12 @@ def test_select_kernel_skips_failing_family(square_grid):
                                      config=cfg, nugget=0.0)
     assert best.spec.family == NONLINEAR
     assert len(report) == 1
+
+
+def test_select_family_tie_goes_to_linear():
+    assert select_family({LINEAR: 0.5, NONLINEAR: 0.5}) == LINEAR
+    assert select_family({NONLINEAR: 0.5, LINEAR: 0.5}) == LINEAR
+    assert select_family({NONLINEAR: 0.25, LINEAR: 0.5}) == NONLINEAR
 
 
 def test_select_kernel_rejects_empty_family_list(bench_inputs, bench_outputs):

@@ -7,7 +7,7 @@ import figp.kernels
 from figp import (Domain, FigpError, FunctionalInput, GramFactorizationError,
                   KernelSpec, LINEAR, MaternParams, NONLINEAR,
                   apply_pointwise_map, build_grid, gram, kernel_diag,
-                  kernel_matrix, matern52_exp5, matern_psi, sample_function)
+                  kernel_matrix, matern_psi, sample_function)
 
 from figp_testlib import (kernel_entry, pairwise_kernel_oracle,
                           random_poly_inputs)
@@ -49,14 +49,6 @@ def test_matern_psi_monotone_decreasing(nu):
     r = np.linspace(0.0, 6.0, 1000)
     vals = matern_psi(r, MaternParams(nu, 1.0))
     assert np.all(np.diff(vals) < 0)
-
-
-def test_matern52_exp5_profile():
-    assert math.isclose(float(matern52_exp5(0.0)), 1.0, rel_tol=1e-14)
-    assert math.isclose(float(matern52_exp5(1.0)), 0.03303436618297373,
-                        rel_tol=1e-12)
-    # faster tail than the standard nu=5/2 profile
-    assert float(matern52_exp5(3.0)) < float(matern_psi(3.0, MaternParams(2.5, 1.0)))
 
 
 def test_matern_params_validation():

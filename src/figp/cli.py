@@ -231,7 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print a machine-readable JSON report")
 
     fitting = argparse.ArgumentParser(add_help=False)
-    fitting.add_argument("--multistarts", type=int, default=8)
+    fitting.add_argument("--multistarts", type=int, default=8,
+                         help="L-BFGS-B starts for --anisotropic fits; a "
+                              "one-parameter fit is a deterministic scan "
+                              "and ignores it (default 8)")
     fitting.add_argument("--anisotropic", action="store_true",
                          help="free one lengthscale per dimension "
                               "(linear kernel)")

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
+from scipy.optimize import minimize, minimize_scalar
 
 from .domain import FunctionalInput, _check_same_grid
 from .errors import FigpError, FitError, GramFactorizationError
@@ -27,13 +26,21 @@ from .kernels import (
     KernelSpec,
     MaternParams,
     gram,
-    kernel_diag,
-    kernel_matrix,
+    kernel_matrix_and_diag,
 )
 
 LOG_THETA_BOUNDS = (-3.0, 3.0)
 LOG_GAMMA_BOUNDS = (-5.0, 2.0)
-MAX_ITERS = 200  # L-BFGS-B iterations per start
+# One-parameter fits scan the profile on a log grid of this spacing (25
+# points for log theta, 29 for log gamma), then refine once in the two
+# grid cells around the best point to this absolute log tolerance.
+SCAN_STEP = 0.25
+SCAN_XATOL = 1e-5
+MAX_ITERS = 200  # L-BFGS-B iterations per start (anisotropic fits)
+
+# Objective value of a failed likelihood evaluation (the Gram could not
+# be factorized); a search whose best value is this large has failed.
+_FAILED = 1e10
 
 # Relative slack allowed when clamping a slightly negative posterior
 # variance to zero; anything more negative signals a broken factorization.
@@ -42,11 +49,13 @@ VARIANCE_CLAMP_REL = 1e-8
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings for the multistart likelihood optimization.
+    """Settings for the likelihood optimization.
 
     `anisotropic` frees one lengthscale per dimension for the linear
     kernel; the default ties them to a single value, which is much
-    better behaved on small designs.
+    better behaved on small designs.  `multistarts` and `seed` apply to
+    anisotropic fits only: a fit with one free parameter (isotropic
+    linear, or nonlinear) is a deterministic profile scan.
     """
 
     multistarts: int = 8
@@ -160,14 +169,50 @@ def _make_spec(family: str, params_log: np.ndarray, config: FitConfig,
                       gamma=float(np.exp(params_log[0])), nugget=nugget)
 
 
+def _profile_scan(objective, lo: float, hi: float):
+    """Minimize `objective` over one log parameter on [lo, hi].
+
+    Evaluates it on a grid of spacing SCAN_STEP, runs one bounded Brent
+    refinement over the two grid cells around the best point, and
+    returns (x, value, grid size) for the better of the refined point
+    and the best grid point.  Deterministic.
+    """
+    grid = np.linspace(lo, hi, int(round((hi - lo) / SCAN_STEP)) + 1)
+    values = [objective(np.array([t])) for t in grid]
+    i = int(np.argmin(values))
+    x, val = np.array([grid[i]]), values[i]
+    if val < _FAILED:
+        res = minimize_scalar(
+            lambda t: objective(np.array([t])), method="bounded",
+            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+            options={"xatol": SCAN_XATOL})
+        if res.fun < val:
+            x, val = np.array([res.x]), res.fun
+    return x, val, grid.size
+
+
+def _stratified_starts(n: int, lo: np.ndarray, hi: np.ndarray,
+                       seed: int) -> np.ndarray:
+    """n points in the box [lo, hi], one in each of n strata along every
+    dimension: a random permutation of the strata per dimension plus a
+    uniform jitter inside each stratum (a Latin hypercube sample)."""
+    rng = np.random.default_rng(seed)
+    strata = np.column_stack([rng.permutation(n) for _ in range(lo.size)])
+    return lo + (strata + rng.random(strata.shape)) / n * (hi - lo)
+
+
 def fit(inputs: Sequence[FunctionalInput], y, family: str,
         config: Optional[FitConfig] = None, premap: Optional[str] = None,
         nugget: Optional[float] = None) -> GPModel:
     """Fit a surrogate of the given kernel family by maximum likelihood.
 
-    Runs L-BFGS-B from the center of the log-parameter box plus
-    Latin-hypercube starts drawn with `config.seed`, and keeps the best
-    likelihood.  Deterministic for a fixed config.
+    With one free parameter (isotropic linear, or nonlinear) the
+    profiled likelihood is scanned on a log grid and refined once around
+    the best grid point (`_profile_scan`), whatever `config.multistarts`
+    and `config.seed` say.  An anisotropic linear fit runs L-BFGS-B from
+    the center of the log box plus `config.multistarts - 1` stratified
+    starts drawn with `config.seed`, and keeps the best likelihood.
+    Deterministic for a fixed config.
     """
     if config is None:
         config = FitConfig()
@@ -201,28 +246,29 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
             fact = gram(inputs, spec)
             return -_profile(fact, y)[2]
         except (GramFactorizationError, FloatingPointError):
-            return 1e10
+            return _FAILED
 
-    starts = [0.5 * (lo + hi)]
-    if config.multistarts > 1:
-        sampler = qmc.LatinHypercube(d=n_free, seed=config.seed)
-        extra = qmc.scale(sampler.random(config.multistarts - 1), lo, hi)
-        starts.extend(np.asarray(extra))
-
-    best = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # nugget escalation during search
-        for p0 in starts:
-            res = minimize(objective, np.asarray(p0), method="L-BFGS-B",
-                           bounds=box, options={"maxiter": MAX_ITERS})
-            if not np.isfinite(res.fun):
-                continue
-            if best is None or res.fun < best.fun - 1e-12:
-                best = res
-    if best is None or best.fun >= 1e10:
-        raise FitError(f"all {len(starts)} starts failed for the {family} kernel")
+        if n_free == 1:
+            best_x, best_f, points = _profile_scan(objective, lo[0], hi[0])
+            failure = f"the profile scan failed at all {points} points"
+        else:
+            starts = [0.5 * (lo + hi)]
+            if config.multistarts > 1:
+                starts.extend(_stratified_starts(config.multistarts - 1,
+                                                 lo, hi, config.seed))
+            best_x, best_f = None, _FAILED
+            for p0 in starts:
+                res = minimize(objective, np.asarray(p0), method="L-BFGS-B",
+                               bounds=box, options={"maxiter": MAX_ITERS})
+                if np.isfinite(res.fun) and res.fun < best_f - 1e-12:
+                    best_x, best_f = res.x, res.fun
+            failure = f"all {len(starts)} L-BFGS-B starts failed"
+    if not best_f < _FAILED:
+        raise FitError(f"{failure} for the {family} kernel")
 
-    unit_spec = _make_spec(family, best.x, config, dim, 1.0, premap, nugget)
+    unit_spec = _make_spec(family, best_x, config, dim, 1.0, premap, nugget)
     fact_unit = gram(inputs, unit_spec)
     mu, s2, ll = _profile(fact_unit, y)
     spec = unit_spec.with_sigma2(s2)
@@ -245,15 +291,15 @@ def predict_many(model: GPModel, inputs: Sequence[FunctionalInput]):
     """Posterior predictive means and variances at a batch of inputs.
 
     The inputs must share the training grid (GridMismatchError
-    otherwise).  The cost is one cross-kernel matrix and one
-    `kernel_diag` call for the whole batch.  A slightly negative
-    variance is clamped to zero; one more negative than
-    VARIANCE_CLAMP_REL * max(sigma2, K(g, g)) raises FigpError.
+    otherwise).  The cost is one `kernel_matrix_and_diag` call for the
+    whole batch, which builds one base-kernel matrix for a linear model.
+    A slightly negative variance is clamped to zero; one more negative
+    than VARIANCE_CLAMP_REL * max(sigma2, K(g, g)) raises FigpError.
     """
     inputs = list(inputs)
-    K_cross = kernel_matrix(list(model.inputs), inputs, model.spec)
+    K_cross, kgg = kernel_matrix_and_diag(list(model.inputs), inputs,
+                                          model.spec)
     means = model.mu_hat + K_cross.T @ model.alpha
-    kgg = kernel_diag(inputs, model.spec)
     quad = np.einsum("ij,ij->j", K_cross, model.factorization.solve(K_cross))
     raw = kgg - quad
     tol = VARIANCE_CLAMP_REL * np.maximum(model.sigma2_hat, np.abs(kgg))

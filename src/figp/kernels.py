@@ -197,7 +197,10 @@ def kernel_matrix(inputs_a: List[FunctionalInput],
     is one n_q x n_q evaluation plus matrix products.  The nonlinear
     kernel needs no Psi: it applies the Matern profile to the scaled
     L2 distances between inputs.  For the diagonal K(g, g) alone use
-    `kernel_diag`, which skips the cross products.
+    `kernel_diag`, which skips the cross products; for both use
+    `kernel_matrix_and_diag`, which shares one Psi between them.  The
+    linear product is taken as ((W A)^T Psi) (W B); the training Gram
+    comes from here, and `storage` checksums its bytes.
     """
     for g in list(inputs_a[1:]) + list(inputs_b):
         _check_same_grid(inputs_a[0], g)
@@ -218,23 +221,42 @@ def kernel_matrix(inputs_a: List[FunctionalInput],
     return matern_psi(spec.gamma * dist, spec.base)
 
 
+def kernel_matrix_and_diag(inputs_a: List[FunctionalInput],
+                           inputs_b: List[FunctionalInput],
+                           spec: KernelSpec):
+    """`kernel_matrix(inputs_a, inputs_b, spec)` and the prior variances
+    K(b, b) of `inputs_b`, both without any nugget.
+
+    For the linear kernel both come from one product Psi (W B), so one
+    base-kernel matrix serves the cross matrix (W A)^T (Psi W B) and the
+    variances, the column sums of (W B) * (Psi W B).  The cross matrix
+    is multiplied in the other order than `kernel_matrix` uses, so the
+    two agree to round-off, not bitwise.  For the nonlinear kernel the
+    variances are sigma2, exactly, because matern_psi(0) is sigma2.
+    """
+    if spec.family == NONLINEAR:
+        return (kernel_matrix(inputs_a, inputs_b, spec),
+                np.full(len(inputs_b), spec.base.sigma2))
+    for g in list(inputs_a[1:]) + list(inputs_b):
+        _check_same_grid(inputs_a[0], g)
+    grid = inputs_a[0].grid
+    A = _values_matrix(inputs_a, spec.premap) * grid.weights[:, None]
+    B = _values_matrix(inputs_b, spec.premap) * grid.weights[:, None]
+    psi_B = base_kernel_matrix(grid.nodes, grid.nodes, spec.base) @ B
+    return A.T @ psi_B, np.einsum("ij,ij->j", B, psi_B)
+
+
 def kernel_diag(inputs: List[FunctionalInput], spec: KernelSpec) -> np.ndarray:
     """Prior variances K(g, g) of each input, without any nugget.
 
     Equals diag(kernel_matrix(inputs, inputs, spec)) without forming
-    the cross terms.  The linear kernel builds one base-kernel matrix
-    for the whole batch; the nonlinear kernel is sigma2 for every
-    input, exactly, because matern_psi(0) is sigma2.
+    the cross matrix: the variances of `kernel_matrix_and_diag` against
+    the first input alone, one base-kernel matrix for the whole batch.
     """
     inputs = list(inputs)
-    for g in inputs[1:]:
-        _check_same_grid(inputs[0], g)
-    if spec.family == NONLINEAR:
-        return np.full(len(inputs), spec.base.sigma2)
-    grid = inputs[0].grid
-    B = _values_matrix(inputs, spec.premap) * grid.weights[:, None]
-    psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
-    return np.einsum("ij,ij->j", B, psi @ B)
+    if not inputs:
+        return np.empty(0)
+    return kernel_matrix_and_diag(inputs[:1], inputs, spec)[1]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,9 @@ def bench_outputs(bench_inputs):
 
 @pytest.fixture(scope="session")
 def bench_models(bench_inputs, bench_outputs):
-    """One fitted model per (functional, family); reduced multistarts for speed."""
+    """One fitted model per (functional, family).  Every fit here has one
+    free parameter, so it is a profile scan that ignores the config's
+    seed and multistarts."""
     cfg = FitConfig(seed=42, multistarts=4)
     models = {}
     for name in FUNCTIONALS:

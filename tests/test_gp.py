@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import figp.gp
 import figp.kernels
-from figp import (Domain, FigpError, FitConfig, KernelSpec, LINEAR,
-                  MaternParams, NONLINEAR, build_grid, build_model, fit,
-                  kernel_matrix, log_marginal_likelihood, loocv_error,
-                  predict, predict_many, sample_function, select_kernel)
-from figp.gp import GPModel, select_family
+from figp import (Domain, FigpError, FitConfig, GramFactorizationError,
+                  KernelSpec, LINEAR, MaternParams, NONLINEAR, build_grid,
+                  build_model, fit, kernel_matrix, log_marginal_likelihood,
+                  loocv_error, predict, predict_many, sample_function,
+                  select_kernel)
+from figp.gp import (LOG_GAMMA_BOUNDS, LOG_THETA_BOUNDS, GPModel,
+                     select_family)
 from figp.kernels import GramFactorization
 
 from figp_testlib import brute_loocv, random_poly_inputs
@@ -89,6 +95,74 @@ def test_fit_deterministic(bench_inputs, bench_outputs):
     assert loocv_error(a) == loocv_error(b)
 
 
+def _unit_spec(family, log_param, dim=2):
+    """The unit-variance spec `fit` evaluates at one log parameter."""
+    if family == LINEAR:
+        return KernelSpec(LINEAR, MaternParams(2.5, 1.0,
+                                               (math.exp(log_param),) * dim))
+    return KernelSpec(NONLINEAR, MaternParams(2.5, 1.0),
+                      gamma=math.exp(log_param))
+
+
+@pytest.mark.parametrize("family", [LINEAR, NONLINEAR])
+@pytest.mark.parametrize("name", ["f1", "f2", "f3"])
+def test_profile_scan_reaches_the_profile_maximum(name, family, bench_models,
+                                                  bench_inputs, bench_outputs,
+                                                  monkeypatch):
+    y = bench_outputs[name]
+    lo, hi = LOG_THETA_BOUNDS if family == LINEAR else LOG_GAMMA_BOUNDS
+    profile = []
+    for t in np.linspace(lo, hi, 241):
+        try:
+            profile.append(log_marginal_likelihood(_unit_spec(family, t),
+                                                   bench_inputs, y))
+        except GramFactorizationError:
+            pass
+    ll = bench_models[(name, family)].log_likelihood
+    assert ll >= max(profile) - 1e-9 * abs(ll)
+
+    # the scan stays cheap and ignores the seed and the start count
+    # (bench_models fits with seed 42 and 4 starts, the default is 0 and 8)
+    real = figp.gp.gram
+    calls = {"n": 0}
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(figp.gp, "gram", counted)
+    other = fit(bench_inputs, y, family)
+    assert calls["n"] <= 60
+    assert other.log_likelihood == ll
+    assert other.spec == bench_models[(name, family)].spec
+
+
+def test_anisotropic_fit_uses_seeded_starts(bench_inputs, bench_outputs):
+    cfg = FitConfig(anisotropic=True, multistarts=2)
+    y = bench_outputs["f1"]
+    a = fit(bench_inputs, y, LINEAR, cfg)
+    b = fit(bench_inputs, y, LINEAR, cfg)
+    theta = np.array(a.spec.base.lengthscales)
+    assert theta.size == 2
+    assert np.all(theta >= math.exp(LOG_THETA_BOUNDS[0]))
+    assert np.all(theta <= math.exp(LOG_THETA_BOUNDS[1]))
+    assert a.spec == b.spec and a.log_likelihood == b.log_likelihood
+    # the first start is the box centre, so the fit can only improve on it
+    centre = log_marginal_likelihood(_unit_spec(LINEAR, 0.0), bench_inputs, y)
+    assert a.log_likelihood >= centre
+
+
+def test_import_does_not_load_scipy_stats():
+    # a fresh interpreter, so no other test's imports count
+    src = os.path.dirname(os.path.dirname(figp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, figp; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
 def test_fit_affine_equivariance(bench_inputs, bench_outputs, square_grid):
     cfg = FitConfig(seed=42, multistarts=4)
     y = bench_outputs["f2"]
@@ -142,7 +216,7 @@ def test_predict_many_psi_builds_do_not_grow_with_batch(bench_models,
         calls["n"] = 0
         predict_many(model, random_poly_inputs(square_grid, size, rng))
         counts.append(calls["n"])
-    assert counts[0] == counts[1]
+    assert counts == [1, 1]
 
 
 def test_posterior_mean_additive_in_y(square_grid):
@@ -237,11 +311,14 @@ def test_select_kernel_skips_failing_family(square_grid):
     x1 = sample_function("x1", square_grid)
     two = sample_function("2*x1", square_grid)
     cfg = FitConfig(seed=0, multistarts=2)
-    with pytest.warns(UserWarning, match="linear kernel fit failed"):
+    with pytest.warns(UserWarning, match="linear kernel fit failed") as record:
         best, report = select_kernel([x1, two], np.array([1.0, 2.0]),
                                      config=cfg, nugget=0.0)
     assert best.spec.family == NONLINEAR
     assert len(report) == 1
+    # the failing stage is named: the one-parameter fit is a scan, not starts
+    assert any("the profile scan failed at all 25 points for the linear "
+               "kernel" in str(w.message) for w in record)
 
 
 def test_select_family_tie_goes_to_linear():

@@ -49,7 +49,6 @@ from .kernels import (
     MaternParams,
     base_kernel_matrix,
     gram,
-    kernel_diag,
     kernel_matrix,
     matern_psi,
 )
@@ -91,7 +90,7 @@ __all__ = [
     "FitConfig", "GPModel", "build_model", "fit", "log_marginal_likelihood",
     "loocv_error", "predict", "predict_many", "select_kernel",
     "LINEAR", "NONLINEAR", "GramFactorization", "KernelSpec", "MaternParams",
-    "base_kernel_matrix", "gram", "kernel_diag", "kernel_matrix",
+    "base_kernel_matrix", "gram", "kernel_matrix",
     "matern_psi",
     "EigenSystem", "PathFamily", "nystrom_eig", "sample_paths_gram",
     "sample_paths_kl", "sine_frequency_family",

@@ -165,24 +165,16 @@ def _loglog_slope(sizes, values):
     return float(slope), se
 
 
-def _series_mspe(design, tests, spec: KernelSpec) -> np.ndarray:
+def _series_mspe(design, tests, eig: EigenSystem) -> np.ndarray:
     """Posterior variance at each test input via the eigen-expansion.
 
-    Valid for the plain linear kernel.  Working in coefficient space
-    turns the variance into a projection residual, so no nugget enters
-    and values far below machine-epsilon-times-signal stay meaningful.
+    Valid for the plain linear kernel over `eig`'s base kernel.  In
+    feature space the variance is a projection residual, so no nugget
+    enters and values far below machine-epsilon-times-signal stay
+    meaningful.
     """
-    grid = design[0].grid
-    eig = nystrom_eig(spec.base, grid, m=grid.n_points)
-    sqrt_ev = np.sqrt(eig.eigenvalues)
-    proj = (grid.weights[:, None] * eig.eigenfunctions).T  # (m, n_q)
-
-    def coeffs(funcs):
-        V = np.column_stack([g.values for g in funcs])
-        return sqrt_ev[:, None] * (proj @ V)
-
-    C_design = coeffs(design)
-    C_test = coeffs(tests)
+    C_design = eig.features(design)
+    C_test = eig.features(tests)
     Q, _ = np.linalg.qr(C_design)
     full = np.einsum("ij,ij->j", C_test, C_test)
     captured = np.einsum("ij,ij->j", Q.T @ C_test, Q.T @ C_test)
@@ -198,12 +190,21 @@ def _gram_mspe(design, tests, spec: KernelSpec) -> np.ndarray:
 
 def exact_mspe(design: Sequence[FunctionalInput],
                tests: Sequence[FunctionalInput],
-               spec: KernelSpec) -> np.ndarray:
-    """Exact zero-mean MSPE at each test input for prior-drawn truths."""
+               spec: KernelSpec,
+               eigensystem: Optional[EigenSystem] = None) -> np.ndarray:
+    """Exact zero-mean MSPE at each test input for prior-drawn truths.
+
+    The plain linear kernel takes the series route over `eigensystem`,
+    which must be `nystrom_eig(spec.base, grid)` on the design's grid
+    and is built here when not given; other kernels ignore it.  All
+    inputs must share that grid (GridMismatchError otherwise).
+    """
     design = list(design)
     tests = list(tests)
     if spec.family == LINEAR and spec.premap in (None, "identity"):
-        return _series_mspe(design, tests, spec)
+        if eigensystem is None:
+            eigensystem = nystrom_eig(spec.base, design[0].grid)
+        return _series_mspe(design, tests, eigensystem)
     return _gram_mspe(design, tests, spec)
 
 
@@ -214,13 +215,15 @@ def empirical_mspe(design_builder: Callable[[int], List[FunctionalInput]],
                    replicates: int = 200,
                    seed: int = 0,
                    method: str = "exact",
-                   theoretical_rate: Optional[float] = None) -> DecayCurve:
+                   theoretical_rate: Optional[float] = None,
+                   eigensystem: Optional[EigenSystem] = None) -> DecayCurve:
     """Measure MSPE against design size and fit its log-log slope.
 
     The kernel hyperparameters are taken as fixed and known; nothing is
     refit per size.  `method` "exact" evaluates the posterior variance
-    directly; "mc" draws prior realizations jointly at design and test
-    inputs and scores the zero-mean posterior mean against them.
+    directly by `exact_mspe`, passing it `eigensystem`; "mc" draws prior
+    realizations jointly at design and test inputs and scores the
+    zero-mean posterior mean against them.
     """
     sizes = [int(n) for n in sizes]
     if len(sizes) < 2 or any(n < 2 for n in sizes):
@@ -239,7 +242,8 @@ def empirical_mspe(design_builder: Callable[[int], List[FunctionalInput]],
         except FigpError as exc:
             raise FigpError(f"design construction failed at size {n}: {exc}")
         if method == "exact":
-            per_test = exact_mspe(design, tests, spec)
+            per_test = exact_mspe(design, tests, spec,
+                                  eigensystem=eigensystem)
             mspe_vals.append(float(per_test.mean()))
             se_vals.append(0.0)
         else:

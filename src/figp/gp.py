@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -272,9 +272,7 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     fact_unit = gram(inputs, unit_spec)
     mu, s2, ll = _profile(fact_unit, y)
     spec = unit_spec.with_sigma2(s2)
-    model = build_model(spec, inputs, y, mu=mu)
-    return GPModel(model.spec, model.inputs, model.y, model.mu_hat,
-                   model.factorization, model.alpha, log_likelihood=ll)
+    return replace(build_model(spec, inputs, y, mu=mu), log_likelihood=ll)
 
 
 def predict(model: GPModel, g: FunctionalInput) -> Tuple[float, float]:

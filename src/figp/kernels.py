@@ -196,11 +196,11 @@ def kernel_matrix(inputs_a: List[FunctionalInput],
     weights; one base-kernel matrix Psi serves every pair, so the cost
     is one n_q x n_q evaluation plus matrix products.  The nonlinear
     kernel needs no Psi: it applies the Matern profile to the scaled
-    L2 distances between inputs.  For the diagonal K(g, g) alone use
-    `kernel_diag`, which skips the cross products; for both use
-    `kernel_matrix_and_diag`, which shares one Psi between them.  The
-    linear product is taken as ((W A)^T Psi) (W B); the training Gram
-    comes from here, and `storage` checksums its bytes.
+    L2 distances between inputs.  For the cross matrix and the
+    diagonal K(g, g) together use `kernel_matrix_and_diag`, which
+    shares one Psi between them.  The linear product is taken as
+    ((W A)^T Psi) (W B); the training Gram comes from here, and
+    `storage` checksums its bytes.
     """
     for g in list(inputs_a[1:]) + list(inputs_b):
         _check_same_grid(inputs_a[0], g)
@@ -244,19 +244,6 @@ def kernel_matrix_and_diag(inputs_a: List[FunctionalInput],
     B = _values_matrix(inputs_b, spec.premap) * grid.weights[:, None]
     psi_B = base_kernel_matrix(grid.nodes, grid.nodes, spec.base) @ B
     return A.T @ psi_B, np.einsum("ij,ij->j", B, psi_B)
-
-
-def kernel_diag(inputs: List[FunctionalInput], spec: KernelSpec) -> np.ndarray:
-    """Prior variances K(g, g) of each input, without any nugget.
-
-    Equals diag(kernel_matrix(inputs, inputs, spec)) without forming
-    the cross matrix: the variances of `kernel_matrix_and_diag` against
-    the first input alone, one base-kernel matrix for the whole batch.
-    """
-    inputs = list(inputs)
-    if not inputs:
-        return np.empty(0)
-    return kernel_matrix_and_diag(inputs[:1], inputs, spec)[1]
 
 
 @dataclass(frozen=True)

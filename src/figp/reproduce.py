@@ -244,26 +244,28 @@ def mspe_decay_curve(design: str, grid: QuadratureGrid, seed: int = 42,
 
     The kernel is linear with unit variance; the test inputs are kernel
     translates centered at `test_points`.  The theoretical rate is
-    -2 nu / d for knots and -4 nu / d for eigenfunctions.
+    -2 nu / d for knots and -4 nu / d for eigenfunctions.  One full
+    eigensystem serves the eigenfunction design and every exact MSPE.
     """
     domain = grid.domain
     params = MaternParams(nu, 1.0, (theta,))
     pts = np.asarray(test_points, dtype=float)[:, None]
     tests = knot_design(KnotSet(pts, fill_distance(pts, domain)), params,
                         grid)
+    eig = None
+    if design == "eigen" or method == "exact":
+        eig = nystrom_eig(params, grid)
     if design == "knot":
         def builder(n):
             return knot_design(lattice_knots(domain, n), params, grid)
         rate = -2.0 * nu / domain.dim
     else:
-        eig = nystrom_eig(params, grid, m=max(sizes))
-
         def builder(n):
             return eigenfunction_design(eig, n)
         rate = -4.0 * nu / domain.dim
     return empirical_mspe(builder, sizes, tests, KernelSpec(LINEAR, params),
                           replicates=replicates, seed=seed, method=method,
-                          theoretical_rate=rate)
+                          theoretical_rate=rate, eigensystem=eig)
 
 
 def reproduce_mspe_decay(out_dir: str, seed: int = 42,

@@ -20,8 +20,6 @@ from .domain import FunctionalInput, QuadratureGrid, _check_same_grid
 from .errors import FigpError
 from .kernels import KernelSpec, MaternParams, base_kernel_matrix, gram
 
-DEFAULT_TRUNCATION = 100
-
 
 @dataclass(frozen=True)
 class EigenSystem:
@@ -30,7 +28,8 @@ class EigenSystem:
     `eigenfunctions` has one column per eigenfunction, evaluated at the
     grid nodes; columns are orthonormal under the grid weights to about
     1e-6.  `tail_mass` is the summed spectrum beyond the truncation and
-    bounds the covariance bias of truncated sampling.
+    bounds the covariance bias of truncated sampling.  At least one
+    eigenpair is retained.
     """
 
     grid: QuadratureGrid
@@ -49,15 +48,23 @@ class EigenSystem:
             raise FigpError("eigensystem shapes are inconsistent")
         if np.any(np.diff(ev) > 0) or np.any(ev <= 0):
             raise FigpError("eigenvalues must be positive and descending")
+        if ev.size == 0:
+            raise FigpError("eigensystem has no retained terms")
 
     @property
     def truncation(self) -> int:
         return self.eigenvalues.size
 
-    def coefficients(self, g: FunctionalInput) -> np.ndarray:
-        """Weighted projections <phi_j, g> for all retained j."""
-        _check_same_grid(self, g)
-        return (self.grid.weights * g.values) @ self.eigenfunctions
+    def features(self, inputs: Sequence[FunctionalInput]) -> np.ndarray:
+        """Eigen features Lambda^{1/2} Phi^T W V, one column per input:
+        sqrt(lambda_j) <phi_j, g> over the retained j, where V holds the
+        input values.  Every input must live on this eigensystem's grid
+        (GridMismatchError otherwise)."""
+        for g in inputs:
+            _check_same_grid(self, g)
+        V = np.column_stack([g.values for g in inputs])
+        proj = (self.grid.weights[:, None] * self.eigenfunctions).T
+        return np.sqrt(self.eigenvalues)[:, None] * (proj @ V)
 
 
 def nystrom_eig(params: MaternParams, grid: QuadratureGrid,
@@ -66,10 +73,10 @@ def nystrom_eig(params: MaternParams, grid: QuadratureGrid,
 
     Eigenvalues at or below numerical zero (relative 1e-14 of the
     largest) are dropped, so the returned truncation can be smaller
-    than requested when the trailing spectrum has underflowed.
+    than requested when the trailing spectrum has underflowed.  With
+    m=None every numerically positive eigenpair is kept.
     """
-    if m is None:
-        m = min(grid.n_points, DEFAULT_TRUNCATION)
+    m = grid.n_points if m is None else m
     if not 1 <= m <= grid.n_points:
         raise FigpError(f"truncation m={m} must lie in [1, {grid.n_points}]")
     psi = base_kernel_matrix(grid.nodes, grid.nodes, params)
@@ -157,12 +164,9 @@ def sample_paths_kl(eigensystem: EigenSystem,
     expansion reproduces up to the recorded tail mass.
     """
     inputs = list(inputs)
-    if eigensystem.truncation < 1:
-        raise FigpError("eigensystem has no retained terms")
     if n_paths < 1:
         raise FigpError("n_paths must be positive")
-    coeff = np.column_stack([eigensystem.coefficients(g) for g in inputs])
-    C = np.sqrt(eigensystem.eigenvalues)[:, None] * coeff  # (m, n_inputs)
+    C = eigensystem.features(inputs)  # (m, n_inputs)
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n_paths, eigensystem.truncation))
     draws = Z @ C

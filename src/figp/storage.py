@@ -13,6 +13,7 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -219,9 +220,7 @@ def model_from_dict(d: dict, verify_checksum: bool = True) -> GPModel:
     grid = grid_from_dict(d["grid"])
     inputs = [input_from_reference(ref, grid) for ref in d["inputs"]]
     y = np.asarray(d["y"], dtype=float)
-    model = build_model(spec, inputs, y, mu=d["mu_hat"])
-    model = GPModel(model.spec, model.inputs, model.y, model.mu_hat,
-                    model.factorization, model.alpha,
+    model = replace(build_model(spec, inputs, y, mu=d["mu_hat"]),
                     log_likelihood=float(d.get("log_likelihood", "nan")))
     if verify_checksum and "gram_sha256" in d:
         found = gram_checksum(model)

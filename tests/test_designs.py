@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from figp import (Domain, FigpError, KernelSpec, LINEAR, MaternParams,
-                  NONLINEAR, build_grid, build_model, empirical_mspe,
-                  exact_mspe, eigenfunction_design, fill_distance,
-                  kernel_matrix, knot_design, lattice_knots, nystrom_eig,
-                  predict)
+import figp.designs
+import figp.reproduce
+from figp import (Domain, FigpError, GridMismatchError, KernelSpec, LINEAR,
+                  MaternParams, NONLINEAR, build_grid, build_model,
+                  empirical_mspe, exact_mspe, eigenfunction_design,
+                  fill_distance, kernel_matrix, knot_design, lattice_knots,
+                  nystrom_eig, predict, sample_function)
 from figp.designs import DecayCurve, KnotSet
 from figp.kernels import base_kernel_matrix
+from figp.reproduce import mspe_decay_curve, run_reproduce
 
 UNIT = Domain(((0.0, 1.0),))
 PARAMS = MaternParams(1.5, 1.0, (8.0,))
@@ -127,6 +130,49 @@ def test_exact_mspe_nonlinear_route(unit_grid, test_inputs):
     large = exact_mspe(eigenfunction_design(eig, 8), test_inputs, spec)
     assert np.all(small > 0) and np.all(large > 0)
     assert np.all(large <= small + 1e-6)
+
+
+def test_exact_mspe_rejects_tests_on_another_grid(unit_grid):
+    design = knot_design(lattice_knots(UNIT, 8), PARAMS, unit_grid)
+    wide = build_grid(Domain(((0.0, 2.0),)), 64)
+    tests = [sample_function("x1", wide)]
+    with pytest.raises(GridMismatchError):
+        exact_mspe(design, tests, SPEC)
+
+
+def test_exact_mspe_given_eigensystem_is_bitwise_the_same(unit_grid,
+                                                          test_inputs):
+    design = knot_design(lattice_knots(UNIT, 8), PARAMS, unit_grid)
+    given = exact_mspe(design, test_inputs, SPEC,
+                       eigensystem=nystrom_eig(PARAMS, unit_grid))
+    np.testing.assert_array_equal(given,
+                                  exact_mspe(design, test_inputs, SPEC))
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Count eigendecompositions through the name each caller uses."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return nystrom_eig(*args, **kwargs)
+    monkeypatch.setattr(figp.designs, "nystrom_eig", counted)
+    monkeypatch.setattr(figp.reproduce, "nystrom_eig", counted)
+    return calls
+
+
+def test_mspe_decay_target_builds_one_eigensystem_per_curve(tmp_path,
+                                                            eig_calls):
+    run_reproduce("mspe_decay", str(tmp_path), seed=42)
+    assert len(eig_calls) == 2
+
+
+def test_mc_knot_curve_builds_no_eigensystem(unit_grid, eig_calls):
+    curve = mspe_decay_curve("knot", unit_grid, sizes=(4, 8),
+                             method="mc", replicates=20)
+    assert curve.method == "mc"
+    assert eig_calls == []
 
 
 def _knot_builder(unit_grid):

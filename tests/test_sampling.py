@@ -54,18 +54,24 @@ def test_eigen_decay_slope(interval_grid):
     assert -5.7 <= slope <= -4.3
 
 
-def test_coefficients_pick_out_modes(eigensystem, interval_grid):
+def test_features_pick_out_modes(eigensystem, interval_grid):
     g = FunctionalInput(interval_grid, eigensystem.eigenfunctions[:, 2])
-    c = eigensystem.coefficients(g)
-    want = np.zeros(eigensystem.eigenvalues.size)
-    want[2] = 1.0
+    c = eigensystem.features([g])
+    want = np.zeros((eigensystem.eigenvalues.size, 1))
+    want[2, 0] = math.sqrt(eigensystem.eigenvalues[2])
     np.testing.assert_allclose(c, want, atol=1e-10)
 
 
-def test_coefficients_reject_input_on_another_grid(eigensystem):
+def test_features_reject_input_on_another_grid(eigensystem):
     other = build_grid(Domain(((0.0, 1.0),)), 16)
     with pytest.raises(GridMismatchError):
-        eigensystem.coefficients(sample_function("x1", other))
+        eigensystem.features([sample_function("x1", other)])
+
+
+def test_eigensystem_rejects_empty_spectrum(interval_grid):
+    with pytest.raises(FigpError, match="no retained terms"):
+        EigenSystem(interval_grid, np.empty(0),
+                    np.empty((interval_grid.n_points, 0)), 0.0)
 
 
 def test_sine_family_labels_and_values(interval_grid):

@@ -197,10 +197,15 @@ def exact_mspe(design: Sequence[FunctionalInput],
     The plain linear kernel takes the series route over `eigensystem`,
     which must be `nystrom_eig(spec.base, grid)` on the design's grid
     and is built here when not given; other kernels ignore it.  All
-    inputs must share that grid (GridMismatchError otherwise).
+    inputs must share that grid (GridMismatchError otherwise), and
+    neither `design` nor `tests` may be empty.
     """
     design = list(design)
     tests = list(tests)
+    for name, given in (("design", design), ("tests", tests)):
+        if not given:
+            raise FigpError(f"exact_mspe needs at least one input in "
+                            f"`{name}`, which is empty")
     if spec.family == LINEAR and spec.premap in (None, "identity"):
         if eigensystem is None:
             eigensystem = nystrom_eig(spec.base, design[0].grid)

@@ -33,7 +33,8 @@ LOG_THETA_BOUNDS = (-3.0, 3.0)
 LOG_GAMMA_BOUNDS = (-5.0, 2.0)
 # One-parameter fits scan the profile on a log grid of this spacing (25
 # points for log theta, 29 for log gamma), then refine once in the two
-# grid cells around the best point to this absolute log tolerance.
+# grid cells around the best point to this absolute log tolerance, which
+# is also how far inside a box edge the edge probe looks.
 SCAN_STEP = 0.25
 SCAN_XATOL = 1e-5
 MAX_ITERS = 200  # L-BFGS-B iterations per start (anisotropic fits)
@@ -176,12 +177,21 @@ def _profile_scan(objective, lo: float, hi: float):
     refinement over the two grid cells around the best point, and
     returns (x, value, grid size) for the better of the refined point
     and the best grid point.  Deterministic.
+
+    Bounded Brent never evaluates an endpoint, so when the best grid
+    point is an end of the box one probe SCAN_XATOL inside it decides:
+    if the probe is no better, the profile falls toward the edge and
+    the endpoint is returned with no refinement.
     """
     grid = np.linspace(lo, hi, int(round((hi - lo) / SCAN_STEP)) + 1)
     values = [objective(np.array([t])) for t in grid]
     i = int(np.argmin(values))
     x, val = np.array([grid[i]]), values[i]
     if val < _FAILED:
+        if i in (0, grid.size - 1):
+            inward = SCAN_XATOL if i == 0 else -SCAN_XATOL
+            if not objective(np.array([grid[i] + inward])) < val:
+                return x, val, grid.size
         res = minimize_scalar(
             lambda t: objective(np.array([t])), method="bounded",
             bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
@@ -213,6 +223,13 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     the center of the log box plus `config.multistarts - 1` stratified
     starts drawn with `config.seed`, and keeps the best likelihood.
     Deterministic for a fixed config.
+
+    The objective keeps the profiled (mu, sigma2, loglik) of its best
+    evaluation with that evaluation's exact parameters.  When the search
+    returns those parameters the kept profile is used, since rebuilding
+    the same Gram would give the same bits; otherwise (say, an L-BFGS-B
+    start whose best evaluation was a finite-difference point) the
+    profile is recomputed at the returned parameters.
     """
     if config is None:
         config = FitConfig()
@@ -239,14 +256,19 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
 
+    # the best evaluation so far: its exact parameters and (mu, s2, ll)
+    kept = {"x": None, "profile": None}
+
     def objective(p):
         spec = _make_spec(family, np.asarray(p), config, dim, 1.0,
                           premap, nugget)
         try:
-            fact = gram(inputs, spec)
-            return -_profile(fact, y)[2]
+            profile = _profile(gram(inputs, spec), y)
         except (GramFactorizationError, FloatingPointError):
             return _FAILED
+        if kept["profile"] is None or profile[2] > kept["profile"][2]:
+            kept["x"], kept["profile"] = np.array(p, dtype=float), profile
+        return -profile[2]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # nugget escalation during search
@@ -269,8 +291,10 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
         raise FitError(f"{failure} for the {family} kernel")
 
     unit_spec = _make_spec(family, best_x, config, dim, 1.0, premap, nugget)
-    fact_unit = gram(inputs, unit_spec)
-    mu, s2, ll = _profile(fact_unit, y)
+    if np.array_equal(kept["x"], best_x):
+        mu, s2, ll = kept["profile"]
+    else:
+        mu, s2, ll = _profile(gram(inputs, unit_spec), y)
     spec = unit_spec.with_sigma2(s2)
     return replace(build_model(spec, inputs, y, mu=mu), log_likelihood=ll)
 

@@ -129,19 +129,33 @@ def matern_psi(r, params: MaternParams):
 
     Closed forms are used for nu in {1/2, 3/2, 5/2}; any other nu goes
     through the modified Bessel function of the second kind.  Returns
-    sigma2 at r = 0.  Accepts scalars or arrays.
+    sigma2 at r = 0.  Accepts scalars or arrays; a scalar gives a float.
+
+    The closed forms are evaluated in place in two or three buffers, in
+    the same operation order as s2 * (1 + z + z*z/3) * exp(-z) with
+    temporaries, so the values are bitwise those of that expression.
+    `r` itself is never written.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    # fmin skips NaN, so a NaN distance is let through as np.any(r < 0) did
+    if np.fmin.reduce(r, axis=None, initial=np.inf) < 0:
         raise FigpError("distances must be non-negative")
     nu, s2 = params.nu, params.sigma2
-    z = 2.0 * math.sqrt(nu) * r
+    z = np.atleast_1d(r * (2.0 * math.sqrt(nu)))  # a fresh buffer
     if abs(nu - 0.5) < 1e-12:
-        out = s2 * np.exp(-z)
+        out = np.exp(np.negative(z, out=z), out=z)
+        out *= s2
     elif abs(nu - 1.5) < 1e-12:
-        out = s2 * (1.0 + z) * np.exp(-z)
+        out = np.add(z, 1.0)
+        out *= s2
+        out *= np.exp(np.negative(z, out=z), out=z)
     elif abs(nu - 2.5) < 1e-12:
-        out = s2 * (1.0 + z + z * z / 3.0) * np.exp(-z)
+        t = np.multiply(z, z)
+        t /= 3.0
+        out = np.add(z, 1.0)
+        out += t
+        out *= s2
+        out *= np.exp(np.negative(z, out=z), out=z)
     else:
         zero = z == 0
         zz = np.where(zero, 1.0, z)
@@ -150,8 +164,8 @@ def matern_psi(r, params: MaternParams):
         out = np.where(zero, s2, out)
         # kv underflows to 0 for large z, which is the correct limit
         out = np.where(np.isfinite(out), out, 0.0)
-    if out.ndim == 0:
-        return float(out)
+    if r.ndim == 0:
+        return float(out[0])
     return out
 
 

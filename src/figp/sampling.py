@@ -59,7 +59,10 @@ class EigenSystem:
         """Eigen features Lambda^{1/2} Phi^T W V, one column per input:
         sqrt(lambda_j) <phi_j, g> over the retained j, where V holds the
         input values.  Every input must live on this eigensystem's grid
-        (GridMismatchError otherwise)."""
+        (GridMismatchError otherwise), and there must be at least one."""
+        if len(inputs) == 0:
+            raise FigpError("eigen features need at least one input; "
+                            "`inputs` is empty")
         for g in inputs:
             _check_same_grid(self, g)
         V = np.column_stack([g.values for g in inputs])

@@ -96,24 +96,44 @@ def grid_from_dict(d: dict) -> QuadratureGrid:
     return build_grid(domain, d.get("resolution"), d.get("rule", "gauss-legendre"))
 
 
-def input_from_reference(ref, grid: QuadratureGrid) -> FunctionalInput:
-    """Resolve a serialized input: an expression string, or a mapping
-    {"csv": path} pointing at a coordinate/value table."""
+def _resolve_csv(path: str, base_dir: str) -> str:
+    """A CSV path read from a file in `base_dir`, as a path from the
+    current directory (absolute paths are kept)."""
+    return os.path.normpath(os.path.join(base_dir, path))
+
+
+def _relative_csv(path: str, base_dir: str) -> str:
+    """A CSV path from the current directory, as a path relative to
+    `base_dir`, for writing into a file in `base_dir`."""
+    return os.path.relpath(path, base_dir or os.curdir)
+
+
+def input_from_reference(ref, grid: QuadratureGrid,
+                         base_dir: str = "") -> FunctionalInput:
+    """Resolve a serialized input: an expression string, or a CSV path
+    given as a string ending in ".csv" or as a mapping {"csv": path}.
+    A relative CSV path is taken relative to `base_dir`, the directory
+    of the file holding the reference."""
+    if isinstance(ref, dict) and isinstance(ref.get("csv"), str):
+        return load_input_csv(_resolve_csv(ref["csv"], base_dir), grid)
     if isinstance(ref, str):
         if ref.endswith(".csv"):
-            return load_input_csv(ref, grid)
+            return load_input_csv(_resolve_csv(ref, base_dir), grid)
         return sample_function(ref, grid)
-    if isinstance(ref, dict) and "csv" in ref:
-        return load_input_csv(ref["csv"], grid)
     raise FigpError(f"cannot resolve functional input reference {ref!r}")
 
 
-def input_to_reference(g: FunctionalInput):
+def input_to_reference(g: FunctionalInput, base_dir: str = ""):
+    """The serialized form of a labeled input: its expression string,
+    or its CSV path made relative to `base_dir`, the directory of the
+    file being written."""
     if g.label is None:
         raise FigpError(
             "only labeled inputs (expression strings or CSV paths) can be "
             "serialized"
         )
+    if g.label.endswith(".csv"):
+        return _relative_csv(g.label, base_dir)
     return g.label
 
 
@@ -124,7 +144,8 @@ def load_training_data(path: str):
         if key not in d:
             raise FigpError(f"training data {path!r} is missing {key!r}")
     grid = grid_from_dict(d)
-    inputs = [input_from_reference(ref, grid) for ref in d["inputs"]]
+    base_dir = os.path.dirname(path)
+    inputs = [input_from_reference(ref, grid, base_dir) for ref in d["inputs"]]
     y = np.asarray(d["y"], dtype=float)
     if y.size != len(inputs):
         raise FigpError("training data y length does not match inputs")
@@ -134,7 +155,8 @@ def load_training_data(path: str):
 def save_training_data(path: str, grid: QuadratureGrid,
                        inputs: Sequence[FunctionalInput], y) -> None:
     payload = dict(grid_to_dict(grid))
-    payload["inputs"] = [input_to_reference(g) for g in inputs]
+    payload["inputs"] = [input_to_reference(g, os.path.dirname(path))
+                         for g in inputs]
     payload["y"] = [float(v) for v in np.asarray(y, dtype=float)]
     write_json(path, payload)
 
@@ -194,7 +216,9 @@ def gram_checksum(model: GPModel) -> str:
     ).hexdigest()
 
 
-def model_to_dict(model: GPModel) -> dict:
+def model_to_dict(model: GPModel, base_dir: str = "") -> dict:
+    """The model-file payload; CSV input paths are written relative to
+    `base_dir`, the directory of the file being written."""
     grid = model.inputs[0].grid
     return {
         "format": MODEL_FORMAT,
@@ -203,22 +227,25 @@ def model_to_dict(model: GPModel) -> dict:
         "mu_hat": model.mu_hat,
         "log_likelihood": model.log_likelihood,
         "grid": grid_to_dict(grid),
-        "inputs": [input_to_reference(g) for g in model.inputs],
+        "inputs": [input_to_reference(g, base_dir) for g in model.inputs],
         "y": [float(v) for v in model.y],
         "gram_sha256": gram_checksum(model),
     }
 
 
 def save_model(path: str, model: GPModel) -> None:
-    write_json(path, model_to_dict(model))
+    write_json(path, model_to_dict(model, os.path.dirname(path)))
 
 
-def model_from_dict(d: dict, verify_checksum: bool = True) -> GPModel:
+def model_from_dict(d: dict, verify_checksum: bool = True,
+                    base_dir: str = "") -> GPModel:
+    """Rebuild a model from its payload; relative CSV input paths are
+    taken relative to `base_dir`, the directory of the file read."""
     if d.get("format") != MODEL_FORMAT:
         raise FigpError("not a model file")
     spec = kernel_spec_from_dict(d["kernel"])
     grid = grid_from_dict(d["grid"])
-    inputs = [input_from_reference(ref, grid) for ref in d["inputs"]]
+    inputs = [input_from_reference(ref, grid, base_dir) for ref in d["inputs"]]
     y = np.asarray(d["y"], dtype=float)
     model = replace(build_model(spec, inputs, y, mu=d["mu_hat"]),
                     log_likelihood=float(d.get("log_likelihood", "nan")))
@@ -233,13 +260,14 @@ def model_from_dict(d: dict, verify_checksum: bool = True) -> GPModel:
 
 
 def load_model(path: str, verify_checksum: bool = True) -> GPModel:
-    return model_from_dict(read_json(path), verify_checksum)
+    return model_from_dict(read_json(path), verify_checksum,
+                           os.path.dirname(path))
 
 
 # ---------------------------------------------------------------------------
 # emulators
 
-def emulator_to_dict(emulator: PCAEmulator) -> dict:
+def emulator_to_dict(emulator: PCAEmulator, base_dir: str = "") -> dict:
     return {
         "format": EMULATOR_FORMAT,
         "version": FORMAT_VERSION,
@@ -249,12 +277,13 @@ def emulator_to_dict(emulator: PCAEmulator) -> dict:
         "explained_variance_ratio": [
             float(v) for v in emulator.explained_variance_ratio
         ],
-        "score_models": [model_to_dict(m) for m in emulator.score_models],
+        "score_models": [model_to_dict(m, base_dir)
+                         for m in emulator.score_models],
     }
 
 
 def save_emulator(path: str, emulator: PCAEmulator) -> None:
-    write_json(path, emulator_to_dict(emulator))
+    write_json(path, emulator_to_dict(emulator, os.path.dirname(path)))
 
 
 def load_emulator(path: str, verify_checksum: bool = True) -> PCAEmulator:
@@ -262,7 +291,8 @@ def load_emulator(path: str, verify_checksum: bool = True) -> PCAEmulator:
     if d.get("format") != EMULATOR_FORMAT:
         raise FigpError("not an emulator file")
     models = tuple(
-        model_from_dict(md, verify_checksum) for md in d["score_models"]
+        model_from_dict(md, verify_checksum, os.path.dirname(path))
+        for md in d["score_models"]
     )
     return PCAEmulator(
         np.asarray(d["mean_field"], dtype=float),
@@ -282,6 +312,7 @@ def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
     manifest = read_json(manifest_path)
     grid = grid_from_dict(manifest)
     field_shape = tuple(manifest["field_shape"])
+    base_dir = os.path.dirname(fields_csv)
     inputs, rows = [], []
     with open(fields_csv, newline="") as fh:
         reader = csv.reader(fh)
@@ -291,7 +322,7 @@ def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
         for row in reader:
             if not row:
                 continue
-            inputs.append(input_from_reference(row[0], grid))
+            inputs.append(input_from_reference(row[0], grid, base_dir))
             rows.append([float(v) for v in row[1:]])
     if not inputs:
         raise FigpError(f"{fields_csv!r} has no data rows")
@@ -304,7 +335,8 @@ def save_field_dataset(fields_csv: str, manifest_path: str,
     manifest["field_shape"] = list(dataset.field_shape)
     write_json(manifest_path, manifest)
     write_csv(fields_csv, ["input"] + [f"v{j + 1}" for j in range(dataset.p)],
-              ([input_to_reference(g)] + [fmt(v) for v in row]
+              ([input_to_reference(g, os.path.dirname(fields_csv))]
+               + [fmt(v) for v in row]
                for g, row in zip(dataset.inputs, dataset.fields)))
 
 

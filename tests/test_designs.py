@@ -140,6 +140,14 @@ def test_exact_mspe_rejects_tests_on_another_grid(unit_grid):
         exact_mspe(design, tests, SPEC)
 
 
+@pytest.mark.parametrize("empty", ["design", "tests"])
+def test_exact_mspe_rejects_empty_input_lists(unit_grid, empty):
+    x1 = [sample_function("x1", unit_grid)]
+    design, tests = ([], x1) if empty == "design" else (x1, [])
+    with pytest.raises(FigpError, match=f"`{empty}`, which is empty"):
+        exact_mspe(design, tests, SPEC)
+
+
 def test_exact_mspe_given_eigensystem_is_bitwise_the_same(unit_grid,
                                                           test_inputs):
     design = knot_design(lattice_knots(UNIT, 8), PARAMS, unit_grid)

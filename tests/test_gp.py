@@ -10,11 +10,11 @@ import figp.gp
 import figp.kernels
 from figp import (Domain, FigpError, FitConfig, GramFactorizationError,
                   KernelSpec, LINEAR, MaternParams, NONLINEAR, build_grid,
-                  build_model, fit, kernel_matrix, log_marginal_likelihood,
-                  loocv_error, predict, predict_many, sample_function,
-                  select_kernel)
-from figp.gp import (LOG_GAMMA_BOUNDS, LOG_THETA_BOUNDS, GPModel,
-                     select_family)
+                  build_model, fit, gram, kernel_matrix,
+                  log_marginal_likelihood, loocv_error, predict,
+                  predict_many, sample_function, select_kernel)
+from figp.gp import (LOG_GAMMA_BOUNDS, LOG_THETA_BOUNDS, SCAN_XATOL, GPModel,
+                     _profile, _profile_scan, select_family)
 from figp.kernels import GramFactorization
 
 from figp_testlib import brute_loocv, random_poly_inputs
@@ -133,8 +133,44 @@ def test_profile_scan_reaches_the_profile_maximum(name, family, bench_models,
     monkeypatch.setattr(figp.gp, "gram", counted)
     other = fit(bench_inputs, y, family)
     assert calls["n"] <= 60
+    if family == LINEAR:
+        # every linear fit here peaks on a box edge: 25 grid points, one
+        # probe inside the edge and the model build
+        assert calls["n"] == 27
     assert other.log_likelihood == ll
     assert other.spec == bench_models[(name, family)].spec
+
+
+def test_profile_scan_stops_at_an_edge_the_profile_falls_toward():
+    calls = []
+
+    def falling(p):
+        calls.append(float(p[0]))
+        return -float(p[0])
+
+    x, value, points = _profile_scan(falling, -3.0, 3.0)
+    assert x[0] == 3.0 and value == -3.0
+    assert len(calls) == points + 1
+
+
+def test_profile_scan_refines_a_minimum_inside_the_edge_cell():
+    x, value, _ = _profile_scan(lambda p: (float(p[0]) - 2.9) ** 2, -3.0, 3.0)
+    assert abs(x[0] - 2.9) <= SCAN_XATOL
+
+
+@pytest.mark.parametrize("name,family,anisotropic", [
+    ("f1", LINEAR, False), ("f3", NONLINEAR, False),
+    ("f1", LINEAR, True), ("f2", LINEAR, True)])
+def test_fit_profile_is_bitwise_the_refit_profile(name, family, anisotropic,
+                                                  bench_inputs,
+                                                  bench_outputs):
+    y = bench_outputs[name]
+    model = fit(bench_inputs, y, family,
+                FitConfig(anisotropic=anisotropic, multistarts=2))
+    fact = gram(bench_inputs, model.spec.with_sigma2(1.0))
+    mu, s2, ll = _profile(fact, y)
+    assert (model.mu_hat, model.sigma2_hat, model.log_likelihood) == \
+        (mu, s2, ll)
 
 
 def test_anisotropic_fit_uses_seeded_starts(bench_inputs, bench_outputs):

@@ -36,6 +36,32 @@ def test_matern_psi_at_zero_and_vectorized():
     assert matern_psi(r, p).shape == (3, 3)
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+def test_matern_psi_closed_forms_bitwise(nu):
+    # the one-line closed forms, evaluated with temporaries
+    def closed(r, s2):
+        z = 2.0 * math.sqrt(nu) * r
+        if nu == 0.5:
+            return s2 * np.exp(-z)
+        if nu == 1.5:
+            return s2 * (1.0 + z) * np.exp(-z)
+        return s2 * (1.0 + z + z * z / 3.0) * np.exp(-z)
+
+    rng = np.random.default_rng(5)
+    r = rng.uniform(0.0, 30.0, size=(37, 41))
+    r[0, :3] = 0.0
+    before = r.copy()
+    got = matern_psi(r, MaternParams(nu, 0.37))
+    assert got.tobytes() == closed(r, 0.37).tobytes()
+    assert r.tobytes() == before.tobytes()  # the caller's array is not written
+    scalar = matern_psi(0.8, MaternParams(nu, 0.37))
+    assert type(scalar) is float and scalar == float(closed(0.8, 0.37))
+    r[1, 1] = np.nan
+    r[2, 2] = -1.0
+    with pytest.raises(FigpError, match="non-negative"):
+        matern_psi(r, MaternParams(nu, 0.37))
+
+
 def test_matern_closed_forms_meet_bessel_branch():
     # the half-integer shortcuts must agree with the general formula
     for nu in (0.5, 1.5, 2.5):

@@ -68,6 +68,11 @@ def test_features_reject_input_on_another_grid(eigensystem):
         eigensystem.features([sample_function("x1", other)])
 
 
+def test_kl_paths_reject_empty_inputs(eigensystem):
+    with pytest.raises(FigpError, match="`inputs` is empty"):
+        sample_paths_kl(eigensystem, [], 4, 0)
+
+
 def test_eigensystem_rejects_empty_spectrum(interval_grid):
     with pytest.raises(FigpError, match="no retained terms"):
         EigenSystem(interval_grid, np.empty(0),

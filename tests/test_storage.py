@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from figp import (Domain, FieldDataset, FigpError, FunctionalInput,
-                  KernelSpec, LINEAR, MaternParams, NONLINEAR, build_grid,
-                  build_model, fit_emulator, FitConfig, predict,
-                  predict_field, sample_function)
+                  KernelSpec, LINEAR, MaternParams, NONLINEAR, PCAEmulator,
+                  build_grid, build_model, fit, fit_emulator, FitConfig,
+                  predict, predict_field, sample_function)
 from figp.domain import UNIFORM_MIDPOINT
 from figp.sampling import sample_paths_gram, sine_frequency_family
 from figp.designs import DecayCurve
@@ -106,6 +106,57 @@ def test_input_csv_round_trip(tmp_path):
     shifted.write_text("\n".join(rows2) + "\n")
     with pytest.raises(FigpError, match="coordinates"):
         load_input_csv(str(shifted), grid)
+
+
+def test_csv_references_resolve_against_their_file(tmp_path, monkeypatch):
+    grid = build_grid(Domain(((0.0, 1.0),)), 8)
+    data = tmp_path / "data"
+    data.mkdir()
+    x = grid.nodes[:, 0]
+    for i in range(4):
+        rows = ["x1,value"] + [f"{a:.17g},{v:.17g}"
+                               for a, v in zip(x, np.sin((i + 1) * x) + i)]
+        (data / f"c{i}.csv").write_text("\n".join(rows) + "\n")
+    y = [0.4, -0.3, 1.1, 0.2]
+    train = {**grid_to_dict(grid), "y": y,
+             "inputs": [{"csv": "c0.csv"}, "c1.csv", {"csv": "c2.csv"},
+                        "c3.csv"]}
+    write_json(str(data / "train.json"), train)
+
+    # fit and save inside data/
+    monkeypatch.chdir(data)
+    _, inputs, _ = load_training_data("train.json")
+    model = fit(inputs, y, NONLINEAR)
+    save_model("model.json", model)
+    fields = FieldDataset(inputs, np.array([[1.0, 2.0], [0.5, 1.5],
+                                            [2.0, 0.0], [1.0, 1.0]]), (2,))
+    save_field_dataset("fields.csv", "fields.manifest.json", fields)
+    assert read_json("model.json")["inputs"] == ["c0.csv", "c1.csv",
+                                                 "c2.csv", "c3.csv"]
+
+    # load, predict and save again from the parent directory
+    monkeypatch.chdir(tmp_path)
+    test = inputs[0]
+    _, again, _ = load_training_data(os.path.join("data", "train.json"))
+    for a, b in zip(again, inputs):
+        np.testing.assert_array_equal(a.values, b.values)
+    loaded = load_model(os.path.join("data", "model.json"))
+    assert predict(loaded, test) == predict(model, test)
+    ds = load_field_dataset(os.path.join("data", "fields.csv"),
+                            os.path.join("data", "fields.manifest.json"))
+    np.testing.assert_array_equal(ds.fields, fields.fields)
+    em = PCAEmulator(np.zeros(1), np.ones((1, 1)), (loaded,), np.ones(1),
+                     (1,))
+    save_model(os.path.join("out", "model.json"), loaded)
+    save_emulator(os.path.join("out", "emulator.json"), em)
+    assert read_json(os.path.join("out", "model.json"))["inputs"][0] == \
+        os.path.join("..", "data", "c0.csv")
+
+    # and load those from inside out/
+    monkeypatch.chdir(tmp_path / "out")
+    assert predict(load_model("model.json"), test) == predict(model, test)
+    assert predict(load_emulator("emulator.json").score_models[0],
+                   test) == predict(model, test)
 
 
 def test_kernel_spec_round_trip():

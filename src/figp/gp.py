@@ -170,35 +170,34 @@ def _make_spec(family: str, params_log: np.ndarray, config: FitConfig,
                       gamma=float(np.exp(params_log[0])), nugget=nugget)
 
 
-def _profile_scan(objective, lo: float, hi: float):
-    """Minimize `objective` over one log parameter on [lo, hi].
+def _profile_scan(objective, lo: float, hi: float) -> int:
+    """Search one log parameter on [lo, hi] for the minimum of
+    `objective`, which keeps its own best evaluation; returns the number
+    of grid points.
 
-    Evaluates it on a grid of spacing SCAN_STEP, runs one bounded Brent
-    refinement over the two grid cells around the best point, and
-    returns (x, value, grid size) for the better of the refined point
-    and the best grid point.  Deterministic.
+    Evaluates it on a grid of spacing SCAN_STEP, then runs one bounded
+    Brent refinement over the two grid cells around the best grid
+    point.  Deterministic.
 
     Bounded Brent never evaluates an endpoint, so when the best grid
     point is an end of the box one probe SCAN_XATOL inside it decides:
-    if the probe is no better, the profile falls toward the edge and
-    the endpoint is returned with no refinement.
+    if the probe is no better, the profile falls toward the edge and no
+    refinement runs.
     """
     grid = np.linspace(lo, hi, int(round((hi - lo) / SCAN_STEP)) + 1)
     values = [objective(np.array([t])) for t in grid]
     i = int(np.argmin(values))
-    x, val = np.array([grid[i]]), values[i]
-    if val < _FAILED:
-        if i in (0, grid.size - 1):
-            inward = SCAN_XATOL if i == 0 else -SCAN_XATOL
-            if not objective(np.array([grid[i] + inward])) < val:
-                return x, val, grid.size
-        res = minimize_scalar(
-            lambda t: objective(np.array([t])), method="bounded",
-            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
-            options={"xatol": SCAN_XATOL})
-        if res.fun < val:
-            x, val = np.array([res.x]), res.fun
-    return x, val, grid.size
+    if not values[i] < _FAILED:
+        return grid.size
+    if i in (0, grid.size - 1):
+        inward = SCAN_XATOL if i == 0 else -SCAN_XATOL
+        if not objective(np.array([grid[i] + inward])) < values[i]:
+            return grid.size
+    minimize_scalar(
+        lambda t: objective(np.array([t])), method="bounded",
+        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+        options={"xatol": SCAN_XATOL})
+    return grid.size
 
 
 def _stratified_starts(n: int, lo: np.ndarray, hi: np.ndarray,
@@ -224,12 +223,11 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     starts drawn with `config.seed`, and keeps the best likelihood.
     Deterministic for a fixed config.
 
-    The objective keeps the profiled (mu, sigma2, loglik) of its best
-    evaluation with that evaluation's exact parameters.  When the search
-    returns those parameters the kept profile is used, since rebuilding
-    the same Gram would give the same bits; otherwise (say, an L-BFGS-B
-    start whose best evaluation was a finite-difference point) the
-    profile is recomputed at the returned parameters.
+    The objective keeps the profiled (mu, sigma2, loglik) of the best
+    evaluation of the whole search with its exact parameters, and the
+    fit is that kept winner; no Gram is rebuilt to profile it.  An
+    anisotropic fit may return a finite-difference point of L-BFGS-B
+    when that evaluation had the highest likelihood.
     """
     if config is None:
         config = FitConfig()
@@ -257,7 +255,7 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     hi = np.array([b[1] for b in box])
 
     # the best evaluation so far: its exact parameters and (mu, s2, ll)
-    kept = {"x": None, "profile": None}
+    kept = {"x": None, "profile": (None, None, -np.inf)}
 
     def objective(p):
         spec = _make_spec(family, np.asarray(p), config, dim, 1.0,
@@ -266,36 +264,29 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
             profile = _profile(gram(inputs, spec), y)
         except (GramFactorizationError, FloatingPointError):
             return _FAILED
-        if kept["profile"] is None or profile[2] > kept["profile"][2]:
+        if profile[2] > kept["profile"][2]:
             kept["x"], kept["profile"] = np.array(p, dtype=float), profile
         return -profile[2]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # nugget escalation during search
         if n_free == 1:
-            best_x, best_f, points = _profile_scan(objective, lo[0], hi[0])
+            points = _profile_scan(objective, lo[0], hi[0])
             failure = f"the profile scan failed at all {points} points"
         else:
             starts = [0.5 * (lo + hi)]
             if config.multistarts > 1:
                 starts.extend(_stratified_starts(config.multistarts - 1,
                                                  lo, hi, config.seed))
-            best_x, best_f = None, _FAILED
             for p0 in starts:
-                res = minimize(objective, np.asarray(p0), method="L-BFGS-B",
-                               bounds=box, options={"maxiter": MAX_ITERS})
-                if np.isfinite(res.fun) and res.fun < best_f - 1e-12:
-                    best_x, best_f = res.x, res.fun
+                minimize(objective, np.asarray(p0), method="L-BFGS-B",
+                         bounds=box, options={"maxiter": MAX_ITERS})
             failure = f"all {len(starts)} L-BFGS-B starts failed"
-    if not best_f < _FAILED:
+    if kept["x"] is None:
         raise FitError(f"{failure} for the {family} kernel")
 
-    unit_spec = _make_spec(family, best_x, config, dim, 1.0, premap, nugget)
-    if np.array_equal(kept["x"], best_x):
-        mu, s2, ll = kept["profile"]
-    else:
-        mu, s2, ll = _profile(gram(inputs, unit_spec), y)
-    spec = unit_spec.with_sigma2(s2)
+    mu, s2, ll = kept["profile"]
+    spec = _make_spec(family, kept["x"], config, dim, s2, premap, nugget)
     return replace(build_model(spec, inputs, y, mu=mu), log_likelihood=ll)
 
 

@@ -34,7 +34,11 @@ from .sampling import PathFamily
 
 MODEL_FORMAT = "figp-model"
 EMULATOR_FORMAT = "figp-emulator"
-FORMAT_VERSION = 1
+# Version 2 takes relative CSV input paths from the directory of the
+# file that holds them; version 1 took them from the current directory,
+# and version-1 files are still read that way.  A model or emulator with
+# no CSV input reads the same under both and is written as version 1.
+FORMAT_VERSION = 2
 
 
 def fmt(v: float) -> str:
@@ -104,12 +108,22 @@ def _resolve_csv(path: str, base_dir: str) -> str:
 
 def _relative_csv(path: str, base_dir: str) -> str:
     """A CSV path from the current directory, as a path relative to
-    `base_dir`, for writing into a file in `base_dir`."""
+    `base_dir`, for writing into a file in `base_dir` (absolute paths
+    are kept, so the file can still be moved)."""
+    if os.path.isabs(path):
+        return path
     return os.path.relpath(path, base_dir or os.curdir)
 
 
+def _written_version(inputs: Sequence[FunctionalInput]) -> int:
+    """The version of a model or emulator file holding `inputs`."""
+    has_csv = any(g.label is not None and g.label.endswith(".csv")
+                  for g in inputs)
+    return FORMAT_VERSION if has_csv else 1
+
+
 def input_from_reference(ref, grid: QuadratureGrid,
-                         base_dir: str = "") -> FunctionalInput:
+                         base_dir: str) -> FunctionalInput:
     """Resolve a serialized input: an expression string, or a CSV path
     given as a string ending in ".csv" or as a mapping {"csv": path}.
     A relative CSV path is taken relative to `base_dir`, the directory
@@ -123,7 +137,7 @@ def input_from_reference(ref, grid: QuadratureGrid,
     raise FigpError(f"cannot resolve functional input reference {ref!r}")
 
 
-def input_to_reference(g: FunctionalInput, base_dir: str = ""):
+def input_to_reference(g: FunctionalInput, base_dir: str):
     """The serialized form of a labeled input: its expression string,
     or its CSV path made relative to `base_dir`, the directory of the
     file being written."""
@@ -216,13 +230,13 @@ def gram_checksum(model: GPModel) -> str:
     ).hexdigest()
 
 
-def model_to_dict(model: GPModel, base_dir: str = "") -> dict:
+def model_to_dict(model: GPModel, base_dir: str) -> dict:
     """The model-file payload; CSV input paths are written relative to
     `base_dir`, the directory of the file being written."""
     grid = model.inputs[0].grid
     return {
         "format": MODEL_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": _written_version(model.inputs),
         "kernel": kernel_spec_to_dict(model.spec),
         "mu_hat": model.mu_hat,
         "log_likelihood": model.log_likelihood,
@@ -237,15 +251,20 @@ def save_model(path: str, model: GPModel) -> None:
     write_json(path, model_to_dict(model, os.path.dirname(path)))
 
 
-def model_from_dict(d: dict, verify_checksum: bool = True,
-                    base_dir: str = "") -> GPModel:
+def model_from_dict(d: dict, base_dir: str,
+                    verify_checksum: bool = True) -> GPModel:
     """Rebuild a model from its payload; relative CSV input paths are
-    taken relative to `base_dir`, the directory of the file read."""
+    taken relative to `base_dir`, the directory of the file read, or to
+    the current directory in a version-1 payload."""
     if d.get("format") != MODEL_FORMAT:
         raise FigpError("not a model file")
     spec = kernel_spec_from_dict(d["kernel"])
     grid = grid_from_dict(d["grid"])
-    inputs = [input_from_reference(ref, grid, base_dir) for ref in d["inputs"]]
+    version = d.get("version", 1)
+    if version not in (1, FORMAT_VERSION):
+        raise FigpError(f"unsupported model file version {version!r}")
+    ref_dir = base_dir if version == FORMAT_VERSION else ""
+    inputs = [input_from_reference(ref, grid, ref_dir) for ref in d["inputs"]]
     y = np.asarray(d["y"], dtype=float)
     model = replace(build_model(spec, inputs, y, mu=d["mu_hat"]),
                     log_likelihood=float(d.get("log_likelihood", "nan")))
@@ -260,17 +279,18 @@ def model_from_dict(d: dict, verify_checksum: bool = True,
 
 
 def load_model(path: str, verify_checksum: bool = True) -> GPModel:
-    return model_from_dict(read_json(path), verify_checksum,
-                           os.path.dirname(path))
+    return model_from_dict(read_json(path), os.path.dirname(path),
+                           verify_checksum)
 
 
 # ---------------------------------------------------------------------------
 # emulators
 
-def emulator_to_dict(emulator: PCAEmulator, base_dir: str = "") -> dict:
+def emulator_to_dict(emulator: PCAEmulator, base_dir: str) -> dict:
     return {
         "format": EMULATOR_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": _written_version(
+            [g for m in emulator.score_models for g in m.inputs]),
         "field_shape": list(emulator.field_shape),
         "mean_field": [float(v) for v in emulator.mean_field],
         "components": [[float(v) for v in row] for row in emulator.components],
@@ -291,7 +311,7 @@ def load_emulator(path: str, verify_checksum: bool = True) -> PCAEmulator:
     if d.get("format") != EMULATOR_FORMAT:
         raise FigpError("not an emulator file")
     models = tuple(
-        model_from_dict(md, verify_checksum, os.path.dirname(path))
+        model_from_dict(md, os.path.dirname(path), verify_checksum)
         for md in d["score_models"]
     )
     return PCAEmulator(

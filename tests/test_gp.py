@@ -141,21 +141,30 @@ def test_profile_scan_reaches_the_profile_maximum(name, family, bench_models,
     assert other.spec == bench_models[(name, family)].spec
 
 
-def test_profile_scan_stops_at_an_edge_the_profile_falls_toward():
+def _recorded(f):
+    """`f` and the list of points it is evaluated at."""
     calls = []
 
-    def falling(p):
+    def recording(p):
         calls.append(float(p[0]))
-        return -float(p[0])
+        return f(calls[-1])
+    return recording, calls
 
-    x, value, points = _profile_scan(falling, -3.0, 3.0)
-    assert x[0] == 3.0 and value == -3.0
+
+def test_profile_scan_stops_at_an_edge_the_profile_falls_toward():
+    falling, calls = _recorded(lambda t: -t)
+    points = _profile_scan(falling, -3.0, 3.0)
+    assert max(calls) == 3.0
     assert len(calls) == points + 1
 
 
 def test_profile_scan_refines_a_minimum_inside_the_edge_cell():
-    x, value, _ = _profile_scan(lambda p: (float(p[0]) - 2.9) ** 2, -3.0, 3.0)
-    assert abs(x[0] - 2.9) <= SCAN_XATOL
+    def f(t):
+        return (t - 2.9) ** 2
+
+    objective, calls = _recorded(f)
+    _profile_scan(objective, -3.0, 3.0)
+    assert abs(min(calls, key=f) - 2.9) <= SCAN_XATOL
 
 
 @pytest.mark.parametrize("name,family,anisotropic", [

@@ -55,15 +55,15 @@ def test_grid_round_trip(square_grid):
 
 def test_input_reference_round_trip(square_grid):
     g = sample_function("1+x1*x2", square_grid)
-    ref = input_to_reference(g)
+    ref = input_to_reference(g, "")
     assert ref == "1+x1*x2"
-    back = input_from_reference(ref, square_grid)
+    back = input_from_reference(ref, square_grid, "")
     np.testing.assert_array_equal(back.values, g.values)
     unlabeled = FunctionalInput(square_grid, g.values)
     with pytest.raises(FigpError):
-        input_to_reference(unlabeled)
+        input_to_reference(unlabeled, "")
     with pytest.raises(FigpError):
-        input_from_reference({"nope": 1}, square_grid)
+        input_from_reference({"nope": 1}, square_grid, "")
 
 
 def test_training_data_round_trip(tmp_path, square_grid):
@@ -108,19 +108,25 @@ def test_input_csv_round_trip(tmp_path):
         load_input_csv(str(shifted), grid)
 
 
+def _write_input_csvs(directory, grid, n):
+    x = grid.nodes[:, 0]
+    for i in range(n):
+        rows = ["x1,value"] + [f"{a:.17g},{v:.17g}"
+                               for a, v in zip(x, np.sin((i + 1) * x) + i)]
+        (directory / f"c{i}.csv").write_text("\n".join(rows) + "\n")
+
+
 def test_csv_references_resolve_against_their_file(tmp_path, monkeypatch):
     grid = build_grid(Domain(((0.0, 1.0),)), 8)
     data = tmp_path / "data"
     data.mkdir()
-    x = grid.nodes[:, 0]
-    for i in range(4):
-        rows = ["x1,value"] + [f"{a:.17g},{v:.17g}"
-                               for a, v in zip(x, np.sin((i + 1) * x) + i)]
-        (data / f"c{i}.csv").write_text("\n".join(rows) + "\n")
+    _write_input_csvs(data, grid, 4)
     y = [0.4, -0.3, 1.1, 0.2]
+    # the last reference is absolute and must stay so when written again
+    absolute = str(data / "c3.csv")
     train = {**grid_to_dict(grid), "y": y,
              "inputs": [{"csv": "c0.csv"}, "c1.csv", {"csv": "c2.csv"},
-                        "c3.csv"]}
+                        absolute]}
     write_json(str(data / "train.json"), train)
 
     # fit and save inside data/
@@ -131,8 +137,9 @@ def test_csv_references_resolve_against_their_file(tmp_path, monkeypatch):
     fields = FieldDataset(inputs, np.array([[1.0, 2.0], [0.5, 1.5],
                                             [2.0, 0.0], [1.0, 1.0]]), (2,))
     save_field_dataset("fields.csv", "fields.manifest.json", fields)
-    assert read_json("model.json")["inputs"] == ["c0.csv", "c1.csv",
-                                                 "c2.csv", "c3.csv"]
+    saved = read_json("model.json")
+    assert saved["inputs"] == ["c0.csv", "c1.csv", "c2.csv", absolute]
+    assert saved["version"] == 2
 
     # load, predict and save again from the parent directory
     monkeypatch.chdir(tmp_path)
@@ -149,14 +156,50 @@ def test_csv_references_resolve_against_their_file(tmp_path, monkeypatch):
                      (1,))
     save_model(os.path.join("out", "model.json"), loaded)
     save_emulator(os.path.join("out", "emulator.json"), em)
-    assert read_json(os.path.join("out", "model.json"))["inputs"][0] == \
-        os.path.join("..", "data", "c0.csv")
+    moved = read_json(os.path.join("out", "model.json"))["inputs"]
+    assert moved[0] == os.path.join("..", "data", "c0.csv")
+    assert moved[3] == absolute
 
     # and load those from inside out/
     monkeypatch.chdir(tmp_path / "out")
     assert predict(load_model("model.json"), test) == predict(model, test)
     assert predict(load_emulator("emulator.json").score_models[0],
                    test) == predict(model, test)
+
+
+def test_version_1_model_csv_references_resolve_from_the_current_directory(
+        tmp_path, monkeypatch, square_grid):
+    # version 1 wrote relative CSV paths as given, from the current
+    # directory, and a model without CSV inputs is still written so
+    inputs = [sample_function(e, square_grid) for e in ("1", "x1")]
+    spec = KernelSpec(NONLINEAR, MaternParams(2.5, 0.8), gamma=0.6,
+                      nugget=1e-8)
+    save_model(str(tmp_path / "expr.json"),
+               build_model(spec, inputs, np.array([1.0, 2.0])))
+    assert read_json(str(tmp_path / "expr.json"))["version"] == 1
+
+    grid = build_grid(Domain(((0.0, 1.0),)), 8)
+    data = tmp_path / "data"
+    data.mkdir()
+    _write_input_csvs(data, grid, 2)
+    monkeypatch.chdir(tmp_path)
+    inputs = [load_input_csv(os.path.join("data", f"c{i}.csv"), grid)
+              for i in range(2)]
+    model = build_model(spec, inputs, np.array([1.0, 2.0]))
+    save_model(os.path.join("models", "model.json"), model)
+    blob = read_json(os.path.join("models", "model.json"))
+    assert blob["version"] == 2
+    blob["version"] = 1
+    blob["inputs"] = [os.path.join("data", "c0.csv"),
+                      os.path.join("data", "c1.csv")]
+    write_json(os.path.join("models", "old.json"), blob)
+    loaded = load_model(os.path.join("models", "old.json"))
+    assert predict(loaded, inputs[0]) == predict(model, inputs[0])
+
+    blob["version"] = 3
+    write_json(os.path.join("models", "new.json"), blob)
+    with pytest.raises(FigpError, match="version 3"):
+        load_model(os.path.join("models", "new.json"))
 
 
 def test_kernel_spec_round_trip():

@@ -24,6 +24,7 @@ from .kernels import (
     LINEAR,
     KernelSpec,
     MaternParams,
+    _check_nonempty,
     base_kernel_matrix,
     gram,
     kernel_matrix,
@@ -202,10 +203,7 @@ def exact_mspe(design: Sequence[FunctionalInput],
     """
     design = list(design)
     tests = list(tests)
-    for name, given in (("design", design), ("tests", tests)):
-        if not given:
-            raise FigpError(f"exact_mspe needs at least one input in "
-                            f"`{name}`, which is empty")
+    _check_nonempty("exact_mspe", design=design, tests=tests)
     if spec.family == LINEAR and spec.premap in (None, "identity"):
         if eigensystem is None:
             eigensystem = nystrom_eig(spec.base, design[0].grid)
@@ -261,7 +259,8 @@ def empirical_mspe(design_builder: Callable[[int], List[FunctionalInput]],
             Z = rng.standard_normal((replicates, len(joint)))
             paths = Z @ fact_joint.chol.T
             Y_d, Y_t = paths[:, :n], paths[:, n:]
-            K_cross = kernel_matrix(design, tests, spec)
+            K_cross = kernel_matrix(design, tests, spec,
+                                    psi=fact_joint.psi)
             preds = Y_d @ fact_design.solve(K_cross)
             per_rep = np.mean((preds - Y_t) ** 2, axis=1)
             mspe_vals.append(float(per_rep.mean()))

@@ -25,6 +25,7 @@ from .kernels import (
     GramFactorization,
     KernelSpec,
     MaternParams,
+    _check_nonempty,
     gram,
     kernel_matrix_and_diag,
 )
@@ -303,15 +304,20 @@ def predict(model: GPModel, g: FunctionalInput) -> Tuple[float, float]:
 def predict_many(model: GPModel, inputs: Sequence[FunctionalInput]):
     """Posterior predictive means and variances at a batch of inputs.
 
-    The inputs must share the training grid (GridMismatchError
-    otherwise).  The cost is one `kernel_matrix_and_diag` call for the
-    whole batch, which builds one base-kernel matrix for a linear model.
+    `inputs` must be non-empty (FigpError) and share the training grid
+    (GridMismatchError otherwise).  The cost is one
+    `kernel_matrix_and_diag` call for the whole batch.  A linear model
+    built by `build_model` (so every fitted or loaded one) carries the
+    Psi of its Gram, so no base-kernel matrix is built here; a model
+    whose factorization holds none builds one per call.
     A slightly negative variance is clamped to zero; one more negative
     than VARIANCE_CLAMP_REL * max(sigma2, K(g, g)) raises FigpError.
     """
     inputs = list(inputs)
+    _check_nonempty("predict_many", inputs=inputs)
     K_cross, kgg = kernel_matrix_and_diag(list(model.inputs), inputs,
-                                          model.spec)
+                                          model.spec,
+                                          psi=model.factorization.psi)
     means = model.mu_hat + K_cross.T @ model.alpha
     quad = np.einsum("ij,ij->j", K_cross, model.factorization.solve(K_cross))
     raw = kgg - quad

@@ -140,8 +140,17 @@ def matern_psi(r, params: MaternParams):
     # fmin skips NaN, so a NaN distance is let through as np.any(r < 0) did
     if np.fmin.reduce(r, axis=None, initial=np.inf) < 0:
         raise FigpError("distances must be non-negative")
+    z = np.atleast_1d(r * (2.0 * math.sqrt(params.nu)))  # a fresh buffer
+    out = _matern_profile(z, params)
+    if r.ndim == 0:
+        return float(out[0])
+    return out
+
+
+def _matern_profile(z: np.ndarray, params: MaternParams) -> np.ndarray:
+    """The Matern profile at the scaled distances z = 2 sqrt(nu) r >= 0,
+    which the caller owns: the closed forms overwrite z."""
     nu, s2 = params.nu, params.sigma2
-    z = np.atleast_1d(r * (2.0 * math.sqrt(nu)))  # a fresh buffer
     if abs(nu - 0.5) < 1e-12:
         out = np.exp(np.negative(z, out=z), out=z)
         out *= s2
@@ -164,20 +173,40 @@ def matern_psi(r, params: MaternParams):
         out = np.where(zero, s2, out)
         # kv underflows to 0 for large z, which is the correct limit
         out = np.where(np.isfinite(out), out, 0.0)
-    if r.ndim == 0:
-        return float(out[0])
     return out
 
 
+# Elements per row block of base_kernel_matrix: 32,768 doubles are 256 KiB
+# per temporary.  Of 8 K, 16 K, 32 K and 64 K elements, 16-32 K was fastest
+# at n_q = 400 and 1600 and 64 K took twice as long at n_q = 400.
+PSI_BLOCK = 32768
+
+
 def base_kernel_matrix(points_a, points_b, params: MaternParams) -> np.ndarray:
-    """Matern base kernel evaluated on all pairs of rows."""
+    """Matern base kernel evaluated on all pairs of rows.
+
+    The result is allocated once and filled in blocks of rows of about
+    PSI_BLOCK elements, so the distances and the profile's temporaries
+    stay cache-sized instead of streaming whole n_a x n_b buffers.
+    Every element goes through the same operations as
+    matern_psi(cdist(a * theta, b * theta), params), so the values are
+    bitwise those.
+    """
     a = np.atleast_2d(np.asarray(points_a, dtype=float))
     b = np.atleast_2d(np.asarray(points_b, dtype=float))
     theta = np.asarray(params.lengthscales, dtype=float)
     if a.shape[1] != theta.size or b.shape[1] != theta.size:
         raise FigpError("point dimension does not match lengthscales")
-    dist = cdist(a * theta, b * theta)
-    return matern_psi(dist, params)
+    a = a * theta
+    b = b * theta
+    scale = 2.0 * math.sqrt(params.nu)
+    out = np.empty((a.shape[0], b.shape[0]))
+    rows = max(1, PSI_BLOCK // max(1, b.shape[0]))
+    for i in range(0, a.shape[0], rows):
+        z = cdist(a[i:i + rows], b)  # norms: never negative
+        z *= scale
+        out[i:i + rows] = _matern_profile(z, params)
+    return out
 
 
 def _premap_fn(name: Optional[str]) -> Optional[Callable]:
@@ -199,30 +228,53 @@ def _values_matrix(inputs: List[FunctionalInput],
     return np.column_stack(cols)
 
 
+def _check_nonempty(stage: str, **named) -> None:
+    """Raise FigpError naming the first of the `named` input lists of
+    `stage` that is empty."""
+    for name, given in named.items():
+        if len(given) == 0:
+            raise FigpError(f"{stage} needs at least one input in "
+                            f"`{name}`, which is empty")
+
+
+def _shared_grid(stage: str, **named):
+    """The one grid of the `named` input lists of `stage`, which must
+    all be non-empty (FigpError) and share it (GridMismatchError)."""
+    _check_nonempty(stage, **named)
+    inputs = [g for given in named.values() for g in given]
+    for g in inputs[1:]:
+        _check_same_grid(inputs[0], g)
+    return inputs[0].grid
+
+
 def kernel_matrix(inputs_a: List[FunctionalInput],
                   inputs_b: List[FunctionalInput],
-                  spec: KernelSpec) -> np.ndarray:
+                  spec: KernelSpec, *,
+                  psi: Optional[np.ndarray] = None) -> np.ndarray:
     """Cross-kernel matrix K[i, j] = K(a_i, b_j), without any nugget.
 
-    All inputs must share one grid (GridMismatchError otherwise).  The
-    linear kernel is (W A)^T Psi (W B), where the columns of A and B
-    hold the premapped input values on the grid and W the quadrature
-    weights; one base-kernel matrix Psi serves every pair, so the cost
-    is one n_q x n_q evaluation plus matrix products.  The nonlinear
-    kernel needs no Psi: it applies the Matern profile to the scaled
-    L2 distances between inputs.  For the cross matrix and the
-    diagonal K(g, g) together use `kernel_matrix_and_diag`, which
-    shares one Psi between them.  The linear product is taken as
-    ((W A)^T Psi) (W B); the training Gram comes from here, and
-    `storage` checksums its bytes.
+    Both lists must be non-empty and share one grid (FigpError and
+    GridMismatchError otherwise).  The linear kernel is
+    (W A)^T Psi (W B), where the columns of A and B hold the premapped
+    input values on the grid and W the quadrature weights; one
+    base-kernel matrix Psi serves every pair, so the cost is one
+    n_q x n_q evaluation plus matrix products.  `psi`, when given, is
+    that Psi, base_kernel_matrix(grid.nodes, grid.nodes, spec.base),
+    built once by the caller (a linear `gram` keeps it); it is not
+    checked.  The nonlinear kernel needs no Psi and ignores `psi`: it
+    applies the Matern profile to the scaled L2 distances between
+    inputs.  For the cross matrix and the diagonal K(g, g) together use
+    `kernel_matrix_and_diag`, which shares one Psi between them.  The
+    linear product is taken as ((W A)^T Psi) (W B); the training Gram
+    comes from here, and `storage` checksums its bytes.
     """
-    for g in list(inputs_a[1:]) + list(inputs_b):
-        _check_same_grid(inputs_a[0], g)
-    grid = inputs_a[0].grid
+    grid = _shared_grid("kernel_matrix", inputs_a=inputs_a,
+                        inputs_b=inputs_b)
     if spec.family == LINEAR:
         A = _values_matrix(inputs_a, spec.premap) * grid.weights[:, None]
         B = _values_matrix(inputs_b, spec.premap) * grid.weights[:, None]
-        psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
+        if psi is None:
+            psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
         return A.T @ psi @ B
     VA = _values_matrix(inputs_a, None)
     VB = _values_matrix(inputs_b, None)
@@ -237,37 +289,49 @@ def kernel_matrix(inputs_a: List[FunctionalInput],
 
 def kernel_matrix_and_diag(inputs_a: List[FunctionalInput],
                            inputs_b: List[FunctionalInput],
-                           spec: KernelSpec):
+                           spec: KernelSpec, *,
+                           psi: Optional[np.ndarray] = None):
     """`kernel_matrix(inputs_a, inputs_b, spec)` and the prior variances
     K(b, b) of `inputs_b`, both without any nugget.
 
     For the linear kernel both come from one product Psi (W B), so one
     base-kernel matrix serves the cross matrix (W A)^T (Psi W B) and the
-    variances, the column sums of (W B) * (Psi W B).  The cross matrix
-    is multiplied in the other order than `kernel_matrix` uses, so the
-    two agree to round-off, not bitwise.  For the nonlinear kernel the
-    variances are sigma2, exactly, because matern_psi(0) is sigma2.
+    variances, the column sums of (W B) * (Psi W B).  `psi` is that
+    matrix when the caller already holds it, as for `kernel_matrix`;
+    the product is psi @ B either way, so the results are bitwise those
+    of a fresh build.  The cross matrix is multiplied in the other
+    order than `kernel_matrix` uses, so the two agree to round-off, not
+    bitwise.  For the nonlinear kernel the variances are sigma2,
+    exactly, because matern_psi(0) is sigma2.
     """
     if spec.family == NONLINEAR:
         return (kernel_matrix(inputs_a, inputs_b, spec),
                 np.full(len(inputs_b), spec.base.sigma2))
-    for g in list(inputs_a[1:]) + list(inputs_b):
-        _check_same_grid(inputs_a[0], g)
-    grid = inputs_a[0].grid
+    grid = _shared_grid("kernel_matrix_and_diag", inputs_a=inputs_a,
+                        inputs_b=inputs_b)
     A = _values_matrix(inputs_a, spec.premap) * grid.weights[:, None]
     B = _values_matrix(inputs_b, spec.premap) * grid.weights[:, None]
-    psi_B = base_kernel_matrix(grid.nodes, grid.nodes, spec.base) @ B
+    if psi is None:
+        psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
+    psi_B = psi @ B
     return A.T @ psi_B, np.einsum("ij,ij->j", B, psi_B)
 
 
 @dataclass(frozen=True)
 class GramFactorization:
-    """Cholesky factorization of the training Gram plus nugget."""
+    """Cholesky factorization of the training Gram plus nugget.
+
+    `psi` is the read-only base-kernel matrix Psi on the grid nodes that
+    a linear Gram was built from, kept so that predictions from the
+    same kernel multiply by it instead of rebuilding it: n_q^2 floats.
+    It is None for the nonlinear kernel.
+    """
 
     gram: np.ndarray  # K_n + nugget * I, exactly symmetric
     chol: np.ndarray  # lower triangular
     log_det: float
     nugget: float  # the nugget actually applied
+    psi: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -321,10 +385,14 @@ def gram(inputs: List[FunctionalInput], spec: KernelSpec) -> GramFactorization:
     failure the inputs are reported as degenerate either way.  A Gram
     with non-finite entries (the kernel overflowed, e.g. at a huge
     sigma2) is reported as such before any factorization is tried.
+    A linear Gram keeps its Psi as `GramFactorization.psi`.
     """
-    if len(inputs) < 1:
-        raise FigpError("gram requires at least one input")
-    K = kernel_matrix(inputs, inputs, spec)
+    grid = _shared_grid("gram", inputs=inputs)
+    psi = None
+    if spec.family == LINEAR:
+        psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
+        psi.setflags(write=False)
+    K = kernel_matrix(inputs, inputs, spec, psi=psi)
     if not np.isfinite(K).all():
         raise GramFactorizationError(
             "Gram assembly produced non-finite entries (the kernel "
@@ -354,7 +422,7 @@ def gram(inputs: List[FunctionalInput], spec: KernelSpec) -> GramFactorization:
                     stacklevel=2,
                 )
             log_det = float(2.0 * np.sum(np.log(np.diag(L))))
-            return GramFactorization(Kn, L, log_det, float(nug))
+            return GramFactorization(Kn, L, log_det, float(nug), psi)
     raise GramFactorizationError(
         "Cholesky failed or left a negligible pivot at every nugget level; "
         "the inputs are degenerate (duplicated, or linearly dependent under "

@@ -15,7 +15,7 @@ from figp import (Domain, FigpError, FitConfig, GramFactorizationError,
                   predict_many, sample_function, select_kernel)
 from figp.gp import (LOG_GAMMA_BOUNDS, LOG_THETA_BOUNDS, SCAN_XATOL, GPModel,
                      _profile, _profile_scan, select_family)
-from figp.kernels import GramFactorization
+from figp.kernels import GramFactorization, base_kernel_matrix
 
 from figp_testlib import brute_loocv, random_poly_inputs
 
@@ -261,7 +261,24 @@ def test_predict_many_psi_builds_do_not_grow_with_batch(bench_models,
         calls["n"] = 0
         predict_many(model, random_poly_inputs(square_grid, size, rng))
         counts.append(calls["n"])
-    assert counts == [1, 1]
+    assert counts == [0, 0]
+
+
+def test_linear_gram_keeps_its_psi_read_only(square_grid):
+    rng = np.random.default_rng(59)
+    ins = random_poly_inputs(square_grid, 4, rng)
+    spec = KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.9, 1.4)))
+    psi = gram(ins, spec).psi
+    want = base_kernel_matrix(square_grid.nodes, square_grid.nodes, spec.base)
+    assert psi.tobytes() == want.tobytes()
+    assert not psi.flags.writeable
+    nonlinear = KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=0.5)
+    assert gram(ins, nonlinear).psi is None
+
+
+def test_predict_many_rejects_empty_inputs(bench_models):
+    with pytest.raises(FigpError, match="`inputs`, which is empty"):
+        predict_many(bench_models[("f1", LINEAR)], [])
 
 
 def test_posterior_mean_additive_in_y(square_grid):

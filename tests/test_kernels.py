@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import figp.kernels
 from figp import (Domain, FigpError, FunctionalInput, GramFactorizationError,
                   KernelSpec, LINEAR, MaternParams, NONLINEAR,
                   apply_pointwise_map, build_grid, gram,
                   kernel_matrix, matern_psi, sample_function)
+from figp.kernels import PSI_BLOCK, base_kernel_matrix, kernel_matrix_and_diag
 
 from figp_testlib import (kernel_entry, pairwise_kernel_oracle,
                           random_poly_inputs)
@@ -75,6 +77,41 @@ def test_matern_psi_monotone_decreasing(nu):
     r = np.linspace(0.0, 6.0, 1000)
     vals = matern_psi(r, MaternParams(nu, 1.0))
     assert np.all(np.diff(vals) < 0)
+
+
+def _blocked_cases(square_grid):
+    """(name, a, b) pairs that exercise the row blocks of
+    base_kernel_matrix: a row count that is not a multiple of the rows
+    per block, a grid-nodes x knots cross pair as `knot_design` forms
+    it, both ways round, and a one-row side."""
+    rng = np.random.default_rng(61)
+    pts = rng.uniform(0.0, 1.0, size=(1000, 2))
+    knots = rng.uniform(0.0, 1.0, size=(5, 2))
+    assert pts.shape[0] % (PSI_BLOCK // pts.shape[0]) != 0
+    nodes = square_grid.nodes
+    return [("ragged", pts, pts), ("nodes x knots", nodes, knots),
+            ("knots x nodes", knots, nodes), ("one row", pts[:1], pts),
+            ("one column", pts, pts[:1])]
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 1.2])
+def test_base_kernel_matrix_blocks_are_bitwise_the_full_profile(square_grid,
+                                                               nu):
+    theta = np.array([0.8, 2.5])
+    params = MaternParams(nu, 0.37, tuple(theta))
+    for name, a, b in _blocked_cases(square_grid):
+        got = base_kernel_matrix(a, b, params)
+        want = matern_psi(cdist(a * theta, b * theta), params)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_base_kernel_matrix_keeps_the_shape_of_an_empty_side(square_grid):
+    params = MaternParams(2.5, 1.0, (1.0, 1.0))
+    nodes, empty = square_grid.nodes, np.empty((0, 2))
+    n = nodes.shape[0]
+    assert base_kernel_matrix(nodes, empty, params).shape == (n, 0)
+    assert base_kernel_matrix(empty, nodes, params).shape == (0, n)
 
 
 def test_matern_params_validation():
@@ -197,6 +234,20 @@ def test_kernel_diag_matches_kernel_matrix_diagonal(square_grid, spec):
     diag = figp.kernels.kernel_matrix_and_diag(ins[:1], ins, spec)[1]
     np.testing.assert_allclose(diag, np.diag(kernel_matrix(ins, ins, spec)),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("call", [kernel_matrix, kernel_matrix_and_diag])
+@pytest.mark.parametrize("empty", ["inputs_a", "inputs_b"])
+@pytest.mark.parametrize("spec", [
+    KernelSpec(LINEAR, MaternParams(2.5, 1.0, (1.0, 1.0))),
+    KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=1.0),
+])
+def test_kernel_matrix_rejects_empty_input_lists(square_grid, call, empty,
+                                                 spec):
+    x = [sample_function("x1", square_grid)]
+    a, b = ([], x) if empty == "inputs_a" else (x, [])
+    with pytest.raises(FigpError, match=f"`{empty}`, which is empty"):
+        call(a, b, spec)
 
 
 @pytest.mark.parametrize("spec", [

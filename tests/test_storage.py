@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from figp import (Domain, FieldDataset, FigpError, FunctionalInput,
                   KernelSpec, LINEAR, MaternParams, NONLINEAR, PCAEmulator,
                   build_grid, build_model, fit, fit_emulator, FitConfig,
-                  predict, predict_field, sample_function)
+                  predict, predict_field, predict_many, sample_function)
 from figp.domain import UNIFORM_MIDPOINT
 from figp.sampling import sample_paths_gram, sine_frequency_family
 from figp.designs import DecayCurve
@@ -225,6 +226,27 @@ def test_model_round_trip(tmp_path, square_grid):
     assert predict(loaded, test) == predict(model, test)
     assert loaded.mu_hat == model.mu_hat
     np.testing.assert_array_equal(loaded.alpha, model.alpha)
+
+
+def test_loaded_linear_model_predicts_from_its_kept_psi(tmp_path,
+                                                       bench_models,
+                                                       square_grid):
+    model = bench_models[("f1", LINEAR)]
+    path = str(tmp_path / "model.json")
+    save_model(path, model)
+    # Psi is rebuilt on load, never saved
+    assert set(json.loads(open(path).read())) == {
+        "format", "version", "kernel", "mu_hat", "log_likelihood", "grid",
+        "inputs", "y", "gram_sha256"}
+    loaded = load_model(path)
+    fresh = replace(model, factorization=replace(model.factorization,
+                                                 psi=None))
+    tests = random_poly_inputs(square_grid, 6, np.random.default_rng(67))
+    want = predict_many(fresh, tests)
+    for m in (model, loaded):
+        assert m.factorization.psi is not None
+        for got, w in zip(predict_many(m, tests), want):
+            assert got.tobytes() == w.tobytes()
 
 
 def test_model_checksum_detects_mismatch(tmp_path, square_grid):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
 from .domain import Domain, FunctionalInput, QuadratureGrid
@@ -27,7 +28,6 @@ from .kernels import (
     _check_nonempty,
     base_kernel_matrix,
     gram,
-    kernel_matrix,
 )
 from .sampling import EigenSystem, nystrom_eig
 
@@ -252,16 +252,16 @@ def empirical_mspe(design_builder: Callable[[int], List[FunctionalInput]],
         else:
             joint = list(design) + tests
             try:
-                fact_joint = gram(joint, spec)
-                fact_design = gram(design, spec)
+                fact = gram(joint, spec)
             except FigpError as exc:
                 raise FigpError(f"Gram factorization failed at size {n}: {exc}")
             Z = rng.standard_normal((replicates, len(joint)))
-            paths = Z @ fact_joint.chol.T
+            paths = Z @ fact.chol.T
             Y_d, Y_t = paths[:, :n], paths[:, n:]
-            K_cross = kernel_matrix(design, tests, spec,
-                                    psi=fact_joint.psi)
-            preds = Y_d @ fact_design.solve(K_cross)
+            # the joint factor's leading block factors the design Gram (at
+            # the joint nugget); the Gram's off-diagonal block is K_cross
+            preds = Y_d @ cho_solve((fact.chol[:n, :n], True),
+                                    fact.gram[:n, n:])
             per_rep = np.mean((preds - Y_t) ** 2, axis=1)
             mspe_vals.append(float(per_rep.mean()))
             se_vals.append(float(per_rep.std(ddof=1) / np.sqrt(replicates)))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .domain import FunctionalInput, _check_same_grid
+from .domain import FunctionalInput
 from .errors import FigpError, FitError, GramFactorizationError
 from .kernels import (
     LINEAR,
@@ -235,8 +235,6 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     inputs = list(inputs)
     if len(inputs) < 2:
         raise FigpError("fitting needs at least two training points")
-    for g in inputs[1:]:
-        _check_same_grid(inputs[0], g)
     y = np.asarray(y, dtype=float)
     if y.size != len(inputs):
         raise FigpError("output length does not match the number of inputs")

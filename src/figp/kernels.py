@@ -21,11 +21,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .domain import (
-    FunctionalInput,
-    _check_same_grid,
-    apply_pointwise_map,
-)
+from .domain import FunctionalInput, _check_same_grid
 from .errors import FigpError, GramFactorizationError
 
 LINEAR = "linear"
@@ -209,23 +205,17 @@ def base_kernel_matrix(points_a, points_b, params: MaternParams) -> np.ndarray:
     return out
 
 
-def _premap_fn(name: Optional[str]) -> Optional[Callable]:
-    if name is None or name == "identity":
-        return None
-    return PREMAPS[name]
-
-
-def _apply_premap(g: FunctionalInput, name: Optional[str]) -> FunctionalInput:
-    fn = _premap_fn(name)
-    if fn is None:
-        return g
-    return apply_pointwise_map(g, fn)
-
-
 def _values_matrix(inputs: List[FunctionalInput],
                    premap: Optional[str]) -> np.ndarray:
-    cols = [_apply_premap(g, premap).values for g in inputs]
-    return np.column_stack(cols)
+    """The inputs' values on the grid as columns, mapped pointwise by the
+    named `premap` (None and "identity" leave them as they are)."""
+    V = np.column_stack([g.values for g in inputs])
+    if premap in (None, "identity"):
+        return V
+    V = PREMAPS[premap](V)
+    if not np.isfinite(V).all():
+        raise FigpError(f"premap {premap!r} produced non-finite values")
+    return V
 
 
 def _check_nonempty(stage: str, **named) -> None:
@@ -249,24 +239,31 @@ def _shared_grid(stage: str, **named):
 
 def kernel_matrix(inputs_a: List[FunctionalInput],
                   inputs_b: List[FunctionalInput],
-                  spec: KernelSpec, *,
-                  psi: Optional[np.ndarray] = None) -> np.ndarray:
-    """Cross-kernel matrix K[i, j] = K(a_i, b_j), without any nugget.
+                  spec: KernelSpec) -> np.ndarray:
+    """Cross-kernel matrix K[i, j] = K(a_i, b_j), without any nugget:
+    the first result of `kernel_matrix_and_diag`."""
+    return kernel_matrix_and_diag(inputs_a, inputs_b, spec)[0]
+
+
+def kernel_matrix_and_diag(inputs_a: List[FunctionalInput],
+                           inputs_b: List[FunctionalInput],
+                           spec: KernelSpec, *,
+                           psi: Optional[np.ndarray] = None):
+    """The cross-kernel matrix K[i, j] = K(a_i, b_j) and the prior
+    variances K(b, b) of `inputs_b`, both without any nugget.
 
     Both lists must be non-empty and share one grid (FigpError and
-    GridMismatchError otherwise).  The linear kernel is
-    (W A)^T Psi (W B), where the columns of A and B hold the premapped
-    input values on the grid and W the quadrature weights; one
-    base-kernel matrix Psi serves every pair, so the cost is one
-    n_q x n_q evaluation plus matrix products.  `psi`, when given, is
-    that Psi, base_kernel_matrix(grid.nodes, grid.nodes, spec.base),
-    built once by the caller (a linear `gram` keeps it); it is not
-    checked.  The nonlinear kernel needs no Psi and ignores `psi`: it
-    applies the Matern profile to the scaled L2 distances between
-    inputs.  For the cross matrix and the diagonal K(g, g) together use
-    `kernel_matrix_and_diag`, which shares one Psi between them.  The
-    linear product is taken as ((W A)^T Psi) (W B); the training Gram
-    comes from here, and `storage` checksums its bytes.
+    GridMismatchError otherwise).  The linear kernel is (W A)^T (Psi W B)
+    with variances the column sums of (W B) * (Psi W B), where A and B
+    hold the premapped input values as columns, W the quadrature weights
+    and Psi is the base-kernel matrix on the grid nodes: one n_q x n_q
+    evaluation serves every pair.  A caller holding Psi (a linear `gram`
+    keeps it) passes it as `psi`, unchecked, for bitwise the results of
+    a fresh build.  This is the one linear product, so a Gram's upper
+    triangle is bitwise the cross matrix prediction takes at the
+    training inputs.  The nonlinear kernel ignores `psi` and applies the
+    Matern profile to the scaled L2 distances between inputs; its
+    variances are sigma2, exactly, because matern_psi(0) is sigma2.
     """
     grid = _shared_grid("kernel_matrix", inputs_a=inputs_a,
                         inputs_b=inputs_b)
@@ -275,7 +272,10 @@ def kernel_matrix(inputs_a: List[FunctionalInput],
         B = _values_matrix(inputs_b, spec.premap) * grid.weights[:, None]
         if psi is None:
             psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
-        return A.T @ psi @ B
+        # Psi is symmetric, so this is psi @ B, which OpenBLAS forms a
+        # third slower for the few columns of a fit's Gram (n_q = 1600)
+        psi_B = (B.T @ psi).T
+        return A.T @ psi_B, np.einsum("ij,ij->j", B, psi_B)
     VA = _values_matrix(inputs_a, None)
     VB = _values_matrix(inputs_b, None)
     # pairwise L2 distances via the weighted Gram of values
@@ -284,37 +284,8 @@ def kernel_matrix(inputs_a: List[FunctionalInput],
     nb = np.einsum("ij,ij->j", VB, w[:, None] * VB)
     d2 = na[:, None] + nb[None, :] - 2.0 * (VA.T @ (w[:, None] * VB))
     dist = np.sqrt(np.clip(d2, 0.0, None))
-    return matern_psi(spec.gamma * dist, spec.base)
-
-
-def kernel_matrix_and_diag(inputs_a: List[FunctionalInput],
-                           inputs_b: List[FunctionalInput],
-                           spec: KernelSpec, *,
-                           psi: Optional[np.ndarray] = None):
-    """`kernel_matrix(inputs_a, inputs_b, spec)` and the prior variances
-    K(b, b) of `inputs_b`, both without any nugget.
-
-    For the linear kernel both come from one product Psi (W B), so one
-    base-kernel matrix serves the cross matrix (W A)^T (Psi W B) and the
-    variances, the column sums of (W B) * (Psi W B).  `psi` is that
-    matrix when the caller already holds it, as for `kernel_matrix`;
-    the product is psi @ B either way, so the results are bitwise those
-    of a fresh build.  The cross matrix is multiplied in the other
-    order than `kernel_matrix` uses, so the two agree to round-off, not
-    bitwise.  For the nonlinear kernel the variances are sigma2,
-    exactly, because matern_psi(0) is sigma2.
-    """
-    if spec.family == NONLINEAR:
-        return (kernel_matrix(inputs_a, inputs_b, spec),
-                np.full(len(inputs_b), spec.base.sigma2))
-    grid = _shared_grid("kernel_matrix_and_diag", inputs_a=inputs_a,
-                        inputs_b=inputs_b)
-    A = _values_matrix(inputs_a, spec.premap) * grid.weights[:, None]
-    B = _values_matrix(inputs_b, spec.premap) * grid.weights[:, None]
-    if psi is None:
-        psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
-    psi_B = psi @ B
-    return A.T @ psi_B, np.einsum("ij,ij->j", B, psi_B)
+    return (matern_psi(spec.gamma * dist, spec.base),
+            np.full(len(inputs_b), spec.base.sigma2))
 
 
 @dataclass(frozen=True)
@@ -385,14 +356,15 @@ def gram(inputs: List[FunctionalInput], spec: KernelSpec) -> GramFactorization:
     failure the inputs are reported as degenerate either way.  A Gram
     with non-finite entries (the kernel overflowed, e.g. at a huge
     sigma2) is reported as such before any factorization is tried.
-    A linear Gram keeps its Psi as `GramFactorization.psi`.
     """
     grid = _shared_grid("gram", inputs=inputs)
     psi = None
     if spec.family == LINEAR:
         psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
         psi.setflags(write=False)
-    K = kernel_matrix(inputs, inputs, spec, psi=psi)
+    # an invalid operation leaves a NaN, which is reported just below
+    with np.errstate(invalid="ignore"):
+        K = kernel_matrix_and_diag(inputs, inputs, spec, psi=psi)[0]
     if not np.isfinite(K).all():
         raise GramFactorizationError(
             "Gram assembly produced non-finite entries (the kernel "

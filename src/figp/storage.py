@@ -13,6 +13,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from dataclasses import replace
 from typing import Sequence
 
@@ -34,11 +35,12 @@ from .sampling import PathFamily
 
 MODEL_FORMAT = "figp-model"
 EMULATOR_FORMAT = "figp-emulator"
-# Version 2 takes relative CSV input paths from the directory of the
-# file that holds them; version 1 took them from the current directory,
-# and version-1 files are still read that way.  A model or emulator with
-# no CSV input reads the same under both and is written as version 1.
-FORMAT_VERSION = 2
+# Version 3 adds the payload hash and the Gram invariants; version 1
+# read relative CSV paths from the current directory, and still does.
+FORMAT_VERSION = 3
+# Saved and rebuilt Gram invariants may differ by GRAM_RTOL * n * max
+# diag; another BLAS or product order moves them by about 1e-15 of that.
+GRAM_RTOL = 1e-10
 
 
 def fmt(v: float) -> str:
@@ -115,19 +117,16 @@ def _relative_csv(path: str, base_dir: str) -> str:
     return os.path.relpath(path, base_dir or os.curdir)
 
 
-def _written_version(inputs: Sequence[FunctionalInput]) -> int:
-    """The version of a model or emulator file holding `inputs`."""
-    has_csv = any(g.label is not None and g.label.endswith(".csv")
-                  for g in inputs)
-    return FORMAT_VERSION if has_csv else 1
-
-
 def input_from_reference(ref, grid: QuadratureGrid,
                          base_dir: str) -> FunctionalInput:
     """Resolve a serialized input: an expression string, or a CSV path
     given as a string ending in ".csv" or as a mapping {"csv": path}.
     A relative CSV path is taken relative to `base_dir`, the directory
-    of the file holding the reference."""
+    of the file holding the reference.
+
+    The ".csv" suffix cannot hide an expression: a "." only appears
+    inside a number, and no token may follow a number directly, so no
+    string ending in ".csv" parses as one."""
     if isinstance(ref, dict) and isinstance(ref.get("csv"), str):
         return load_input_csv(_resolve_csv(ref["csv"], base_dir), grid)
     if isinstance(ref, str):
@@ -224,63 +223,96 @@ def kernel_spec_from_dict(d: dict) -> KernelSpec:
                       nugget=d.get("nugget"))
 
 
-def gram_checksum(model: GPModel) -> str:
-    return hashlib.sha256(
-        np.ascontiguousarray(model.factorization.gram).tobytes()
-    ).hexdigest()
+def _payload_sha256(d: dict) -> str:
+    """SHA-256 of the canonical JSON of `d` without "payload_sha256"."""
+    body = json.dumps({k: v for k, v in d.items() if k != "payload_sha256"},
+                      sort_keys=True)
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def _gram_invariants(model: GPModel) -> dict:
+    """The Gram's per-input diagonal and row sums, and its nugget."""
+    K = model.factorization.gram
+    return {"diag": K.diagonal().tolist(), "row_sums": K.sum(axis=1).tolist(),
+            "nugget": model.factorization.nugget}
+
+
+def _check_gram(stored: dict, model: GPModel, refs) -> None:
+    """Raise FigpError naming the first invariant (and input) of the
+    model's Gram that is off `stored` by more than GRAM_RTOL * n * max diag."""
+    found = _gram_invariants(model)
+    tol = GRAM_RTOL * model.n * max(stored["diag"])
+    for key in ("diag", "row_sums", "nugget"):
+        delta = np.abs(np.subtract(found[key], stored[key])).ravel()
+        bad = np.flatnonzero(~(delta <= tol))
+        if bad.size:
+            i = bad[0]
+            where = "" if key == "nugget" else f" of input {i} ({refs[i]!r})"
+            raise FigpError(
+                f"model Gram check failed: the rebuilt `{key}`{where} is "
+                f"{delta[i]:.3g} off the saved one (tolerance {tol:.3g})")
 
 
 def model_to_dict(model: GPModel, base_dir: str) -> dict:
     """The model-file payload; CSV input paths are written relative to
     `base_dir`, the directory of the file being written."""
-    grid = model.inputs[0].grid
-    return {
+    d = {
         "format": MODEL_FORMAT,
-        "version": _written_version(model.inputs),
+        "version": FORMAT_VERSION,
         "kernel": kernel_spec_to_dict(model.spec),
         "mu_hat": model.mu_hat,
         "log_likelihood": model.log_likelihood,
-        "grid": grid_to_dict(grid),
+        "grid": grid_to_dict(model.inputs[0].grid),
         "inputs": [input_to_reference(g, base_dir) for g in model.inputs],
         "y": [float(v) for v in model.y],
-        "gram_sha256": gram_checksum(model),
+        "gram": _gram_invariants(model),
     }
+    d["payload_sha256"] = _payload_sha256(d)
+    return d
 
 
 def save_model(path: str, model: GPModel) -> None:
     write_json(path, model_to_dict(model, os.path.dirname(path)))
 
 
-def model_from_dict(d: dict, base_dir: str,
-                    verify_checksum: bool = True) -> GPModel:
+def model_from_dict(d: dict, base_dir: str) -> GPModel:
     """Rebuild a model from its payload; relative CSV input paths are
     taken relative to `base_dir`, the directory of the file read, or to
-    the current directory in a version-1 payload."""
+    the current directory in a version-1 payload.
+
+    A version-3 payload must match its `payload_sha256`, which catches
+    any edit, and its rebuilt Gram the saved invariants (`_check_gram`),
+    which catch a changed CSV input; FigpError names the failed check.
+    Versions 1 and 2 hold only a hash of the Gram's bytes, which other
+    arithmetic does not reproduce; they load unchecked with a warning."""
     if d.get("format") != MODEL_FORMAT:
         raise FigpError("not a model file")
+    version = d.get("version", 1)
+    if version not in (1, 2, FORMAT_VERSION):
+        raise FigpError(f"unsupported model file version {version!r}")
+    if version == FORMAT_VERSION and \
+            d.get("payload_sha256") != _payload_sha256(d):
+        raise FigpError("model payload check failed: the file was edited "
+                        "after it was saved (payload_sha256 mismatch)")
     spec = kernel_spec_from_dict(d["kernel"])
     grid = grid_from_dict(d["grid"])
-    version = d.get("version", 1)
-    if version not in (1, FORMAT_VERSION):
-        raise FigpError(f"unsupported model file version {version!r}")
-    ref_dir = base_dir if version == FORMAT_VERSION else ""
+    ref_dir = "" if version == 1 else base_dir
     inputs = [input_from_reference(ref, grid, ref_dir) for ref in d["inputs"]]
     y = np.asarray(d["y"], dtype=float)
     model = replace(build_model(spec, inputs, y, mu=d["mu_hat"]),
                     log_likelihood=float(d.get("log_likelihood", "nan")))
-    if verify_checksum and "gram_sha256" in d:
-        found = gram_checksum(model)
-        if found != d["gram_sha256"]:
-            raise FigpError(
-                "rebuilt Gram checksum mismatch; the model file does not "
-                "match this environment's arithmetic"
-            )
+    if version == FORMAT_VERSION:
+        _check_gram(d["gram"], model, d["inputs"])
+    else:
+        warnings.warn(
+            f"model file version {version} was loaded unchecked; save it "
+            f"again to write a checked version {FORMAT_VERSION}",
+            UserWarning, stacklevel=2)
     return model
 
 
-def load_model(path: str, verify_checksum: bool = True) -> GPModel:
-    return model_from_dict(read_json(path), os.path.dirname(path),
-                           verify_checksum)
+def load_model(path: str) -> GPModel:
+    return model_from_dict(read_json(path), os.path.dirname(path))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +321,7 @@ def load_model(path: str, verify_checksum: bool = True) -> GPModel:
 def emulator_to_dict(emulator: PCAEmulator, base_dir: str) -> dict:
     return {
         "format": EMULATOR_FORMAT,
-        "version": _written_version(
-            [g for m in emulator.score_models for g in m.inputs]),
+        "version": FORMAT_VERSION,
         "field_shape": list(emulator.field_shape),
         "mean_field": [float(v) for v in emulator.mean_field],
         "components": [[float(v) for v in row] for row in emulator.components],
@@ -306,14 +337,12 @@ def save_emulator(path: str, emulator: PCAEmulator) -> None:
     write_json(path, emulator_to_dict(emulator, os.path.dirname(path)))
 
 
-def load_emulator(path: str, verify_checksum: bool = True) -> PCAEmulator:
+def load_emulator(path: str) -> PCAEmulator:
     d = read_json(path)
     if d.get("format") != EMULATOR_FORMAT:
         raise FigpError("not an emulator file")
-    models = tuple(
-        model_from_dict(md, os.path.dirname(path), verify_checksum)
-        for md in d["score_models"]
-    )
+    models = tuple(model_from_dict(md, os.path.dirname(path))
+                   for md in d["score_models"])
     return PCAEmulator(
         np.asarray(d["mean_field"], dtype=float),
         np.asarray(d["components"], dtype=float),

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import figp
 from figp import Domain, FieldDataset, build_grid, l2_inner, loocv_error
 from figp import sample_function
+from figp.reproduce import TRAINING_EXPRESSIONS, evaluate_functional
 from figp.cli import cli_dispatch
 from figp.storage import (load_model, save_field_dataset, save_training_data)
 
@@ -73,6 +78,32 @@ def test_fit_predict_loocv_flow(workdir, train_file, capsys):
     assert loocv_report["loocv"] == pytest.approx(loocv_error(model),
                                                  rel=1e-12)
     assert loocv_report["n"] == 6
+
+
+def test_model_saved_under_two_blas_threads_loads_under_one(workdir):
+    # table2's f1 training set: its linear Gram (condition number 7.7e8)
+    # has different bytes when built with one or with two BLAS threads
+    grid = build_grid(Domain(((0.0, 1.0), (0.0, 1.0))), 20)
+    inputs = [sample_function(e, grid) for e in TRAINING_EXPRESSIONS]
+    save_training_data("train.json", grid, inputs,
+                       [evaluate_functional("f1", g) for g in inputs])
+    src = os.path.dirname(os.path.dirname(figp.__file__))
+
+    def figp_cli(threads, *args):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        return subprocess.run([sys.executable, "-m", "figp", *args],
+                              capture_output=True, text=True, env=env)
+
+    fitted = figp_cli(2, "fit", "--train", "train.json", "--family",
+                      "linear", "--out", "model.json")
+    assert fitted.returncode == 0, fitted.stderr
+    predicted = figp_cli(1, "predict", "--model", "model.json",
+                         "--input", "1+x1", "--json")
+    assert predicted.returncode == 0, predicted.stderr
+    row = json.loads(predicted.stdout)["predictions"][0]
+    assert row["mean"] == pytest.approx(1.5, rel=1e-4)
 
 
 def test_predict_without_inputs_errors(workdir, train_file, capsys):

@@ -220,27 +220,16 @@ def test_mc_curve_reuses_the_joint_psi(unit_grid, test_inputs, monkeypatch):
             builds.append(len(b))
         return real_base(a, b, params)
 
-    def run():
-        builds.clear()
-        return empirical_mspe(_knot_builder(unit_grid), (4, 8), test_inputs,
-                              SPEC, method="mc", replicates=50, seed=3)
-
     monkeypatch.setattr(figp.kernels, "base_kernel_matrix", counted)
-    curve = run()
-    assert len(builds) == 2 * 2  # the joint and the design Gram, per size
+    curve = empirical_mspe(_knot_builder(unit_grid), (4, 8), test_inputs,
+                           SPEC, method="mc", replicates=50, seed=3)
+    assert len(builds) == 2  # the joint Gram's, once per size
     # values of the route that built Psi three times per size
     np.testing.assert_allclose(curve.mspe, [0.003919827304606594,
                                             7.597254156326606e-05],
                                rtol=1e-9)
     np.testing.assert_allclose(curve.se, [0.0004843553765299148,
                                           8.764798425363306e-06], rtol=1e-9)
-    real_kernel_matrix = figp.designs.kernel_matrix
-    monkeypatch.setattr(figp.designs, "kernel_matrix",
-                        lambda a, b, spec, psi: real_kernel_matrix(a, b, spec))
-    fresh = run()
-    assert len(builds) == 3 * 2
-    assert curve.mspe.tobytes() == fresh.mspe.tobytes()
-    assert curve.se.tobytes() == fresh.se.tobytes()
 
 
 def test_empirical_mspe_two_sizes_slope_se_nan(unit_grid, test_inputs):

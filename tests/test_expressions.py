@@ -149,3 +149,12 @@ def test_expression_variables():
     assert expression_variables(parse_expression("sin(x1)+x2*x2")) == {1, 2}
     assert expression_variables(Num(1.0)) == set()
     assert expression_variables(Var(2)) == {2}
+
+
+@pytest.mark.parametrize("text", ["x1.csv", "2.csv", "sin(x1).csv",
+                                  "1e2.csv"])
+def test_no_string_ending_in_csv_parses(text):
+    # storage reads any reference ending in ".csv" as a path: a "." only
+    # appears inside a number, and no token may follow a number directly
+    with pytest.raises(ExpressionError):
+        parse_expression(text)

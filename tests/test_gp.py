@@ -9,8 +9,8 @@ import pytest
 import figp.gp
 import figp.kernels
 from figp import (Domain, FigpError, FitConfig, GramFactorizationError,
-                  KernelSpec, LINEAR, MaternParams, NONLINEAR, build_grid,
-                  build_model, fit, gram, kernel_matrix,
+                  GridMismatchError, KernelSpec, LINEAR, MaternParams,
+                  NONLINEAR, build_grid, build_model, fit, gram, kernel_matrix,
                   log_marginal_likelihood, loocv_error, predict,
                   predict_many, sample_function, select_kernel)
 from figp.gp import (LOG_GAMMA_BOUNDS, LOG_THETA_BOUNDS, SCAN_XATOL, GPModel,
@@ -279,6 +279,18 @@ def test_linear_gram_keeps_its_psi_read_only(square_grid):
 def test_predict_many_rejects_empty_inputs(bench_models):
     with pytest.raises(FigpError, match="`inputs`, which is empty"):
         predict_many(bench_models[("f1", LINEAR)], [])
+
+
+@pytest.mark.parametrize("family", [LINEAR, NONLINEAR])
+def test_fit_and_predict_many_reject_mixed_grids(square_grid, bench_models,
+                                                 family):
+    coarse = build_grid(Domain(((0.0, 1.0), (0.0, 1.0))), 10)
+    ins = [sample_function(e, square_grid) for e in ("1", "x1", "x2")]
+    odd = sample_function("x1*x2", coarse)
+    with pytest.raises(GridMismatchError):
+        fit(ins + [odd], [0.1, 0.5, -0.2, 0.3], family)
+    with pytest.raises(GridMismatchError):
+        predict_many(bench_models[("f1", family)], ins[:1] + [odd])
 
 
 def test_posterior_mean_additive_in_y(square_grid):

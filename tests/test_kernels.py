@@ -236,6 +236,18 @@ def test_kernel_diag_matches_kernel_matrix_diagonal(square_grid, spec):
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("premap", [None, "square"])
+def test_linear_gram_triangle_is_bitwise_the_prediction_cross_matrix(
+        square_grid, premap):
+    spec = KernelSpec(LINEAR, MaternParams(2.5, 1.3, (0.9, 1.4)),
+                      premap=premap, nugget=0.0)
+    ins = random_poly_inputs(square_grid, 5, np.random.default_rng(14))
+    fact = gram(ins, spec)
+    for psi in (fact.psi, None):
+        cross = kernel_matrix_and_diag(ins, ins, spec, psi=psi)[0]
+        assert np.triu(fact.gram).tobytes() == np.triu(cross).tobytes()
+
+
 @pytest.mark.parametrize("call", [kernel_matrix, kernel_matrix_and_diag])
 @pytest.mark.parametrize("empty", ["inputs_a", "inputs_b"])
 @pytest.mark.parametrize("spec", [

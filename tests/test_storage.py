@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import figp.gp
 from figp import (Domain, FieldDataset, FigpError, FunctionalInput,
                   KernelSpec, LINEAR, MaternParams, NONLINEAR, PCAEmulator,
                   build_grid, build_model, fit, fit_emulator, FitConfig,
@@ -140,7 +141,7 @@ def test_csv_references_resolve_against_their_file(tmp_path, monkeypatch):
     save_field_dataset("fields.csv", "fields.manifest.json", fields)
     saved = read_json("model.json")
     assert saved["inputs"] == ["c0.csv", "c1.csv", "c2.csv", absolute]
-    assert saved["version"] == 2
+    assert saved["version"] == 3
 
     # load, predict and save again from the parent directory
     monkeypatch.chdir(tmp_path)
@@ -171,13 +172,13 @@ def test_csv_references_resolve_against_their_file(tmp_path, monkeypatch):
 def test_version_1_model_csv_references_resolve_from_the_current_directory(
         tmp_path, monkeypatch, square_grid):
     # version 1 wrote relative CSV paths as given, from the current
-    # directory, and a model without CSV inputs is still written so
+    # directory; every model is now written as version 3
     inputs = [sample_function(e, square_grid) for e in ("1", "x1")]
     spec = KernelSpec(NONLINEAR, MaternParams(2.5, 0.8), gamma=0.6,
                       nugget=1e-8)
     save_model(str(tmp_path / "expr.json"),
                build_model(spec, inputs, np.array([1.0, 2.0])))
-    assert read_json(str(tmp_path / "expr.json"))["version"] == 1
+    assert read_json(str(tmp_path / "expr.json"))["version"] == 3
 
     grid = build_grid(Domain(((0.0, 1.0),)), 8)
     data = tmp_path / "data"
@@ -189,17 +190,18 @@ def test_version_1_model_csv_references_resolve_from_the_current_directory(
     model = build_model(spec, inputs, np.array([1.0, 2.0]))
     save_model(os.path.join("models", "model.json"), model)
     blob = read_json(os.path.join("models", "model.json"))
-    assert blob["version"] == 2
+    assert blob["version"] == 3
     blob["version"] = 1
     blob["inputs"] = [os.path.join("data", "c0.csv"),
                       os.path.join("data", "c1.csv")]
     write_json(os.path.join("models", "old.json"), blob)
-    loaded = load_model(os.path.join("models", "old.json"))
+    with pytest.warns(UserWarning, match="version 1 was loaded unchecked"):
+        loaded = load_model(os.path.join("models", "old.json"))
     assert predict(loaded, inputs[0]) == predict(model, inputs[0])
 
-    blob["version"] = 3
+    blob["version"] = 4
     write_json(os.path.join("models", "new.json"), blob)
-    with pytest.raises(FigpError, match="version 3"):
+    with pytest.raises(FigpError, match="version 4"):
         load_model(os.path.join("models", "new.json"))
 
 
@@ -237,7 +239,7 @@ def test_loaded_linear_model_predicts_from_its_kept_psi(tmp_path,
     # Psi is rebuilt on load, never saved
     assert set(json.loads(open(path).read())) == {
         "format", "version", "kernel", "mu_hat", "log_likelihood", "grid",
-        "inputs", "y", "gram_sha256"}
+        "inputs", "y", "gram", "payload_sha256"}
     loaded = load_model(path)
     fresh = replace(model, factorization=replace(model.factorization,
                                                  psi=None))
@@ -253,17 +255,107 @@ def test_model_checksum_detects_mismatch(tmp_path, square_grid):
     inputs = [sample_function(e, square_grid) for e in ("1", "x1")]
     spec = KernelSpec(NONLINEAR, MaternParams(2.5, 0.8), gamma=0.6,
                       nugget=1e-8)
-    model = build_model(spec, inputs, np.array([1.0, 2.0]))
     path = str(tmp_path / "model.json")
-    save_model(path, model)
-    blob = json.loads(open(path).read())
-    blob["gram_sha256"] = "0" * 64
-    open(path, "w").write(json.dumps(blob))
-    with pytest.raises(FigpError, match="checksum"):
+    save_model(path, build_model(spec, inputs, np.array([1.0, 2.0])))
+    blob = read_json(path)
+    blob["payload_sha256"] = "0" * 64
+    write_json(path, blob)
+    with pytest.raises(FigpError, match="payload check failed"):
         load_model(path)
-    # opting out still loads
-    loaded = load_model(path, verify_checksum=False)
-    assert loaded.mu_hat == model.mu_hat
+
+
+def _linear_and_nonlinear_models(square_grid):
+    inputs = [sample_function(e, square_grid)
+              for e in ("1", "x1", "x2", "x1*x2", "1+x1^2", "sin(x2)")]
+    y = np.random.default_rng(71).standard_normal(6)
+    return [build_model(KernelSpec(LINEAR, MaternParams(2.5, 0.9, (0.8, 1.3))),
+                        inputs, y),
+            build_model(KernelSpec(NONLINEAR, MaternParams(2.5, 0.8),
+                                   gamma=0.6), inputs, y)]
+
+
+def test_model_loads_after_its_rebuilt_gram_moves_by_round_off(
+        tmp_path, square_grid, monkeypatch):
+    # stands in for another BLAS: the rebuilt Gram is off by 1e-14
+    # relative in every entry, and the load must not care
+    rng = np.random.default_rng(73)
+    real = figp.gp.gram
+
+    def perturbed(inputs, spec):
+        fact = real(inputs, spec)
+        r = rng.uniform(-1.0, 1.0, (fact.n, fact.n))
+        K = fact.gram * (1.0 + 1e-14 * (r + r.T) / 2.0)
+        L = np.linalg.cholesky(K)
+        return replace(fact, gram=K, chol=L,
+                       log_det=float(2.0 * np.sum(np.log(np.diag(L)))))
+
+    test = sample_function("1+0.3*x1*x2", square_grid)
+    for i, model in enumerate(_linear_and_nonlinear_models(square_grid)):
+        path = str(tmp_path / f"model{i}.json")
+        save_model(path, model)
+        with monkeypatch.context() as m:
+            m.setattr(figp.gp, "gram", perturbed)
+            loaded = load_model(path)
+        assert loaded.factorization.gram.tobytes() != \
+            model.factorization.gram.tobytes()
+        np.testing.assert_allclose(predict(loaded, test), predict(model, test),
+                                   rtol=1e-6)
+
+
+@pytest.mark.parametrize("key,delta", [("y", 0.5), ("mu_hat", 1.0)])
+def test_hand_edited_model_fails_the_payload_check(tmp_path, square_grid, key,
+                                                   delta):
+    for i, model in enumerate(_linear_and_nonlinear_models(square_grid)):
+        path = str(tmp_path / f"model{i}.json")
+        save_model(path, model)
+        blob = read_json(path)
+        if key == "y":
+            blob["y"][0] += delta
+        else:
+            blob["mu_hat"] += delta
+        write_json(path, blob)
+        with pytest.raises(FigpError, match="payload check failed"):
+            load_model(path)
+
+
+# a sign flip leaves a linear Gram's diagonal as it was, and every
+# nonlinear diagonal entry is sigma2 plus the nugget
+@pytest.mark.parametrize("family,edit,invariant", [
+    (LINEAR, -1.0, "row_sums"), (LINEAR, 1.25, "diag"),
+    (NONLINEAR, -1.0, "row_sums"), (NONLINEAR, 1.25, "row_sums")])
+def test_changed_csv_input_fails_the_gram_check(tmp_path, monkeypatch,
+                                                family, edit, invariant):
+    grid = build_grid(Domain(((0.0, 1.0),)), 8)
+    _write_input_csvs(tmp_path, grid, 4)
+    monkeypatch.chdir(tmp_path)
+    inputs = [load_input_csv(f"c{i}.csv", grid) for i in range(4)]
+    model = fit(inputs, [0.4, -0.3, 1.1, 0.2], family)
+    save_model("model.json", model)
+    assert predict(load_model("model.json"), inputs[0]) == \
+        predict(model, inputs[0])
+    data = np.loadtxt("c2.csv", delimiter=",", skiprows=1)
+    rows = ["x1,value"] + [f"{x:.17g},{v:.17g}"
+                           for x, v in zip(data[:, 0], edit * data[:, 1])]
+    (tmp_path / "c2.csv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(FigpError, match=f"Gram check failed: the rebuilt "
+                                        f"`{invariant}` of input"):
+        load_model("model.json")
+
+
+def test_version_2_model_loads_unchecked_with_a_warning(tmp_path,
+                                                        square_grid):
+    for i, model in enumerate(_linear_and_nonlinear_models(square_grid)):
+        path = str(tmp_path / f"model{i}.json")
+        save_model(path, model)
+        blob = read_json(path)
+        del blob["gram"], blob["payload_sha256"]
+        blob.update(version=2, gram_sha256="0" * 64)
+        write_json(path, blob)
+        with pytest.warns(UserWarning, match="version 2 was loaded unchecked"
+                          "; save it again"):
+            loaded = load_model(path)
+        assert loaded.mu_hat == model.mu_hat
+        np.testing.assert_array_equal(loaded.alpha, model.alpha)
 
 
 def test_emulator_round_trip(tmp_path, square_grid):

@@ -222,15 +222,20 @@ def _cmd_reproduce(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42,
-                        help="seed for all randomness (default 42)")
-    common.add_argument("--grid-res", type=int, default=None,
-                        help="quadrature points per dimension")
     common.add_argument("--out", default=None, help="output file or directory")
     common.add_argument("--json", action="store_true",
                         help="print a machine-readable JSON report")
 
-    fitting = argparse.ArgumentParser(add_help=False)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=42,
+                        help="seed for all randomness (default 42)")
+
+    # the others read their grid from the training, model or emulator file
+    gridded = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    gridded.add_argument("--grid-res", type=int, default=None,
+                         help="quadrature points per dimension")
+
+    fitting = argparse.ArgumentParser(add_help=False, parents=[seeded])
     fitting.add_argument("--multistarts", type=int, default=8,
                          help="L-BFGS-B starts for --anisotropic fits; a "
                               "one-parameter fit is a deterministic scan "
@@ -240,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(linear kernel)")
     fitting.add_argument("--nu", type=float, default=2.5)
     fitting.add_argument("--premap", default=None, choices=sorted(PREMAPS))
-    fitting.add_argument("--nugget", type=float, default=None)
+    fitting.add_argument("--nugget", type=float, default=None,
+                         help="nugget as a fraction of the fitted variance "
+                              "(default: the automatic policy)")
 
     parser = argparse.ArgumentParser(
         prog="figp",
@@ -271,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.set_defaults(func=_cmd_select_kernel)
 
-    p = sub.add_parser("sample-paths", parents=[common],
+    p = sub.add_parser("sample-paths", parents=[common, gridded],
                        help="draw prior sample paths over the sine family")
     p.add_argument("--family", default=LINEAR, choices=[LINEAR, NONLINEAR])
     for name in ("nu", "theta", "sigma2", "gamma"):
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain-max", type=float, default=SINE_BOUNDS[1])
     p.set_defaults(func=_cmd_sample_paths)
 
-    p = sub.add_parser("mspe-decay", parents=[common],
+    p = sub.add_parser("mspe-decay", parents=[common, gridded],
                        help="error-decay experiment for a design family")
     p.add_argument("--design", default="knot", choices=["knot", "eigen"])
     p.add_argument("--nu", type=float, default=MSPE_NU)
@@ -309,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--input-csv", action="append", metavar="PATH")
     pp.set_defaults(func=_cmd_emulate_predict)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    p = sub.add_parser("reproduce", parents=[common, gridded],
                        help="write reference tables and figure data")
     p.add_argument("target", choices=list(TARGETS))
     p.set_defaults(func=_cmd_reproduce)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
-from .domain import Domain, FunctionalInput, QuadratureGrid
+from .domain import Domain, FunctionalInput, QuadratureGrid, _freeze
 from .errors import FigpError
 from .gp import build_model, predict_many
 from .kernels import (
@@ -40,9 +40,8 @@ class KnotSet:
     fill_distance: float
 
     def __post_init__(self):
-        k = np.ascontiguousarray(np.atleast_2d(self.knots), dtype=float)
-        k.setflags(write=False)
-        object.__setattr__(self, "knots", k)
+        object.__setattr__(self, "knots", np.atleast_2d(self.knots))
+        _freeze(self, "knots")
         if not self.fill_distance > 0:
             raise FigpError("fill distance must be positive")
 
@@ -139,17 +138,11 @@ class DecayCurve:
     theoretical_rate: Optional[float] = None
 
     def __post_init__(self):
-        s = np.ascontiguousarray(self.sizes, dtype=int)
-        m = np.ascontiguousarray(self.mspe, dtype=float)
-        e = np.ascontiguousarray(self.se, dtype=float)
-        for a in (s, m, e):
-            a.setflags(write=False)
-        object.__setattr__(self, "sizes", s)
-        object.__setattr__(self, "mspe", m)
-        object.__setattr__(self, "se", e)
-        if np.any(np.diff(s) <= 0):
+        _freeze(self, "sizes", dtype=int)
+        _freeze(self, "mspe", "se")
+        if np.any(np.diff(self.sizes) <= 0):
             raise FigpError("design sizes must be strictly increasing")
-        if np.any(m < 0):
+        if np.any(self.mspe < 0):
             raise FigpError("MSPE values must be non-negative")
 
 
@@ -267,7 +260,6 @@ def empirical_mspe(design_builder: Callable[[int], List[FunctionalInput]],
             se_vals.append(float(per_rep.std(ddof=1) / np.sqrt(replicates)))
 
     slope, slope_se = _loglog_slope(sizes, mspe_vals)
-    return DecayCurve(np.array(sizes), np.array(mspe_vals), np.array(se_vals),
-                      slope, slope_se,
+    return DecayCurve(sizes, mspe_vals, se_vals, slope, slope_se,
                       replicates if method == "mc" else 0, method,
                       theoretical_rate)

@@ -28,10 +28,14 @@ _RULES = (GAUSS_LEGENDRE, UNIFORM_MIDPOINT)
 DEFAULT_RESOLUTION = {1: 64, 2: 20}
 
 
-def _readonly(a):
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
+def _freeze(record, *names, dtype=float) -> None:
+    """Set each named field of the frozen dataclass `record` to a
+    read-only, C-contiguous copy of its value in `dtype`: the caller's
+    arrays stay writeable, and writing to them leaves the record as is."""
+    for name in names:
+        a = np.array(getattr(record, name), dtype=dtype, order="C")
+        a.setflags(write=False)
+        object.__setattr__(record, name, a)
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,7 @@ class QuadratureGrid:
     resolution: int
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _readonly(self.nodes))
-        object.__setattr__(self, "weights", _readonly(self.weights))
+        _freeze(self, "nodes", "weights")
         if self.nodes.shape != (self.weights.size, self.domain.dim):
             raise FigpError("node/weight shapes are inconsistent")
         if np.any(self.weights <= 0):
@@ -157,7 +160,7 @@ class FunctionalInput:
     label: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
+        _freeze(self, "values")
         if self.values.shape != (self.grid.n_points,):
             raise FigpError(
                 f"expected {self.grid.n_points} values, got {self.values.shape}"

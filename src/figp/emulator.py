@@ -9,11 +9,11 @@ variances through the component vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .domain import FunctionalInput, _check_same_grid
+from .domain import FunctionalInput, _check_same_grid, _freeze
 from .errors import FigpError
 from .gp import FitConfig, GPModel, fit, predict, select_kernel
 from .kernels import LINEAR, NONLINEAR
@@ -31,16 +31,15 @@ class FieldDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        f = np.ascontiguousarray(np.atleast_2d(self.fields), dtype=float)
-        f.setflags(write=False)
-        object.__setattr__(self, "fields", f)
-        shape = tuple(int(s) for s in self.field_shape)
-        object.__setattr__(self, "field_shape", shape)
-        if f.shape[0] != len(self.inputs):
+        object.__setattr__(self, "fields", np.atleast_2d(self.fields))
+        _freeze(self, "fields")
+        object.__setattr__(self, "field_shape",
+                           tuple(int(s) for s in self.field_shape))
+        if self.fields.shape[0] != len(self.inputs):
             raise FigpError("field rows must match the number of inputs")
-        if int(np.prod(shape)) != f.shape[1]:
+        if int(np.prod(self.field_shape)) != self.fields.shape[1]:
             raise FigpError("field_shape does not match the flattened length")
-        if not np.all(np.isfinite(f)):
+        if not np.all(np.isfinite(self.fields)):
             raise FigpError("fields contain non-finite values")
         for g in self.inputs[1:]:
             _check_same_grid(self.inputs[0], g)
@@ -95,21 +94,15 @@ class PCAEmulator:
     field_shape: Tuple[int, ...]
 
     def __post_init__(self):
-        mf = np.ascontiguousarray(self.mean_field, dtype=float)
-        comp = np.ascontiguousarray(self.components, dtype=float)
-        evr = np.ascontiguousarray(self.explained_variance_ratio, dtype=float)
-        for a in (mf, comp, evr):
-            a.setflags(write=False)
-        object.__setattr__(self, "mean_field", mf)
-        object.__setattr__(self, "components", comp)
-        object.__setattr__(self, "explained_variance_ratio", evr)
+        _freeze(self, "mean_field", "components", "explained_variance_ratio")
         object.__setattr__(self, "score_models", tuple(self.score_models))
         object.__setattr__(self, "field_shape",
                            tuple(int(s) for s in self.field_shape))
-        k = comp.shape[0]
-        if k < 1 or len(self.score_models) != k or evr.size != k:
+        k = self.components.shape[0]
+        if k < 1 or len(self.score_models) != k or \
+                self.explained_variance_ratio.size != k:
             raise FigpError("emulator component counts are inconsistent")
-        G = comp @ comp.T
+        G = self.components @ self.components.T
         if np.max(np.abs(G - np.eye(k))) > 1e-10:
             raise FigpError("components are not orthonormal")
 
@@ -119,34 +112,24 @@ class PCAEmulator:
 
 
 def fit_emulator(dataset: FieldDataset, threshold: float = 0.999,
-                 family: Union[str, Sequence[str], None] = None,
+                 family: Optional[str] = None,
                  config: Optional[FitConfig] = None) -> PCAEmulator:
     """Reduce the fields and fit one surrogate per retained score.
 
-    `family` may be None (select between linear and nonlinear per score
-    by leave-one-out error), a single family name for all scores, or a
-    sequence naming the family per score.
+    `family` None selects between linear and nonlinear per score by
+    leave-one-out error; a family name fits that family to every score.
     """
+    if family not in (None, LINEAR, NONLINEAR):
+        raise FigpError(f"unknown family {family!r}")
     components, scores, mean_field, ratios = pca_reduce(dataset, threshold)
-    k = components.shape[0]
-    if isinstance(family, str) or family is None:
-        families = [family] * k
-    else:
-        families = list(family)
-        if len(families) != k:
-            raise FigpError(
-                f"{len(families)} families given but {k} components retained"
-            )
     models = []
-    for l in range(k):
+    for l in range(components.shape[0]):
         try:
-            if families[l] is None:
+            if family is None:
                 model, _ = select_kernel(dataset.inputs, scores[:, l],
                                          config=config)
             else:
-                if families[l] not in (LINEAR, NONLINEAR):
-                    raise FigpError(f"unknown family {families[l]!r}")
-                model = fit(dataset.inputs, scores[:, l], families[l],
+                model = fit(dataset.inputs, scores[:, l], family,
                             config=config)
         except FigpError as exc:
             raise FigpError(f"fit failed for component {l + 1}: {exc}")

@@ -233,19 +233,6 @@ def print_expression(node: Expression) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def expression_variables(node: Expression) -> set:
-    """Indices of all variables referenced by the AST."""
-    if isinstance(node, Var):
-        return {node.index}
-    if isinstance(node, Call):
-        return expression_variables(node.arg)
-    if isinstance(node, Neg):
-        return expression_variables(node.arg)
-    if isinstance(node, BinOp):
-        return expression_variables(node.left) | expression_variables(node.right)
-    return set()
-
-
 def evaluate_expression(node: Expression, points: np.ndarray) -> np.ndarray:
     """Evaluate the AST at each row of ``points`` (shape (n, d)).
 

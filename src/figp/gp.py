@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .domain import FunctionalInput
+from .domain import FunctionalInput, _freeze
 from .errors import FigpError, FitError, GramFactorizationError
 from .kernels import (
     LINEAR,
@@ -83,12 +83,7 @@ class GPModel:
     log_likelihood: float = float("nan")
 
     def __post_init__(self):
-        y = np.ascontiguousarray(self.y, dtype=float)
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        a = np.ascontiguousarray(self.alpha, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "alpha", a)
+        _freeze(self, "y", "alpha")
         object.__setattr__(self, "inputs", tuple(self.inputs))
 
     @property
@@ -229,6 +224,10 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     fit is that kept winner; no Gram is rebuilt to profile it.  An
     anisotropic fit may return a finite-difference point of L-BFGS-B
     when that evaluation had the highest likelihood.
+
+    An explicit `nugget` is a fraction of the fitted variance: the model
+    is sigma2_hat (R + nugget I), the covariance the search scored, so
+    `log_likelihood` is the model's own log-density.
     """
     if config is None:
         config = FitConfig()
@@ -285,7 +284,8 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
         raise FitError(f"{failure} for the {family} kernel")
 
     mu, s2, ll = kept["profile"]
-    spec = _make_spec(family, kept["x"], config, dim, s2, premap, nugget)
+    spec = _make_spec(family, kept["x"], config, dim, s2, premap,
+                      None if nugget is None else nugget * s2)
     return replace(build_model(spec, inputs, y, mu=mu), log_likelihood=ll)
 
 

@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .domain import FunctionalInput, _check_same_grid
+from .domain import FunctionalInput, _check_same_grid, _freeze
 from .errors import FigpError, GramFactorizationError
 
 LINEAR = "linear"
@@ -292,10 +292,11 @@ def kernel_matrix_and_diag(inputs_a: List[FunctionalInput],
 class GramFactorization:
     """Cholesky factorization of the training Gram plus nugget.
 
-    `psi` is the read-only base-kernel matrix Psi on the grid nodes that
-    a linear Gram was built from, kept so that predictions from the
-    same kernel multiply by it instead of rebuilding it: n_q^2 floats.
-    It is None for the nonlinear kernel.
+    `gram` and `chol` are read-only copies of the arrays given.  `psi`
+    is the read-only base-kernel matrix Psi on the grid nodes that a
+    linear Gram was built from, kept so that predictions from the same
+    kernel multiply by it instead of rebuilding it: n_q^2 floats, held
+    as given, never copied.  It is None for the nonlinear kernel.
     """
 
     gram: np.ndarray  # K_n + nugget * I, exactly symmetric
@@ -303,6 +304,9 @@ class GramFactorization:
     log_det: float
     nugget: float  # the nugget actually applied
     psi: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        _freeze(self, "gram", "chol")
 
     @property
     def n(self) -> int:

@@ -16,7 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import FunctionalInput, QuadratureGrid, _check_same_grid
+from .domain import (FunctionalInput, QuadratureGrid, _check_same_grid,
+                     _freeze)
 from .errors import FigpError
 from .kernels import KernelSpec, MaternParams, base_kernel_matrix, gram
 
@@ -38,13 +39,10 @@ class EigenSystem:
     tail_mass: float
 
     def __post_init__(self):
-        ev = np.ascontiguousarray(self.eigenvalues, dtype=float)
-        ef = np.ascontiguousarray(self.eigenfunctions, dtype=float)
-        ev.setflags(write=False)
-        ef.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "eigenfunctions", ef)
-        if ev.ndim != 1 or ef.shape != (self.grid.n_points, ev.size):
+        _freeze(self, "eigenvalues", "eigenfunctions")
+        ev = self.eigenvalues
+        if ev.ndim != 1 or \
+                self.eigenfunctions.shape != (self.grid.n_points, ev.size):
             raise FigpError("eigensystem shapes are inconsistent")
         if np.any(np.diff(ev) > 0) or np.any(ev <= 0):
             raise FigpError("eigenvalues must be positive and descending")
@@ -110,16 +108,12 @@ class PathFamily:
     params: dict  # parameter set recorded for the CSV header
 
     def __post_init__(self):
-        iv = np.ascontiguousarray(self.index_values, dtype=float)
-        dr = np.ascontiguousarray(self.draws, dtype=float)
-        iv.setflags(write=False)
-        dr.setflags(write=False)
-        object.__setattr__(self, "index_values", iv)
-        object.__setattr__(self, "draws", dr)
+        _freeze(self, "index_values", "draws")
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        if dr.shape[1] != iv.size or iv.size != len(self.inputs):
+        if not self.draws.shape[1] == self.index_values.size == \
+                len(self.inputs):
             raise FigpError("path family shapes are inconsistent")
-        if not np.all(np.isfinite(dr)):
+        if not np.all(np.isfinite(self.draws)):
             raise FigpError("path draws contain non-finite values")
 
     @property
@@ -128,12 +122,7 @@ class PathFamily:
 
 
 def _resolve_index(inputs, index_values):
-    if index_values is None:
-        return np.arange(len(inputs), dtype=float)
-    iv = np.asarray(index_values, dtype=float)
-    if iv.size != len(inputs):
-        raise FigpError("index_values length must match the inputs")
-    return iv
+    return np.arange(len(inputs)) if index_values is None else index_values
 
 
 def sample_paths_gram(inputs: Sequence[FunctionalInput], spec: KernelSpec,

@@ -38,6 +38,7 @@ EMULATOR_FORMAT = "figp-emulator"
 # Version 3 adds the payload hash and the Gram invariants; version 1
 # read relative CSV paths from the current directory, and still does.
 FORMAT_VERSION = 3
+EMULATOR_VERSION = 4  # version 4 adds the emulator's own payload hash
 # Saved and rebuilt Gram invariants may differ by GRAM_RTOL * n * max
 # diag; another BLAS or product order moves them by about 1e-15 of that.
 GRAM_RTOL = 1e-10
@@ -82,8 +83,22 @@ def write_json(path: str, payload) -> None:
 
 
 def read_json(path: str):
+    """The JSON value in the file at `path`; FigpError if it is not JSON."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON, or bytes that are not text
+            raise FigpError(f"{path!r} is not a JSON file: {exc}") from None
+
+
+def _require(d, keys, what: str) -> None:
+    """Raise FigpError naming `what` unless `d` is a JSON object that
+    holds every one of `keys`; the first missing key is named."""
+    if not isinstance(d, dict):
+        raise FigpError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in d:
+            raise FigpError(f"{what} is missing {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +113,7 @@ def grid_to_dict(grid: QuadratureGrid) -> dict:
 
 
 def grid_from_dict(d: dict) -> QuadratureGrid:
+    _require(d, ("domain",), "grid")
     domain = Domain(tuple(tuple(b) for b in d["domain"]))
     return build_grid(domain, d.get("resolution"), d.get("rule", "gauss-legendre"))
 
@@ -153,9 +169,7 @@ def input_to_reference(g: FunctionalInput, base_dir: str):
 def load_training_data(path: str):
     """Load {domain, resolution, rule, inputs, y} training data."""
     d = read_json(path)
-    for key in ("domain", "inputs", "y"):
-        if key not in d:
-            raise FigpError(f"training data {path!r} is missing {key!r}")
+    _require(d, ("domain", "inputs", "y"), f"training data {path!r}")
     grid = grid_from_dict(d)
     base_dir = os.path.dirname(path)
     inputs = [input_from_reference(ref, grid, base_dir) for ref in d["inputs"]]
@@ -212,14 +226,16 @@ def kernel_spec_to_dict(spec: KernelSpec) -> dict:
 
 
 def kernel_spec_from_dict(d: dict) -> KernelSpec:
-    family = d["variant"]
-    if family == LINEAR:
+    _require(d, ("variant", "nu", "sigma2"), "model kernel")
+    linear = d["variant"] == LINEAR
+    _require(d, ("lengthscales" if linear else "gamma",), "model kernel")
+    if linear:
         params = MaternParams(d["nu"], d["sigma2"],
                               tuple(d["lengthscales"]))
         return KernelSpec(LINEAR, params, premap=d.get("premap"),
                           nugget=d.get("nugget"))
     params = MaternParams(d["nu"], d["sigma2"])
-    return KernelSpec(NONLINEAR, params, gamma=d["gamma"],
+    return KernelSpec(d["variant"], params, gamma=d["gamma"],
                       nugget=d.get("nugget"))
 
 
@@ -228,6 +244,21 @@ def _payload_sha256(d: dict) -> str:
     body = json.dumps({k: v for k, v in d.items() if k != "payload_sha256"},
                       sort_keys=True)
     return hashlib.sha256(body.encode()).hexdigest()
+
+
+def _payload_version(d, file_format: str, current: int) -> int:
+    """The version, 1 to `current`, of the `file_format` payload `d`; a
+    payload of the `current` version must match its `payload_sha256`,
+    which catches any edit after the save."""
+    if not isinstance(d, dict) or d.get("format") != file_format:
+        raise FigpError(f"not a {file_format} file")
+    version = d.get("version", 1)
+    if version not in range(1, current + 1):
+        raise FigpError(f"unsupported {file_format} file version {version!r}")
+    if version == current and d.get("payload_sha256") != _payload_sha256(d):
+        raise FigpError(f"{file_format} payload check failed: the file was "
+                        "edited after it was saved (payload_sha256 mismatch)")
+    return version
 
 
 def _gram_invariants(model: GPModel) -> dict:
@@ -285,21 +316,14 @@ def model_from_dict(d: dict, base_dir: str) -> GPModel:
     which catch a changed CSV input; FigpError names the failed check.
     Versions 1 and 2 hold only a hash of the Gram's bytes, which other
     arithmetic does not reproduce; they load unchecked with a warning."""
-    if d.get("format") != MODEL_FORMAT:
-        raise FigpError("not a model file")
-    version = d.get("version", 1)
-    if version not in (1, 2, FORMAT_VERSION):
-        raise FigpError(f"unsupported model file version {version!r}")
-    if version == FORMAT_VERSION and \
-            d.get("payload_sha256") != _payload_sha256(d):
-        raise FigpError("model payload check failed: the file was edited "
-                        "after it was saved (payload_sha256 mismatch)")
+    version = _payload_version(d, MODEL_FORMAT, FORMAT_VERSION)
+    _require(d, ("kernel", "grid", "inputs", "y", "mu_hat")
+             + (("gram",) if version == FORMAT_VERSION else ()), "model")
     spec = kernel_spec_from_dict(d["kernel"])
     grid = grid_from_dict(d["grid"])
     ref_dir = "" if version == 1 else base_dir
     inputs = [input_from_reference(ref, grid, ref_dir) for ref in d["inputs"]]
-    y = np.asarray(d["y"], dtype=float)
-    model = replace(build_model(spec, inputs, y, mu=d["mu_hat"]),
+    model = replace(build_model(spec, inputs, d["y"], mu=d["mu_hat"]),
                     log_likelihood=float(d.get("log_likelihood", "nan")))
     if version == FORMAT_VERSION:
         _check_gram(d["gram"], model, d["inputs"])
@@ -319,9 +343,10 @@ def load_model(path: str) -> GPModel:
 # emulators
 
 def emulator_to_dict(emulator: PCAEmulator, base_dir: str) -> dict:
-    return {
+    """The emulator-file payload, with its own `payload_sha256`."""
+    d = {
         "format": EMULATOR_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": EMULATOR_VERSION,
         "field_shape": list(emulator.field_shape),
         "mean_field": [float(v) for v in emulator.mean_field],
         "components": [[float(v) for v in row] for row in emulator.components],
@@ -331,6 +356,8 @@ def emulator_to_dict(emulator: PCAEmulator, base_dir: str) -> dict:
         "score_models": [model_to_dict(m, base_dir)
                          for m in emulator.score_models],
     }
+    d["payload_sha256"] = _payload_sha256(d)
+    return d
 
 
 def save_emulator(path: str, emulator: PCAEmulator) -> None:
@@ -338,18 +365,25 @@ def save_emulator(path: str, emulator: PCAEmulator) -> None:
 
 
 def load_emulator(path: str) -> PCAEmulator:
+    """Load an emulator file, checking each score model as
+    `model_from_dict` does; an emulator older than version 4 carries no
+    hash of its own keys and loads with a warning."""
     d = read_json(path)
-    if d.get("format") != EMULATOR_FORMAT:
-        raise FigpError("not an emulator file")
-    models = tuple(model_from_dict(md, os.path.dirname(path))
-                   for md in d["score_models"])
-    return PCAEmulator(
-        np.asarray(d["mean_field"], dtype=float),
-        np.asarray(d["components"], dtype=float),
-        models,
-        np.asarray(d["explained_variance_ratio"], dtype=float),
-        tuple(d["field_shape"]),
-    )
+    version = _payload_version(d, EMULATOR_FORMAT, EMULATOR_VERSION)
+    _require(d, ("field_shape", "mean_field", "components",
+                 "explained_variance_ratio", "score_models"), "emulator")
+    emulator = PCAEmulator(
+        d["mean_field"], d["components"],
+        tuple(model_from_dict(md, os.path.dirname(path))
+              for md in d["score_models"]),
+        d["explained_variance_ratio"], d["field_shape"])
+    if version != EMULATOR_VERSION:
+        warnings.warn(
+            f"emulator file version {version} was loaded without checking "
+            f"its own keys (its score models carry their own checks); save "
+            f"it again to write a checked version {EMULATOR_VERSION}",
+            UserWarning, stacklevel=2)
+    return emulator
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +393,8 @@ def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
     """Load a field dataset from a CSV (label, v1..vp per row) plus a
     manifest carrying the grid definition and field shape."""
     manifest = read_json(manifest_path)
+    _require(manifest, ("domain", "field_shape"), f"manifest {manifest_path!r}")
     grid = grid_from_dict(manifest)
-    field_shape = tuple(manifest["field_shape"])
     base_dir = os.path.dirname(fields_csv)
     inputs, rows = [], []
     with open(fields_csv, newline="") as fh:
@@ -375,7 +409,7 @@ def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
             rows.append([float(v) for v in row[1:]])
     if not inputs:
         raise FigpError(f"{fields_csv!r} has no data rows")
-    return FieldDataset(tuple(inputs), np.asarray(rows), field_shape)
+    return FieldDataset(inputs, rows, manifest["field_shape"])
 
 
 def save_field_dataset(fields_csv: str, manifest_path: str,

@@ -124,6 +124,31 @@ def test_missing_model_file_errors(workdir, capsys):
     assert "error: predict:" in captured.err
 
 
+def test_malformed_model_files_error_without_a_traceback(workdir, train_file,
+                                                        capsys):
+    (workdir / "bad.json").write_text("not json {\n")
+    assert cli_dispatch(["fit", "--train", str(train_file),
+                         "--family", "linear", "--out", "model.json"]) == 0
+    blob = json.loads((workdir / "model.json").read_text())
+    del blob["kernel"], blob["gram"], blob["payload_sha256"]
+    blob.update(version=2, gram_sha256="0" * 64)
+    (workdir / "old.json").write_text(json.dumps(blob))
+    capsys.readouterr()
+    for path, cause in (("bad.json", "'bad.json' is not a JSON file"),
+                        ("old.json", "model is missing 'kernel'")):
+        rc = cli_dispatch(["predict", "--model", path, "--input", "x1"])
+        assert rc == 1
+        assert f"error: predict: {cause}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["predict", "--grid-res", "5"],
+                                  ["loocv", "--seed", "1"]])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(argv + ["--model", "model.json"])
+    assert exc.value.code == 2
+
+
 def test_select_kernel_json_deterministic(workdir, train_file, capsys):
     argv = ["select-kernel", "--train", str(train_file),
             "--multistarts", "2", "--json"]

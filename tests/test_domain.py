@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from figp import (Domain, ExpressionError, FigpError, FunctionalInput,
-                  GridMismatchError, apply_pointwise_map, build_grid,
-                  l2_inner, l2_norm, sample_function)
+from figp import (NONLINEAR, DecayCurve, Domain, EigenSystem, ExpressionError,
+                  FieldDataset, FigpError, FunctionalInput, GPModel,
+                  GramFactorization, GridMismatchError, KernelSpec, KnotSet,
+                  MaternParams, PathFamily, PCAEmulator, QuadratureGrid,
+                  apply_pointwise_map, build_grid, build_model, fit, l2_inner,
+                  l2_norm, sample_function)
 from figp.domain import GAUSS_LEGENDRE, UNIFORM_MIDPOINT
 
 from figp_testlib import random_poly_inputs
@@ -139,3 +142,62 @@ def test_sample_function_labels(square_grid):
 def test_sample_function_rejects_non_finite(square_grid):
     with pytest.raises(ExpressionError):
         sample_function("sqrt(x1-2)", square_grid)
+
+
+def _record_cases():
+    """Per record: the constructor (or `fit`, `build_model`), its other
+    arguments, and the caller's writeable arrays, all by keyword."""
+    grid = build_grid(Domain(((0.0, 1.0),)), 8)
+    inputs = [sample_function(e, grid) for e in ("1", "x1", "x1^2")]
+    spec = KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=1.0)
+    model = build_model(spec, inputs, [1.0, 2.0, 0.5])
+    K = np.array([[2.0, 0.5], [0.5, 1.0]])
+    return {
+        "QuadratureGrid": (QuadratureGrid, dict(
+            domain=grid.domain, rule=grid.rule, resolution=grid.resolution),
+            dict(nodes=grid.nodes.copy(), weights=grid.weights.copy())),
+        "FunctionalInput": (FunctionalInput, dict(grid=grid),
+                            dict(values=np.linspace(0.0, 1.0, 8))),
+        "GPModel": (GPModel, dict(
+            spec=spec, inputs=inputs, mu_hat=0.0,
+            factorization=model.factorization),
+            dict(y=np.array([1.0, 2.0, 0.5]), alpha=np.ones(3))),
+        "GramFactorization": (GramFactorization, dict(log_det=0.5, nugget=0.0),
+                              dict(gram=K, chol=np.linalg.cholesky(K))),
+        "KnotSet": (KnotSet, dict(fill_distance=0.25),
+                    dict(knots=np.array([[0.25], [0.75]]))),
+        "DecayCurve": (DecayCurve, dict(slope=-2.0, slope_se=0.1,
+                                        replicates=0, method="exact"),
+                       dict(sizes=np.array([2, 4]), mspe=np.array([0.5, 0.1]),
+                            se=np.zeros(2))),
+        "EigenSystem": (EigenSystem, dict(grid=grid, tail_mass=0.0),
+                        dict(eigenvalues=np.array([2.0, 1.0]),
+                             eigenfunctions=np.ones((8, 2)))),
+        "PathFamily": (PathFamily, dict(inputs=inputs, seed=0, params={}),
+                       dict(index_values=np.arange(3.0),
+                            draws=np.ones((2, 3)))),
+        "FieldDataset": (FieldDataset, dict(inputs=inputs, field_shape=(2,)),
+                         dict(fields=np.ones((3, 2)))),
+        "PCAEmulator": (PCAEmulator, dict(score_models=(model,),
+                                          field_shape=(2,)),
+                        dict(mean_field=np.ones(2),
+                             components=np.array([[0.6, 0.8]]),
+                             explained_variance_ratio=np.ones(1))),
+        "fit": (fit, dict(inputs=inputs, family=NONLINEAR),
+                dict(y=np.array([1.0, 2.0, 0.5]))),
+        "build_model": (build_model, dict(spec=spec, inputs=inputs),
+                        dict(y=np.array([1.0, 2.0, 0.5]))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_record_cases()))
+def test_records_hold_read_only_copies_of_the_callers_arrays(name):
+    make, fixed, given = _record_cases()[name]
+    record = make(**fixed, **given)
+    kept = {field: getattr(record, field).copy() for field in given}
+    for field, array in given.items():
+        assert array.flags.writeable, field
+        assert not getattr(record, field).flags.writeable, field
+        assert getattr(record, field).flags.c_contiguous, field
+        array += 1
+        assert np.array_equal(getattr(record, field), kept[field]), field

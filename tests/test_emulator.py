@@ -118,13 +118,6 @@ def test_fit_emulator_rank_one_linear_functional(square_grid):
     assert np.all(var >= 0)
 
 
-def test_fit_emulator_family_sequence_checked(square_grid):
-    ds, _, _ = _synthetic_dataset(square_grid, (0.8, 0.2))
-    with pytest.raises(FigpError, match="families"):
-        fit_emulator(ds, family=[LINEAR],
-                     config=FitConfig(seed=0, multistarts=2))
-
-
 def test_fit_emulator_unknown_family(square_grid):
     ds, _, _ = _synthetic_dataset(square_grid, (0.8, 0.2))
     with pytest.raises(FigpError, match="unknown family"):

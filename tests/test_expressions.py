@@ -6,8 +6,7 @@ import pytest
 
 from figp import ExpressionError, evaluate_expression, parse_expression
 from figp import print_expression
-from figp.expressions import (BinOp, Call, Neg, Num, Var,
-                              expression_variables)
+from figp.expressions import BinOp, Call, Neg, Num, Var
 
 
 def _ev(text, points):
@@ -143,12 +142,6 @@ def test_evaluate_requires_2d_points():
 def test_evaluate_output_shape():
     pts = np.random.default_rng(1).uniform(size=(7, 2))
     assert _ev("x1*x2", pts).shape == (7,)
-
-
-def test_expression_variables():
-    assert expression_variables(parse_expression("sin(x1)+x2*x2")) == {1, 2}
-    assert expression_variables(Num(1.0)) == set()
-    assert expression_variables(Var(2)) == {2}
 
 
 @pytest.mark.parametrize("text", ["x1.csv", "2.csv", "sin(x1).csv",

@@ -182,6 +182,24 @@ def test_fit_profile_is_bitwise_the_refit_profile(name, family, anisotropic,
         (mu, s2, ll)
 
 
+@pytest.mark.parametrize("nugget", [1e-6, 1e-3, None])
+@pytest.mark.parametrize("family", [LINEAR, NONLINEAR])
+def test_fit_log_likelihood_is_the_models_own_log_density(
+        family, nugget, bench_inputs, bench_outputs):
+    # an explicit nugget is a fraction of the fitted variance, so the
+    # model is sigma2_hat (R + nugget I), the covariance the search scored;
+    # f1's linear Gram (condition number 7.7e8) leaves its automatic-nugget
+    # fit 1.03e-9 relative off through round-off alone, so f2 is used
+    model = fit(bench_inputs, bench_outputs["f2"], family, nugget=nugget)
+    fact = model.factorization
+    r = model.y - model.mu_hat
+    density = -0.5 * (r @ model.alpha + fact.log_det
+                      + model.n * math.log(2.0 * math.pi))
+    assert math.isclose(model.log_likelihood, density, rel_tol=1e-9)
+    if nugget is not None:
+        assert fact.nugget == nugget * model.sigma2_hat
+
+
 def test_anisotropic_fit_uses_seeded_starts(bench_inputs, bench_outputs):
     cfg = FitConfig(anisotropic=True, multistarts=2)
     y = bench_outputs["f1"]

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -379,6 +380,61 @@ def test_emulator_round_trip(tmp_path, square_grid):
     m2, v2 = predict_field(loaded, g)
     np.testing.assert_allclose(m2, m1, rtol=1e-12)
     np.testing.assert_allclose(v2, v1, rtol=1e-9, atol=1e-300)
+
+
+def _two_score_emulator(square_grid):
+    return PCAEmulator(np.array([1.0, 2.0]), np.eye(2),
+                       tuple(_linear_and_nonlinear_models(square_grid)),
+                       np.array([0.9, 0.1]), (2,))
+
+
+def _edit_mean(blob):
+    blob["mean_field"][0] += 1.0
+
+
+def _edit_ratio(blob):
+    blob["explained_variance_ratio"][0] = 0.5
+
+
+def _drop_hash(blob):
+    del blob["payload_sha256"]
+
+
+@pytest.mark.parametrize("edit", [_edit_mean, _edit_ratio, _drop_hash])
+def test_hand_edited_emulator_fails_its_payload_check(tmp_path, square_grid,
+                                                      edit):
+    path = str(tmp_path / "emulator.json")
+    save_emulator(path, _two_score_emulator(square_grid))
+    blob = read_json(path)
+    assert blob["version"] == 4
+    assert [m["version"] for m in blob["score_models"]] == [3, 3]
+    edit(blob)
+    write_json(path, blob)
+    with pytest.raises(FigpError, match="emulator payload check failed"):
+        load_emulator(path)
+
+
+def test_version_3_emulator_loads_with_one_warning(tmp_path, square_grid):
+    path = str(tmp_path / "emulator.json")
+    em = _two_score_emulator(square_grid)
+    save_emulator(path, em)
+    blob = read_json(path)
+    del blob["payload_sha256"]
+    blob["version"] = 3
+    write_json(path, blob)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loaded = load_emulator(path)
+    assert [str(w.message) for w in caught] == [
+        "emulator file version 3 was loaded without checking its own keys "
+        "(its score models carry their own checks); save it again to write "
+        "a checked version 4"]
+    np.testing.assert_array_equal(loaded.mean_field, em.mean_field)
+    # its score models are still checked
+    blob["score_models"][1]["y"][0] += 0.5
+    write_json(path, blob)
+    with pytest.raises(FigpError, match="model payload check failed"):
+        load_emulator(path)
 
 
 def test_field_dataset_round_trip(tmp_path, square_grid):

@@ -244,10 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="free one lengthscale per dimension "
                               "(linear kernel)")
     fitting.add_argument("--nu", type=float, default=2.5)
-    fitting.add_argument("--premap", default=None, choices=sorted(PREMAPS))
-    fitting.add_argument("--nugget", type=float, default=None,
-                         help="nugget as a fraction of the fitted variance "
-                              "(default: the automatic policy)")
+
+    # fit_emulator has neither, so `emulate fit` does not take them
+    premapped = argparse.ArgumentParser(add_help=False)
+    premapped.add_argument("--premap", default=None, choices=sorted(PREMAPS))
+    premapped.add_argument("--nugget", type=float, default=None,
+                           help="nugget as a fraction of the fitted "
+                                "variance (default: the automatic policy)")
 
     parser = argparse.ArgumentParser(
         prog="figp",
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("fit", parents=[common, fitting],
+    p = sub.add_parser("fit", parents=[common, fitting, premapped],
                        help="fit one kernel family on training data")
     p.add_argument("--train", required=True, help="training data JSON")
     p.add_argument("--family", required=True, choices=[LINEAR, NONLINEAR])
@@ -273,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.set_defaults(func=_cmd_loocv)
 
-    p = sub.add_parser("select-kernel", parents=[common, fitting],
+    p = sub.add_parser("select-kernel",
+                       parents=[common, fitting, premapped],
                        help="fit both kernels and keep the lower-LOOCV one")
     p.add_argument("--train", required=True)
     p.set_defaults(func=_cmd_select_kernel)

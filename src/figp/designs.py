@@ -16,7 +16,6 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.spatial.distance import cdist
 
 from .domain import Domain, FunctionalInput, QuadratureGrid, _freeze
 from .errors import FigpError
@@ -54,6 +53,9 @@ def fill_distance(knots: np.ndarray, domain: Domain) -> float:
     """Largest distance from any domain point to its nearest knot,
     measured against a dense uniform evaluation grid (512 points in one
     dimension, 64 per axis otherwise)."""
+    # a cold import of 0.14 s, paid only by runs that place knots
+    from scipy.spatial.distance import cdist
+
     knots = np.atleast_2d(np.asarray(knots, dtype=float))
     dense_resolution = 512 if domain.dim == 1 else 64
     axes = [np.linspace(a, b, dense_resolution) for a, b in domain.bounds]
@@ -109,6 +111,9 @@ def knot_design(knots: KnotSet, params: MaternParams,
     if not grid.domain.contains(pts).all():
         raise FigpError("knots fall outside the grid's domain")
     if pts.shape[0] > 1:
+        # a cold import of 0.14 s, paid only by runs that place knots
+        from scipy.spatial.distance import cdist
+
         pd = cdist(pts, pts)
         np.fill_diagonal(pd, np.inf)
         if pd.min() == 0.0:

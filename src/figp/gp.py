@@ -15,19 +15,25 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .domain import FunctionalInput, _freeze
 from .errors import FigpError, FitError, GramFactorizationError
 from .kernels import (
     LINEAR,
     NONLINEAR,
+    PSI_BLOCK,
     GramFactorization,
     KernelSpec,
     MaternParams,
     _check_nonempty,
+    _factorize,
+    _l2_distances,
+    _matern_profile,
+    _shared_grid,
+    _values_matrix,
     gram,
     kernel_matrix_and_diag,
+    matern_psi,
 )
 
 LOG_THETA_BOUNDS = (-3.0, 3.0)
@@ -118,18 +124,128 @@ def _profile(fact: GramFactorization, y: np.ndarray):
     return mu, s2, ll
 
 
+class _Likelihood:
+    """The profiled likelihood of one fit's data as a function of the
+    kernel's correlation parameters, with the work they do not change
+    done once, when the operator is built.
+
+    Linear kernel: it holds the weighted premapped values B and the
+    distances between grid nodes on Psi's upper triangle, in row blocks
+    of about PSI_BLOCK elements (D[I, i0:] for the rows I = i0..i1-1).
+    An anisotropic operator holds the squared differences per dimension
+    on the same blocks instead.  An evaluation profiles each block into
+    P_I, halves its diagonal, zeroes its strictly lower part and
+    accumulates G += B_I^T (P_I B[i0:]); the Gram is G + G^T.  So the
+    full Psi is never formed, and this search Gram differs from the
+    model Gram `gram` builds from the full Psi by round-off alone.
+
+    Nonlinear kernel: it holds the n x n L2 distances between the
+    inputs, from the helper `kernel_matrix_and_diag` uses, so its Gram
+    is bitwise `gram`'s.
+    """
+
+    def __init__(self, inputs: Sequence[FunctionalInput], y: np.ndarray,
+                 family: str, premap: Optional[str] = None,
+                 anisotropic: bool = False):
+        inputs = list(inputs)
+        grid = _shared_grid("likelihood", inputs=inputs)
+        self._y = y
+        if family == NONLINEAR:
+            self._dist = _l2_distances(inputs, inputs, grid.weights)
+            return
+        self._B = _values_matrix(inputs, premap) * grid.weights[:, None]
+        nodes = grid.nodes
+        n_q, self._dim = nodes.shape
+        self._anisotropic = anisotropic
+        k = self._dim if anisotropic else 1
+        starts = [0]  # the first row of each block, then n_q
+        while starts[-1] < n_q:
+            m = n_q - starts[-1]
+            starts.append(starts[-1] + min(m, max(1, PSI_BLOCK // m)))
+        size = k * sum((i1 - i0) * (n_q - i0)
+                       for i0, i1 in zip(starts, starts[1:]))
+        # One buffer holds every block.  It is as large as Psi, though the
+        # blocks fill about half of it and pages never written take no
+        # memory, so once the operator is freed the model's Psi fits in
+        # it.  Block- or triangle-sized buffers left holes the Psi did not
+        # fit where freed memory is kept: fit_fine's peak RSS rose from
+        # 104 to 108-122 MB.
+        store = np.empty(max(size, n_q * n_q))[:size].reshape(k, -1)
+        self._blocks = []  # (i0, distances or squared differences)
+        end = 0
+        for i0, i1 in zip(starts, starts[1:]):
+            r, m = i1 - i0, n_q - i0
+            d = store[:, end:end + r * m].reshape(k, r, m)
+            end += r * m
+            for j, x in enumerate(nodes.T):  # one temporary at a time
+                sq = np.subtract.outer(x[i0:i1], x[i0:])
+                sq *= sq
+                if anisotropic or j == 0:
+                    d[j] = sq
+                else:
+                    d[0] += sq
+            if not anisotropic:
+                d = np.sqrt(d[0], out=d[0])
+            self._blocks.append((i0, d))
+        # largest first, so each block's temporaries fit in the memory the
+        # previous block's freed (in row order fit_fine's peak RSS rose
+        # by 0.8 MB)
+        self._blocks.sort(key=lambda block: -block[1].size)
+        # weights that halve the diagonal and zero the lower part; the
+        # leading r x r corner serves a block of r rows
+        r = max(np.diff(starts))
+        self._mask = np.triu(np.ones((r, r)), 1)
+        np.fill_diagonal(self._mask, 0.5)
+
+    def __call__(self, spec: KernelSpec):
+        """(mu, sigma2, loglik, factorization) of the data under the
+        unit-variance `spec`, whose family and premap are the
+        operator's.  An isotropic operator reads the first lengthscale
+        only."""
+        with np.errstate(invalid="ignore"):  # a NaN fails in _factorize
+            if spec.family == LINEAR:
+                K = self._linear_gram(spec.base)
+            else:
+                K = matern_psi(spec.gamma * self._dist, spec.base)
+        fact = _factorize(K, spec)
+        return (*_profile(fact, self._y), fact)
+
+    def _linear_gram(self, base: MaternParams) -> np.ndarray:
+        theta = np.asarray(base.lengthscales)
+        if theta.size != self._dim:
+            raise FigpError("point dimension does not match lengthscales")
+        scale = 2.0 * math.sqrt(base.nu)
+        B = self._B
+        G = np.zeros((B.shape[1], B.shape[1]))
+        for i0, d in self._blocks:
+            if self._anisotropic:
+                z = np.sqrt(sum(t * t * sq for t, sq in zip(theta, d)))
+                z *= scale
+            else:
+                z = d * (theta[0] * scale)
+            P = _matern_profile(z, base)
+            r = P.shape[0]
+            P[:, :r] *= self._mask[:r, :r]
+            G += B[i0:i0 + r].T @ (P @ B[i0:])
+        return G + G.T
+
+
 def log_marginal_likelihood(spec: KernelSpec, inputs: Sequence[FunctionalInput],
                             y) -> float:
     """Profiled log marginal likelihood of the data under `spec`.
 
     The constant mean and the variance are profiled out, so the value
-    depends only on the correlation parameters of `spec`.
+    depends only on the correlation parameters of `spec`.  It scores
+    the search Gram, as `fit` does (`_Likelihood`): for the linear kernel
+    that Gram is summed from Psi's upper triangle and differs from the
+    model Gram `gram` builds by round-off alone.
     """
     y = np.asarray(y, dtype=float)
     if y.size < 2:
         raise FigpError("likelihood needs at least two observations")
-    fact = gram(list(inputs), spec.with_sigma2(1.0))
-    return _profile(fact, y)[2]
+    anisotropic = len(set(spec.base.lengthscales)) > 1
+    likelihood = _Likelihood(inputs, y, spec.family, spec.premap, anisotropic)
+    return likelihood(spec.with_sigma2(1.0))[2]
 
 
 def build_model(spec: KernelSpec, inputs: Sequence[FunctionalInput], y,
@@ -189,6 +305,8 @@ def _profile_scan(objective, lo: float, hi: float) -> int:
         inward = SCAN_XATOL if i == 0 else -SCAN_XATOL
         if not objective(np.array([grid[i] + inward])) < values[i]:
             return grid.size
+    from scipy.optimize import minimize_scalar  # `fit` has loaded it
+
     minimize_scalar(
         lambda t: objective(np.array([t])), method="bounded",
         bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
@@ -219,9 +337,16 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     starts drawn with `config.seed`, and keeps the best likelihood.
     Deterministic for a fixed config.
 
-    The objective keeps the profiled (mu, sigma2, loglik) of the best
-    evaluation of the whole search with its exact parameters, and the
-    fit is that kept winner; no Gram is rebuilt to profile it.  An
+    The objective scores the search Gram of a `_Likelihood` built once
+    per fit, which holds what the parameters do not change (the grid
+    node distances, or the distances between inputs).  It keeps the
+    profiled (mu, sigma2, loglik) of the best evaluation of the whole
+    search with its exact parameters, and the fit is that kept winner:
+    the model is built once, by `build_model` through `gram`, and
+    carries the winner's profile, not a refit one.  For the linear
+    kernel the search Gram is summed from Psi's upper triangle while
+    the model Gram is (W A)^T (Psi W A) from the full Psi that
+    prediction keeps, so the two differ by round-off alone.  An
     anisotropic fit may return a finite-difference point of L-BFGS-B
     when that evaluation had the highest likelihood.
 
@@ -252,6 +377,14 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
 
+    # A cold import of 0.26 s, made before the operator and the model
+    # allocate.  Made between them, the module's memory lands above a
+    # freed Psi-sized buffer, and where the C library keeps freed memory
+    # (bench/run.py sets glibc to) the next Psi cannot reuse the buffer:
+    # fit_fine's peak RSS rose from 104 to 112-120 MB.
+    from scipy.optimize import minimize
+
+    likelihood = _Likelihood(inputs, y, family, premap, n_free > 1)
     # the best evaluation so far: its exact parameters and (mu, s2, ll)
     kept = {"x": None, "profile": (None, None, -np.inf)}
 
@@ -259,7 +392,7 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
         spec = _make_spec(family, np.asarray(p), config, dim, 1.0,
                           premap, nugget)
         try:
-            profile = _profile(gram(inputs, spec), y)
+            profile = likelihood(spec)[:3]
         except (GramFactorizationError, FloatingPointError):
             return _FAILED
         if profile[2] > kept["profile"][2]:
@@ -280,6 +413,7 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
                 minimize(objective, np.asarray(p0), method="L-BFGS-B",
                          bounds=box, options={"maxiter": MAX_ITERS})
             failure = f"all {len(starts)} L-BFGS-B starts failed"
+    del likelihood  # frees the hoisted distances before the model's Psi
     if kept["x"] is None:
         raise FitError(f"{failure} for the {family} kernel")
 

@@ -17,9 +17,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
-from scipy.spatial.distance import cdist
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 from .domain import FunctionalInput, _check_same_grid, _freeze
 from .errors import FigpError, GramFactorizationError
@@ -162,6 +159,9 @@ def _matern_profile(z: np.ndarray, params: MaternParams) -> np.ndarray:
         out *= s2
         out *= np.exp(np.negative(z, out=z), out=z)
     else:
+        # a cold import of 0.07 s, paid only for nu outside {1/2, 3/2, 5/2}
+        from scipy.special import gamma as gamma_fn, kv
+
         zero = z == 0
         zz = np.where(zero, 1.0, z)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -188,6 +188,9 @@ def base_kernel_matrix(points_a, points_b, params: MaternParams) -> np.ndarray:
     matern_psi(cdist(a * theta, b * theta), params), so the values are
     bitwise those.
     """
+    # a cold import of 0.14 s, paid only by runs that build a Psi
+    from scipy.spatial.distance import cdist
+
     a = np.atleast_2d(np.asarray(points_a, dtype=float))
     b = np.atleast_2d(np.asarray(points_b, dtype=float))
     theta = np.asarray(params.lengthscales, dtype=float)
@@ -259,10 +262,10 @@ def kernel_matrix_and_diag(inputs_a: List[FunctionalInput],
     and Psi is the base-kernel matrix on the grid nodes: one n_q x n_q
     evaluation serves every pair.  A caller holding Psi (a linear `gram`
     keeps it) passes it as `psi`, unchecked, for bitwise the results of
-    a fresh build.  This is the one linear product, so a Gram's upper
-    triangle is bitwise the cross matrix prediction takes at the
-    training inputs.  The nonlinear kernel ignores `psi` and applies the
-    Matern profile to the scaled L2 distances between inputs; its
+    a fresh build.  `gram` and prediction share this product, so a model
+    Gram's upper triangle is bitwise the cross matrix prediction takes at
+    the training inputs.  The nonlinear kernel ignores `psi` and applies
+    the Matern profile to the scaled L2 distances between inputs; its
     variances are sigma2, exactly, because matern_psi(0) is sigma2.
     """
     grid = _shared_grid("kernel_matrix", inputs_a=inputs_a,
@@ -276,16 +279,23 @@ def kernel_matrix_and_diag(inputs_a: List[FunctionalInput],
         # third slower for the few columns of a fit's Gram (n_q = 1600)
         psi_B = (B.T @ psi).T
         return A.T @ psi_B, np.einsum("ij,ij->j", B, psi_B)
-    VA = _values_matrix(inputs_a, None)
-    VB = _values_matrix(inputs_b, None)
-    # pairwise L2 distances via the weighted Gram of values
-    w = grid.weights
-    na = np.einsum("ij,ij->j", VA, w[:, None] * VA)
-    nb = np.einsum("ij,ij->j", VB, w[:, None] * VB)
-    d2 = na[:, None] + nb[None, :] - 2.0 * (VA.T @ (w[:, None] * VB))
-    dist = np.sqrt(np.clip(d2, 0.0, None))
+    dist = _l2_distances(inputs_a, inputs_b, grid.weights)
     return (matern_psi(spec.gamma * dist, spec.base),
             np.full(len(inputs_b), spec.base.sigma2))
+
+
+def _l2_distances(inputs_a: List[FunctionalInput],
+                  inputs_b: List[FunctionalInput],
+                  weights: np.ndarray) -> np.ndarray:
+    """Pairwise L2 distances between the inputs under the quadrature
+    `weights`, via the weighted Gram of their values."""
+    VA = _values_matrix(inputs_a, None)
+    VB = _values_matrix(inputs_b, None)
+    w = weights[:, None]
+    na = np.einsum("ij,ij->j", VA, w * VA)
+    nb = np.einsum("ij,ij->j", VB, w * VB)
+    d2 = na[:, None] + nb[None, :] - 2.0 * (VA.T @ (w * VB))
+    return np.sqrt(np.clip(d2, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -296,7 +306,8 @@ class GramFactorization:
     is the read-only base-kernel matrix Psi on the grid nodes that a
     linear Gram was built from, kept so that predictions from the same
     kernel multiply by it instead of rebuilding it: n_q^2 floats, held
-    as given, never copied.  It is None for the nonlinear kernel.
+    as given, never copied.  It is None for the nonlinear kernel and for
+    a fit's search Gram, which is never predicted from.
     """
 
     gram: np.ndarray  # K_n + nugget * I, exactly symmetric
@@ -348,7 +359,28 @@ def _try_cholesky(K: np.ndarray) -> Optional[np.ndarray]:
 
 
 def gram(inputs: List[FunctionalInput], spec: KernelSpec) -> GramFactorization:
-    """Assemble and factorize the training Gram matrix.
+    """Assemble the model Gram matrix and factorize it (`_factorize`).
+
+    The linear one is (W A)^T (Psi W A) from a full Psi, which the
+    factorization keeps for prediction.  A fit's search scores its own
+    Gram from Psi's upper triangle (`figp.gp._Likelihood`), which differs
+    from this one by round-off alone.
+    """
+    grid = _shared_grid("gram", inputs=inputs)
+    psi = None
+    if spec.family == LINEAR:
+        psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
+        psi.setflags(write=False)
+    # an invalid operation leaves a NaN, which _factorize reports
+    with np.errstate(invalid="ignore"):
+        K = kernel_matrix_and_diag(inputs, inputs, spec, psi=psi)[0]
+    return _factorize(K, spec, psi)
+
+
+def _factorize(K: np.ndarray, spec: KernelSpec,
+               psi: Optional[np.ndarray] = None) -> GramFactorization:
+    """Factorize the assembled Gram K plus a nugget: the one owner of
+    the nugget policy.
 
     The matrix is made exactly symmetric by mirroring the upper
     triangle.  A factorization counts as failed when Cholesky raises or
@@ -360,15 +392,8 @@ def gram(inputs: List[FunctionalInput], spec: KernelSpec) -> GramFactorization:
     failure the inputs are reported as degenerate either way.  A Gram
     with non-finite entries (the kernel overflowed, e.g. at a huge
     sigma2) is reported as such before any factorization is tried.
+    `psi` is kept on the factorization as given.
     """
-    grid = _shared_grid("gram", inputs=inputs)
-    psi = None
-    if spec.family == LINEAR:
-        psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
-        psi.setflags(write=False)
-    # an invalid operation leaves a NaN, which is reported just below
-    with np.errstate(invalid="ignore"):
-        K = kernel_matrix_and_diag(inputs, inputs, spec, psi=psi)[0]
     if not np.isfinite(K).all():
         raise GramFactorizationError(
             "Gram assembly produced non-finite entries (the kernel "
@@ -395,7 +420,7 @@ def gram(inputs: List[FunctionalInput], spec: KernelSpec) -> GramFactorization:
             if escalate and k > 0:
                 warnings.warn(
                     f"nugget escalated to {nug:.3e} to factorize the Gram",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             log_det = float(2.0 * np.sum(np.log(np.diag(L))))
             return GramFactorization(Kn, L, log_det, float(nug), psi)

@@ -101,6 +101,27 @@ def _require(d, keys, what: str) -> None:
             raise FigpError(f"{what} is missing {key!r}")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _require_numbers(d: dict, what: str, lists=(), scalars=()) -> None:
+    """Raise FigpError naming the first key of `d` in `lists` whose value
+    is not a list of JSON numbers, or in `scalars` whose value is not a
+    JSON number; keys absent from `d` are not checked."""
+    for key in lists + scalars:
+        if key not in d:
+            continue
+        v = d[key]
+        if key in lists:
+            ok = isinstance(v, list) and all(map(_is_number, v))
+            kind = "a list of numbers"
+        else:
+            ok, kind = _is_number(v), "a number"
+        if not ok:
+            raise FigpError(f"{what} {key!r} is not {kind}")
+
+
 # ---------------------------------------------------------------------------
 # grids and training data
 
@@ -315,10 +336,14 @@ def model_from_dict(d: dict, base_dir: str) -> GPModel:
     any edit, and its rebuilt Gram the saved invariants (`_check_gram`),
     which catch a changed CSV input; FigpError names the failed check.
     Versions 1 and 2 hold only a hash of the Gram's bytes, which other
-    arithmetic does not reproduce; they load unchecked with a warning."""
+    arithmetic does not reproduce; they load unchecked with a warning.
+    In every version `y`, `mu_hat` and `log_likelihood` must be JSON
+    numbers; FigpError names the first key that is not."""
     version = _payload_version(d, MODEL_FORMAT, FORMAT_VERSION)
     _require(d, ("kernel", "grid", "inputs", "y", "mu_hat")
              + (("gram",) if version == FORMAT_VERSION else ()), "model")
+    _require_numbers(d, "model", lists=("y",),
+                     scalars=("mu_hat", "log_likelihood"))
     spec = kernel_spec_from_dict(d["kernel"])
     grid = grid_from_dict(d["grid"])
     ref_dir = "" if version == 1 else base_dir

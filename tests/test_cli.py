@@ -141,11 +141,45 @@ def test_malformed_model_files_error_without_a_traceback(workdir, train_file,
         assert f"error: predict: {cause}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,cause", [
+    ("y", "model 'y' is not a list of numbers"),
+    ("mu_hat", "model 'mu_hat' is not a number"),
+    ("log_likelihood", "model 'log_likelihood' is not a number")],
+    ids=["y", "mu_hat", "log_likelihood"])
+def test_non_numeric_version_2_model_values_error_without_a_traceback(
+        workdir, train_file, capsys, key, cause):
+    assert cli_dispatch(["fit", "--train", str(train_file),
+                         "--family", "linear", "--out", "model.json"]) == 0
+    blob = json.loads((workdir / "model.json").read_text())
+    del blob["gram"], blob["payload_sha256"]
+    blob.update(version=2, gram_sha256="0" * 64)
+    if key == "y":
+        blob["y"][0] = "abc"
+    else:
+        blob[key] = "abc"
+    (workdir / "old.json").write_text(json.dumps(blob))
+    capsys.readouterr()
+    rc = cli_dispatch(["predict", "--model", "old.json", "--input", "x1"])
+    assert rc == 1
+    assert f"error: predict: {cause}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["predict", "--grid-res", "5"],
                                   ["loocv", "--seed", "1"]])
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         cli_dispatch(argv + ["--model", "model.json"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--nugget", "0.5"],
+                                  ["--premap", "square"]],
+                         ids=["nugget", "premap"])
+def test_emulate_fit_rejects_the_flags_its_fits_do_not_take(workdir, flag):
+    # every other argument is valid, so only the flag can stop the parse
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(["emulate", "fit", "--fields", "fields.csv",
+                      "--manifest", "manifest.json"] + flag)
     assert exc.value.code == 2
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from figp import (Domain, FigpError, FitConfig, GramFactorizationError,
                   log_marginal_likelihood, loocv_error, predict,
                   predict_many, sample_function, select_kernel)
 from figp.gp import (LOG_GAMMA_BOUNDS, LOG_THETA_BOUNDS, SCAN_XATOL, GPModel,
-                     _profile, _profile_scan, select_family)
+                     _Likelihood, _profile_scan, select_family)
 from figp.kernels import GramFactorization, base_kernel_matrix
 
 from figp_testlib import brute_loocv, random_poly_inputs
@@ -123,20 +124,24 @@ def test_profile_scan_reaches_the_profile_maximum(name, family, bench_models,
 
     # the scan stays cheap and ignores the seed and the start count
     # (bench_models fits with seed 42 and 4 starts, the default is 0 and 8)
-    real = figp.gp.gram
-    calls = {"n": 0}
+    calls = {"evals": 0, "builds": 0}
 
-    def counted(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
+    def counting(real, key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(figp.gp, "gram", counted)
+    monkeypatch.setattr(figp.gp._Likelihood, "__call__",
+                        counting(figp.gp._Likelihood.__call__, "evals"))
+    monkeypatch.setattr(figp.gp, "gram", counting(figp.gp.gram, "builds"))
     other = fit(bench_inputs, y, family)
-    assert calls["n"] <= 60
+    assert calls["evals"] + calls["builds"] <= 60
+    assert calls["builds"] == 1
     if family == LINEAR:
-        # every linear fit here peaks on a box edge: 25 grid points, one
-        # probe inside the edge and the model build
-        assert calls["n"] == 27
+        # every linear fit here peaks on a box edge: 25 grid points and
+        # one probe inside the edge, then the model build
+        assert calls["evals"] == 26
     assert other.log_likelihood == ll
     assert other.spec == bench_models[(name, family)].spec
 
@@ -176,10 +181,85 @@ def test_fit_profile_is_bitwise_the_refit_profile(name, family, anisotropic,
     y = bench_outputs[name]
     model = fit(bench_inputs, y, family,
                 FitConfig(anisotropic=anisotropic, multistarts=2))
-    fact = gram(bench_inputs, model.spec.with_sigma2(1.0))
-    mu, s2, ll = _profile(fact, y)
+    likelihood = _Likelihood(bench_inputs, y, family, None, anisotropic)
+    mu, s2, ll, _ = likelihood(model.spec.with_sigma2(1.0))
     assert (model.mu_hat, model.sigma2_hat, model.log_likelihood) == \
         (mu, s2, ll)
+
+
+# the search Gram is summed from Psi's upper triangle and the model Gram
+# from the full Psi, so they differ by round-off: measured at most 1.0e-15
+# of max|K| here (grid 20) and 2.9e-15 at grid 40
+SEARCH_GRAM_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("spec,anisotropic", [
+    (KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.6, 0.6))), False),
+    (KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.3, 1.7))), True),
+    (KernelSpec(LINEAR, MaternParams(1.5, 1.0, (2.0, 2.0)), premap="square"),
+     False),
+    (KernelSpec(LINEAR, MaternParams(0.5, 1.0, (0.05, 0.05)), nugget=1e-6),
+     False),
+], ids=["isotropic", "anisotropic", "square", "nugget"])
+def test_search_gram_is_the_model_gram_up_to_round_off(spec, anisotropic,
+                                                       bench_inputs,
+                                                       bench_outputs):
+    y = bench_outputs["f2"]
+    likelihood = _Likelihood(bench_inputs, y, LINEAR, spec.premap,
+                             anisotropic)
+    got = likelihood(spec)[3]
+    want = gram(bench_inputs, spec)
+    scale = np.abs(want.gram).max()
+    assert np.abs(got.gram - want.gram).max() <= SEARCH_GRAM_RTOL * scale
+    assert got.nugget == want.nugget
+    assert got.psi is None
+
+
+@pytest.mark.parametrize("nugget", [None, 1e-3])
+def test_nonlinear_search_gram_is_bitwise_the_model_gram(nugget, bench_inputs,
+                                                         bench_outputs):
+    spec = KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=0.7,
+                      nugget=nugget)
+    got = _Likelihood(bench_inputs, bench_outputs["f3"], NONLINEAR)(spec)[3]
+    want = gram(bench_inputs, spec)
+    assert got.gram.tobytes() == want.gram.tobytes()
+    assert got.chol.tobytes() == want.chol.tobytes()
+    assert (got.log_det, got.nugget) == (want.log_det, want.nugget)
+
+
+def test_isotropic_linear_fit_builds_psi_once(bench_inputs, bench_outputs,
+                                              monkeypatch):
+    # the search reads hoisted node distances; only the model build forms
+    # a Psi, so the kept model predicts from it
+    real = figp.kernels.base_kernel_matrix
+    calls = {"n": 0}
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(figp.kernels, "base_kernel_matrix", counted)
+    model = fit(bench_inputs, bench_outputs["f1"], LINEAR)
+    assert calls["n"] == 1
+    assert model.factorization.psi is not None
+
+
+def test_fit_frees_its_likelihood_before_the_model_build(bench_inputs,
+                                                       bench_outputs,
+                                                       monkeypatch):
+    # the hoisted node distances are half a Psi; holding them while the
+    # model forms its Psi would raise the fit's peak memory
+    real = figp.gp.build_model
+    live = []
+
+    def checking(*args, **kwargs):
+        gc.collect()
+        live.append(sum(isinstance(o, _Likelihood) for o in gc.get_objects()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(figp.gp, "build_model", checking)
+    fit(bench_inputs, bench_outputs["f1"], LINEAR)
+    assert live == [0]
 
 
 @pytest.mark.parametrize("nugget", [1e-6, 1e-3, None])
@@ -215,15 +295,18 @@ def test_anisotropic_fit_uses_seeded_starts(bench_inputs, bench_outputs):
     assert a.log_likelihood >= centre
 
 
-def test_import_does_not_load_scipy_stats():
-    # a fresh interpreter, so no other test's imports count
+def test_import_loads_no_scipy_stats_optimize_special_or_spatial():
+    # a fresh interpreter, so no other test's imports count; each of these
+    # is imported where it is used, so `import figp` pays for none of them
     src = os.path.dirname(os.path.dirname(figp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, figp; print('scipy.stats' in sys.modules)"
+    code = ("import sys, figp; print(sorted(m for m in ('scipy.stats', "
+            "'scipy.optimize', 'scipy.special', 'scipy.spatial') "
+            "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_fit_affine_equivariance(bench_inputs, bench_outputs, square_grid):

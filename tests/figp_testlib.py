@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: independent oracles and generators."""
 
+import json
 import math
+import os
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -71,3 +73,101 @@ def brute_loocv(model):
         pred = mu + K[idx, i] @ x
         total += (y[i] - pred) ** 2
     return total / n
+
+
+def _output_cells(path):
+    """The values of one `reproduce` output file in reading order, as
+    (location, value, printed, column): `value` is a float for a number
+    and the text otherwise, `printed` tells a CSV number printed to six
+    significant digits from a JSON one printed in full, and `column`
+    names the CSV data column (None elsewhere)."""
+    if path.endswith(".json"):
+        with open(path) as fh:
+            data = json.load(fh)
+        cells = []
+
+        def walk(where, node):
+            if isinstance(node, dict):
+                for key in sorted(node):
+                    walk(f"{where}.{key}", node[key])
+            elif isinstance(node, list):
+                for i, item in enumerate(node):
+                    walk(f"{where}[{i}]", item)
+            elif isinstance(node, float):
+                cells.append((where, node, False, None))
+            else:  # strings, integers, booleans and null compare exactly
+                cells.append((where, repr(node), False, None))
+
+        walk("", data)
+        return cells
+    cells = []
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header = None
+    for row, line in enumerate(lines, 1):
+        if line.startswith("#"):  # key=value notes
+            for token in line[1:].split():
+                key, _, text = token.partition("=")
+                cells.append(_csv_cell(f"line {row} {key}", text, None))
+        elif header is None:
+            header = line.split(",")
+            cells.append((f"line {row}", line, False, None))
+        else:
+            for name, text in zip(header, line.split(",")):
+                cells.append(_csv_cell(f"line {row} {name}", text, name))
+    return cells
+
+
+def _csv_cell(where, text, column):
+    try:
+        return where, float(text), True, column
+    except ValueError:
+        return where, text, False, None
+
+
+def reproduce_moves(reference_dir, out_dir, rtol, column_scale=False):
+    """Compare the `reproduce` outputs in `out_dir` with those recorded
+    in `reference_dir`, file by file.
+
+    A number may move by rtol * scale, and a CSV number by one more unit
+    of its sixth significant digit, which a smaller move can flip in
+    print.  The scale is the recorded value's magnitude or, with
+    `column_scale`, the largest magnitude in its CSV column (for sample
+    paths, whose values cross zero).  Text, integers and the set of
+    files and values must match exactly.  Returns (largest moves,
+    failures): for each file the largest |new - recorded| / scale, and
+    one message per value beyond its bound.
+    """
+    names = sorted(os.listdir(reference_dir))
+    failures = []
+    if sorted(os.listdir(out_dir)) != names:
+        failures.append(f"files {sorted(os.listdir(out_dir))} != {names}")
+        return {}, failures
+    largest = {}
+    for name in names:
+        ref = _output_cells(os.path.join(reference_dir, name))
+        new = _output_cells(os.path.join(out_dir, name))
+        if [c[0] for c in new] != [c[0] for c in ref]:
+            failures.append(f"{name}: the values are not laid out as recorded")
+            continue
+        column_max = {}
+        for _, b, _, column in ref:
+            if column is not None:
+                column_max[column] = max(column_max.get(column, 0.0), abs(b))
+        largest[name] = 0.0
+        for (where, b, printed, column), (_, a, _, _) in zip(ref, new):
+            if isinstance(b, str) or isinstance(a, str):
+                if a != b:
+                    failures.append(f"{name} {where}: {a!r} != {b!r}")
+                continue
+            scale = column_max[column] if column_scale and column else abs(b)
+            move = abs(a - b)
+            unit = 10.0 ** (math.floor(math.log10(abs(b))) - 5) \
+                if printed and b != 0 else 0.0
+            if move > 0:
+                largest[name] = max(largest[name],
+                                    move / scale if scale else math.inf)
+            if move > rtol * scale + unit:
+                failures.append(f"{name} {where}: {a!r} moved from {b!r} "
+                                f"by more than {rtol:g} of {scale:g}")
+    return largest, failures

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .domain import Domain, FunctionalInput, QuadratureGrid, _freeze
 from .errors import FigpError
@@ -25,6 +24,8 @@ from .kernels import (
     KernelSpec,
     MaternParams,
     _check_nonempty,
+    _chol_solve,
+    _node_distances,
     base_kernel_matrix,
     gram,
 )
@@ -53,15 +54,12 @@ def fill_distance(knots: np.ndarray, domain: Domain) -> float:
     """Largest distance from any domain point to its nearest knot,
     measured against a dense uniform evaluation grid (512 points in one
     dimension, 64 per axis otherwise)."""
-    # a cold import of 0.14 s, paid only by runs that place knots
-    from scipy.spatial.distance import cdist
-
     knots = np.atleast_2d(np.asarray(knots, dtype=float))
     dense_resolution = 512 if domain.dim == 1 else 64
     axes = [np.linspace(a, b, dense_resolution) for a, b in domain.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     dense = np.column_stack([m.ravel() for m in mesh])
-    return float(cdist(dense, knots).min(axis=1).max())
+    return float(_node_distances(dense, knots).min(axis=1).max())
 
 
 def lattice_knots(domain: Domain, n: int) -> KnotSet:
@@ -111,10 +109,7 @@ def knot_design(knots: KnotSet, params: MaternParams,
     if not grid.domain.contains(pts).all():
         raise FigpError("knots fall outside the grid's domain")
     if pts.shape[0] > 1:
-        # a cold import of 0.14 s, paid only by runs that place knots
-        from scipy.spatial.distance import cdist
-
-        pd = cdist(pts, pts)
+        pd = _node_distances(pts, pts)
         np.fill_diagonal(pd, np.inf)
         if pd.min() == 0.0:
             warnings.warn(
@@ -258,8 +253,7 @@ def empirical_mspe(design_builder: Callable[[int], List[FunctionalInput]],
             Y_d, Y_t = paths[:, :n], paths[:, n:]
             # the joint factor's leading block factors the design Gram (at
             # the joint nugget); the Gram's off-diagonal block is K_cross
-            preds = Y_d @ cho_solve((fact.chol[:n, :n], True),
-                                    fact.gram[:n, n:])
+            preds = Y_d @ _chol_solve(fact.chol[:n, :n], fact.gram[:n, n:])
             per_rep = np.mean((preds - Y_t) ** 2, axis=1)
             mspe_vals.append(float(per_rep.mean()))
             se_vals.append(float(per_rep.std(ddof=1) / np.sqrt(replicates)))

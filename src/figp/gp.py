@@ -21,7 +21,6 @@ from .errors import FigpError, FitError, GramFactorizationError
 from .kernels import (
     LINEAR,
     NONLINEAR,
-    PSI_BLOCK,
     GramFactorization,
     KernelSpec,
     MaternParams,
@@ -29,7 +28,10 @@ from .kernels import (
     _factorize,
     _l2_distances,
     _matern_profile,
+    _node_distances,
+    _row_blocks,
     _shared_grid,
+    _squared_differences,
     _values_matrix,
     gram,
     kernel_matrix_and_diag,
@@ -158,12 +160,8 @@ class _Likelihood:
         n_q, self._dim = nodes.shape
         self._anisotropic = anisotropic
         k = self._dim if anisotropic else 1
-        starts = [0]  # the first row of each block, then n_q
-        while starts[-1] < n_q:
-            m = n_q - starts[-1]
-            starts.append(starts[-1] + min(m, max(1, PSI_BLOCK // m)))
-        size = k * sum((i1 - i0) * (n_q - i0)
-                       for i0, i1 in zip(starts, starts[1:]))
+        blocks = _row_blocks(0, n_q, n_q, upper=True)
+        size = k * sum((i1 - i0) * (n_q - i0) for i0, i1 in blocks)
         # One buffer holds every block.  It is as large as Psi, though the
         # blocks fill about half of it and pages never written take no
         # memory, so once the operator is freed the model's Psi fits in
@@ -173,19 +171,16 @@ class _Likelihood:
         store = np.empty(max(size, n_q * n_q))[:size].reshape(k, -1)
         self._blocks = []  # (i0, distances or squared differences)
         end = 0
-        for i0, i1 in zip(starts, starts[1:]):
+        for i0, i1 in blocks:
             r, m = i1 - i0, n_q - i0
             d = store[:, end:end + r * m].reshape(k, r, m)
             end += r * m
-            for j, x in enumerate(nodes.T):  # one temporary at a time
-                sq = np.subtract.outer(x[i0:i1], x[i0:])
-                sq *= sq
-                if anisotropic or j == 0:
-                    d[j] = sq
-                else:
-                    d[0] += sq
-            if not anisotropic:
-                d = np.sqrt(d[0], out=d[0])
+            if anisotropic:  # one temporary at a time
+                for dj, sq in zip(d, _squared_differences(nodes[i0:i1],
+                                                          nodes[i0:])):
+                    dj[...] = sq
+            else:
+                d = _node_distances(nodes[i0:i1], nodes[i0:], out=d[0])
             self._blocks.append((i0, d))
         # largest first, so each block's temporaries fit in the memory the
         # previous block's freed (in row order fit_fine's peak RSS rose
@@ -193,7 +188,7 @@ class _Likelihood:
         self._blocks.sort(key=lambda block: -block[1].size)
         # weights that halve the diagonal and zero the lower part; the
         # leading r x r corner serves a block of r rows
-        r = max(np.diff(starts))
+        r = max(i1 - i0 for i0, i1 in blocks)
         self._mask = np.triu(np.ones((r, r)), 1)
         np.fill_diagonal(self._mask, 0.5)
 
@@ -240,9 +235,13 @@ def log_marginal_likelihood(spec: KernelSpec, inputs: Sequence[FunctionalInput],
     that Gram is summed from Psi's upper triangle and differs from the
     model Gram `gram` builds by round-off alone.
     """
+    inputs = list(inputs)
     y = np.asarray(y, dtype=float)
     if y.size < 2:
         raise FigpError("likelihood needs at least two observations")
+    if y.size != len(inputs):
+        raise FigpError(f"log_marginal_likelihood: {y.size} outputs for "
+                        f"{len(inputs)} inputs; give one output per input")
     anisotropic = len(set(spec.base.lengthscales)) > 1
     likelihood = _Likelihood(inputs, y, spec.family, spec.premap, anisotropic)
     return likelihood(spec.with_sigma2(1.0))[2]

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 
 from .domain import FunctionalInput, _check_same_grid, _freeze
 from .errors import FigpError, GramFactorizationError
@@ -159,7 +158,7 @@ def _matern_profile(z: np.ndarray, params: MaternParams) -> np.ndarray:
         out *= s2
         out *= np.exp(np.negative(z, out=z), out=z)
     else:
-        # a cold import of 0.07 s, paid only for nu outside {1/2, 3/2, 5/2}
+        # imported here, so only nu outside {1/2, 3/2, 5/2} loads SciPy
         from scipy.special import gamma as gamma_fn, kv
 
         zero = z == 0
@@ -177,6 +176,56 @@ def _matern_profile(z: np.ndarray, params: MaternParams) -> np.ndarray:
 # at n_q = 400 and 1600 and 64 K took twice as long at n_q = 400.
 PSI_BLOCK = 32768
 
+# A Psi profiled on its upper triangle takes its rows in panels of about
+# PSI_PANEL * sqrt(n) rows.  Each panel is mirrored into the rows below it
+# by one strided copy, which costs about n^2 / panel over the matrix, and
+# profiles its diagonal tile in full, about n * panel / 2 extra elements,
+# so panels of order sqrt(n) balance the two.  Of panels of 64 and 128
+# rows, 64 was fastest at n_q = 400 and 128 at n_q = 1600, as 3.2 sqrt(n)
+# gives.
+PSI_PANEL = 3.2
+
+
+def _row_blocks(start: int, stop: int, n_cols: int, upper: bool = False):
+    """The (i0, i1) ranges of about PSI_BLOCK elements each that cover
+    the rows start..stop-1 of a matrix of n_cols columns, or with
+    `upper` of the upper triangle of an n_cols x n_cols matrix, whose
+    row i starts at column i."""
+    blocks = []
+    while start < stop:
+        m = n_cols - start if upper else n_cols
+        i1 = min(stop, start + max(1, PSI_BLOCK // max(1, m)))
+        blocks.append((start, i1))
+        start = i1
+    return blocks
+
+
+def _squared_differences(a: np.ndarray, b: np.ndarray):
+    """Yield (a_k - b_k)^2 for every pair of rows of `a` and `b`, one
+    dimension k at a time, each in a fresh array."""
+    for x, y in zip(a.T, b.T):
+        # contiguous copies: on strided columns the outer difference
+        # took 1.8 times as long (81 x 400 block)
+        sq = np.subtract.outer(np.ascontiguousarray(x),
+                               np.ascontiguousarray(y))
+        sq *= sq
+        yield sq
+
+
+def _node_distances(a: np.ndarray, b: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Euclidean distances between the rows of `a` and of `b`, written
+    to `out` when given: the squared differences summed in dimension
+    order, then the root.  That is cdist's order of operations, so the
+    values are bitwise cdist(a, b)'s, and since (x - y)^2 = (y - x)^2
+    exactly, the distances between a set of points and itself are
+    exactly symmetric."""
+    terms = _squared_differences(a, b)
+    d = next(terms)
+    for sq in terms:
+        d += sq
+    return np.sqrt(d, out=d if out is None else out)
+
 
 def base_kernel_matrix(points_a, points_b, params: MaternParams) -> np.ndarray:
     """Matern base kernel evaluated on all pairs of rows.
@@ -184,27 +233,38 @@ def base_kernel_matrix(points_a, points_b, params: MaternParams) -> np.ndarray:
     The result is allocated once and filled in blocks of rows of about
     PSI_BLOCK elements, so the distances and the profile's temporaries
     stay cache-sized instead of streaming whole n_a x n_b buffers.
-    Every element goes through the same operations as
-    matern_psi(cdist(a * theta, b * theta), params), so the values are
-    bitwise those.
+    When the two point sets are equal, as on the grid nodes of every
+    Psi, the rows are taken in panels (see PSI_PANEL): a panel's blocks
+    are profiled from the panel's first column on, which is the upper
+    triangle plus the panel's diagonal tile, and the panel is then
+    mirrored into the rows below it.  Every element goes through the
+    same operations as matern_psi(cdist(a * theta, b * theta), params),
+    and those distances are exactly symmetric (`_node_distances`), so
+    the values, mirrored ones included, are bitwise those.
     """
-    # a cold import of 0.14 s, paid only by runs that build a Psi
-    from scipy.spatial.distance import cdist
-
     a = np.atleast_2d(np.asarray(points_a, dtype=float))
     b = np.atleast_2d(np.asarray(points_b, dtype=float))
     theta = np.asarray(params.lengthscales, dtype=float)
     if a.shape[1] != theta.size or b.shape[1] != theta.size:
         raise FigpError("point dimension does not match lengthscales")
+    upper = np.array_equal(a, b)
     a = a * theta
-    b = b * theta
+    b = a if upper else b * theta
     scale = 2.0 * math.sqrt(params.nu)
-    out = np.empty((a.shape[0], b.shape[0]))
-    rows = max(1, PSI_BLOCK // max(1, b.shape[0]))
-    for i in range(0, a.shape[0], rows):
-        z = cdist(a[i:i + rows], b)  # norms: never negative
-        z *= scale
-        out[i:i + rows] = _matern_profile(z, params)
+    n_a, n_b = a.shape[0], b.shape[0]
+    out = np.empty((n_a, n_b))
+    panel = max(1, n_a)  # all rows profiled in full, unless mirroring pays
+    if upper and n_a * n_a > PSI_BLOCK:
+        panel = round(PSI_PANEL * math.sqrt(n_a))
+    for g0 in range(0, n_a, panel):
+        g1 = min(n_a, g0 + panel)
+        j0 = g0 if upper else 0
+        for i0, i1 in _row_blocks(g0, g1, n_b - j0):
+            z = _node_distances(a[i0:i1], b[j0:])  # norms: never negative
+            z *= scale
+            out[i0:i1, j0:] = _matern_profile(z, params)
+        if upper:
+            out[g1:, g0:g1] = out[g0:g1, g1:].T
     return out
 
 
@@ -298,16 +358,34 @@ def _l2_distances(inputs_a: List[FunctionalInput],
     return np.sqrt(np.clip(d2, 0.0, None))
 
 
+def _chol_solve(chol: np.ndarray, b) -> np.ndarray:
+    """x with L L^T x = b for the lower Cholesky factor L = `chol`, by
+    forward and back substitution.
+
+    numpy has no triangular solver, but LU with partial pivoting of an
+    upper triangular matrix with a positive diagonal pivots nowhere and
+    eliminates only zeros, so `np.linalg.solve` on one is exact LU plus
+    back substitution.  L^T is upper triangular, and so is L with its
+    rows and columns reversed, which turns forward into back
+    substitution.
+    """
+    b = np.asarray(b, dtype=float)
+    y = np.linalg.solve(chol[::-1, ::-1], b[::-1])[::-1]
+    return np.linalg.solve(chol.T, y)
+
+
 @dataclass(frozen=True)
 class GramFactorization:
     """Cholesky factorization of the training Gram plus nugget.
 
-    `gram` and `chol` are read-only copies of the arrays given.  `psi`
-    is the read-only base-kernel matrix Psi on the grid nodes that a
-    linear Gram was built from, kept so that predictions from the same
-    kernel multiply by it instead of rebuilding it: n_q^2 floats, held
-    as given, never copied.  It is None for the nonlinear kernel and for
-    a fit's search Gram, which is never predicted from.
+    `chol` is the lower factor from `np.linalg.cholesky`, and every
+    solve with it goes through `_chol_solve`.  `gram` and `chol` are
+    read-only copies of the arrays given.  `psi` is the read-only
+    base-kernel matrix Psi on the grid nodes that a linear Gram was
+    built from, kept so that predictions from the same kernel multiply
+    by it instead of rebuilding it: n_q^2 floats, held as given, never
+    copied.  It is None for the nonlinear kernel and for a fit's search
+    Gram, which is never predicted from.
     """
 
     gram: np.ndarray  # K_n + nugget * I, exactly symmetric
@@ -324,7 +402,7 @@ class GramFactorization:
         return self.gram.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return cho_solve((self.chol, True), np.asarray(b, dtype=float))
+        return _chol_solve(self.chol, b)
 
     def solve_refined(self, b: np.ndarray) -> np.ndarray:
         """Solve with one round of mixed-precision iterative refinement.
@@ -339,9 +417,9 @@ class GramFactorization:
         nothing over a working-precision step.
         """
         b = np.asarray(b, dtype=float)
-        x = cho_solve((self.chol, True), b)
+        x = _chol_solve(self.chol, b)
         r = b.astype(np.longdouble) - self.gram.astype(np.longdouble) @ x
-        return x + cho_solve((self.chol, True), r.astype(float))
+        return x + _chol_solve(self.chol, r.astype(float))
 
 
 def _try_cholesky(K: np.ndarray) -> Optional[np.ndarray]:
@@ -349,7 +427,7 @@ def _try_cholesky(K: np.ndarray) -> Optional[np.ndarray]:
     Cholesky finds K not positive definite or the pivot test (see
     PIVOT_TOL) rejects the factor."""
     try:
-        L = cholesky(K, lower=True)
+        L = np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
         return None
     pivot = L.diagonal().min()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import figp.designs
 import figp.kernels
@@ -10,7 +11,7 @@ from figp import (Domain, FigpError, GridMismatchError, KernelSpec, LINEAR,
                   MaternParams, NONLINEAR, build_grid, build_model,
                   empirical_mspe, exact_mspe, eigenfunction_design,
                   fill_distance, kernel_matrix, knot_design, lattice_knots,
-                  nystrom_eig, predict, sample_function)
+                  matern_psi, nystrom_eig, predict, sample_function)
 from figp.designs import DecayCurve, KnotSet
 from figp.kernels import base_kernel_matrix
 from figp.reproduce import mspe_decay_curve, run_reproduce
@@ -71,6 +72,18 @@ def test_knot_design_values_and_labels(unit_grid):
     want = base_kernel_matrix(unit_grid.nodes, ks.knots, PARAMS)
     for j, g in enumerate(design):
         np.testing.assert_allclose(g.values, want[:, j], rtol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_knot_design_is_bitwise_the_cdist_profile(dim):
+    domain = Domain(((0.0, 1.0),) * dim)
+    grid = build_grid(domain, 64 if dim == 1 else 20)
+    params = MaternParams(1.5, 0.8, (8.0, 3.0)[:dim])
+    knots = lattice_knots(domain, 9)
+    theta = np.array(params.lengthscales)
+    want = matern_psi(cdist(grid.nodes * theta, knots.knots * theta), params)
+    design = knot_design(knots, params, grid)
+    assert np.array_equal(np.column_stack([g.values for g in design]), want)
 
 
 def test_knot_design_rejects_outside_domain(unit_grid):

@@ -56,6 +56,14 @@ def test_likelihood_needs_two_points(square_grid):
                                 np.array([1.0]))
 
 
+def test_likelihood_names_an_output_count_that_does_not_match(square_grid):
+    spec = KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=1.0)
+    inputs = [sample_function(e, square_grid) for e in ("x1", "x2", "x1*x2")]
+    with pytest.raises(FigpError, match="log_marginal_likelihood: 2 outputs "
+                                        "for 3 inputs"):
+        log_marginal_likelihood(spec, inputs, [1.0, 2.0])
+
+
 def test_build_model_profiled_mean(square_grid):
     rng = np.random.default_rng(31)
     ins = random_poly_inputs(square_grid, 6, rng)
@@ -295,18 +303,48 @@ def test_anisotropic_fit_uses_seeded_starts(bench_inputs, bench_outputs):
     assert a.log_likelihood >= centre
 
 
-def test_import_loads_no_scipy_stats_optimize_special_or_spatial():
-    # a fresh interpreter, so no other test's imports count; each of these
-    # is imported where it is used, so `import figp` pays for none of them
+def _fresh_interpreter(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter, so no other test's
+    imports count, with figp importable from this checkout."""
     src = os.path.dirname(os.path.dirname(figp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, figp; print(sorted(m for m in ('scipy.stats', "
-            "'scipy.optimize', 'scipy.special', 'scipy.spatial') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+_SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'scipy'))")
+
+
+def test_import_loads_no_scipy():
+    # SciPy is imported where it is used: inside fit and the general-nu
+    # Matern branch, so `import figp` pays for none of it
+    out = _fresh_interpreter("import sys, figp; " + _SCIPY_MODULES)
+    assert out.strip() == "[]"
+
+
+def test_loaded_linear_model_predicts_samples_and_decomposes_without_scipy():
+    code = """
+import os, sys, tempfile
+import figp
+from figp import (Domain, KernelSpec, MaternParams, build_grid, build_model,
+                  loocv_error, nystrom_eig, predict_many, sample_function,
+                  sample_paths_gram)
+from figp.storage import load_model, save_model
+grid = build_grid(Domain(((0.0, 1.0), (0.0, 1.0))), 12)
+inputs = [sample_function(e, grid) for e in ("x1", "x2", "x1*x2", "1+x1^2")]
+spec = KernelSpec("linear", MaternParams(2.5, 0.7, (1.3, 1.3)))
+path = os.path.join(tempfile.mkdtemp(), "model.json")
+save_model(path, build_model(spec, inputs, [0.5, 0.4, 0.3, 1.2]))
+model = load_model(path)
+mean, var = predict_many(model, [sample_function("x1+x2", grid)])
+assert var[0] >= 0 and loocv_error(model) >= 0
+assert sample_paths_gram(model.inputs, model.spec, 3, 0).draws.shape == (3, 4)
+assert nystrom_eig(model.spec.base, grid, 5).truncation == 5
+"""
+    out = _fresh_interpreter(code + _SCIPY_MODULES)
+    assert out.strip() == "[]"
 
 
 def test_fit_affine_equivariance(bench_inputs, bench_outputs, square_grid):

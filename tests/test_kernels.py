@@ -9,7 +9,9 @@ from figp import (Domain, FigpError, FunctionalInput, GramFactorizationError,
                   KernelSpec, LINEAR, MaternParams, NONLINEAR,
                   apply_pointwise_map, build_grid, gram,
                   kernel_matrix, matern_psi, sample_function)
-from figp.kernels import PSI_BLOCK, base_kernel_matrix, kernel_matrix_and_diag
+from figp.kernels import (PIVOT_TOL, PSI_BLOCK, _node_distances,
+                          _try_cholesky, base_kernel_matrix,
+                          kernel_matrix_and_diag)
 
 from figp_testlib import (kernel_entry, pairwise_kernel_oracle,
                           random_poly_inputs)
@@ -104,6 +106,55 @@ def test_base_kernel_matrix_blocks_are_bitwise_the_full_profile(square_grid,
         want = matern_psi(cdist(a * theta, b * theta), params)
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+UNIT_SQUARE = Domain(((0.0, 1.0), (0.0, 1.0)))
+GRID_CASES = [pytest.param(res, theta, id=f"grid{res}-{name}")
+              for res in (20, 40)
+              for name, theta in (("isotropic", (1.3, 1.3)),
+                                  ("anisotropic", (0.7, 2.1)))]
+
+
+@pytest.mark.parametrize("res,theta", GRID_CASES)
+def test_node_distances_are_bitwise_cdist(res, theta):
+    nodes = build_grid(UNIT_SQUARE, res).nodes * np.array(theta)
+    knots = np.random.default_rng(67).uniform(0.0, 1.0, size=(9, 2))
+    for a, b in ((nodes, nodes), (nodes, knots), (knots, nodes)):
+        assert np.array_equal(_node_distances(a, b), cdist(a, b))
+
+
+@pytest.mark.parametrize("res,theta", GRID_CASES)
+def test_mirrored_psi_is_bitwise_the_cdist_profile(res, theta):
+    nodes = build_grid(UNIT_SQUARE, res).nodes
+    params = MaternParams(2.5, 0.37, theta)
+    want = matern_psi(cdist(nodes * theta, nodes * theta), params)
+    # freed NaNs: Psi gets their memory or fresh zeroed pages, so an entry
+    # the mirror missed cannot pass on a stale copy of its value
+    np.full(want.shape, np.nan)
+    got = base_kernel_matrix(nodes, nodes, params)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, got.T)
+
+
+def test_try_cholesky_rejects_exactly_rank_deficient_grams(square_grid):
+    # the Gram of (x1, x2) bordered by the row and column of 2 x1, which
+    # doubling makes exactly: rank 1 of 2 and rank 2 of 3
+    spec = KernelSpec(LINEAR, MaternParams(2.5, 1.0, (1.0, 1.0)))
+    inputs = [sample_function(e, square_grid) for e in ("x1", "x2")]
+    G = kernel_matrix(inputs, inputs, spec)
+    G = np.triu(G) + np.triu(G, 1).T
+    eps = np.finfo(float).eps
+    for K in (G[:1, :1], G):
+        K = np.block([[K, 2.0 * K[:, :1]], [2.0 * K[:1], 4.0 * K[:1, :1]]])
+        try:
+            L = np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            pass
+        else:  # round-off left a positive last pivot: the rule rejects it
+            pivot = L.diagonal().min()
+            ratio = pivot * pivot / (K.shape[0] * eps * K.diagonal().max())
+            assert ratio <= PIVOT_TOL
+        assert _try_cholesky(K) is None
 
 
 def test_base_kernel_matrix_keeps_the_shape_of_an_empty_side(square_grid):

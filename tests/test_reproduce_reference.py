@@ -73,7 +73,7 @@ def test_reproduce_outputs_match_the_reference_within_tolerance(target,
 
 def test_reference_check_fails_on_a_perturbed_gram(tmp_path, monkeypatch):
     # a fit's search Gram moved by 1e-10 relative off its diagonal: table2
-    # fails the check (in a scratch run 1e-11 failed it too, 1e-12 not)
+    # fails the check (1e-11 fails it too; 1e-12 does not)
     factorize = figp.gp._factorize
 
     def perturbed(K, spec, psi=None):

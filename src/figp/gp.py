@@ -175,7 +175,7 @@ class _Likelihood:
             r, m = i1 - i0, n_q - i0
             d = store[:, end:end + r * m].reshape(k, r, m)
             end += r * m
-            if anisotropic:  # one temporary at a time
+            if anisotropic:
                 for dj, sq in zip(d, _squared_differences(nodes[i0:i1],
                                                           nodes[i0:])):
                     dj[...] = sq

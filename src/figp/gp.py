@@ -24,14 +24,15 @@ from .kernels import (
     GramFactorization,
     KernelSpec,
     MaternParams,
-    _check_nonempty,
+    _block_geometry,
+    _check_lengthscales,
     _factorize,
+    _gram_from,
     _l2_distances,
-    _matern_profile,
-    _node_distances,
-    _row_blocks,
+    _packed,
+    _profile_block,
     _shared_grid,
-    _squared_differences,
+    _times,
     _values_matrix,
     gram,
     kernel_matrix_and_diag,
@@ -103,6 +104,16 @@ class GPModel:
         return self.spec.base.sigma2
 
 
+def _gls_mean(fact: GramFactorization, y: np.ndarray) -> float:
+    """The generalized-least-squares mean 1^T K^-1 y / 1^T K^-1 1 of y
+    under the factorized Gram K."""
+    one = np.ones(y.size)
+    denom = float(one @ fact.solve(one))
+    if denom <= 0:
+        raise GramFactorizationError("degenerate correlation matrix")
+    return float(one @ fact.solve(y)) / denom
+
+
 def _profile(fact: GramFactorization, y: np.ndarray):
     """Profiled mean and variance given a factorized correlation matrix.
 
@@ -110,13 +121,7 @@ def _profile(fact: GramFactorization, y: np.ndarray):
     where loglik is the profiled log marginal likelihood.
     """
     n = y.size
-    one = np.ones(n)
-    Ri_y = fact.solve(y)
-    Ri_1 = fact.solve(one)
-    denom = float(one @ Ri_1)
-    if denom <= 0:
-        raise GramFactorizationError("degenerate correlation matrix")
-    mu = float(one @ Ri_y) / denom
+    mu = _gls_mean(fact, y)
     r = y - mu
     s2 = float(r @ fact.solve(r)) / n
     # floor keeps the degenerate constant-y case finite
@@ -131,19 +136,15 @@ class _Likelihood:
     kernel's correlation parameters, with the work they do not change
     done once, when the operator is built.
 
-    Linear kernel: it holds the weighted premapped values B and the
-    distances between grid nodes on Psi's upper triangle, in row blocks
-    of about PSI_BLOCK elements (D[I, i0:] for the rows I = i0..i1-1).
-    An anisotropic operator holds the squared differences per dimension
-    on the same blocks instead.  An evaluation profiles each block into
-    P_I, halves its diagonal, zeroes its strictly lower part and
-    accumulates G += B_I^T (P_I B[i0:]); the Gram is G + G^T.  So the
-    full Psi is never formed, and this search Gram differs from the
-    model Gram `gram` builds from the full Psi by round-off alone.
+    Linear kernel: it holds the weighted premapped values B and, in one
+    buffer, the geometry of Psi's upper triangle on the grid nodes (the
+    distances, or per-dimension squared differences when anisotropic).
+    An evaluation profiles it block by block and sums the Gram by
+    `gram`'s product, so the two are bitwise equal at the same spec.
 
     Nonlinear kernel: it holds the n x n L2 distances between the
     inputs, from the helper `kernel_matrix_and_diag` uses, so its Gram
-    is bitwise `gram`'s.
+    is bitwise `gram`'s too.
     """
 
     def __init__(self, inputs: Sequence[FunctionalInput], y: np.ndarray,
@@ -158,71 +159,24 @@ class _Likelihood:
         self._B = _values_matrix(inputs, premap) * grid.weights[:, None]
         nodes = grid.nodes
         n_q, self._dim = nodes.shape
-        self._anisotropic = anisotropic
-        k = self._dim if anisotropic else 1
-        blocks = _row_blocks(0, n_q, n_q, upper=True)
-        size = k * sum((i1 - i0) * (n_q - i0) for i0, i1 in blocks)
-        # One buffer holds every block.  It is as large as Psi, though the
-        # blocks fill about half of it and pages never written take no
-        # memory, so once the operator is freed the model's Psi fits in
-        # it.  Block- or triangle-sized buffers left holes the Psi did not
-        # fit where freed memory is kept: fit_fine's peak RSS rose from
-        # 104 to 108-122 MB.
-        store = np.empty(max(size, n_q * n_q))[:size].reshape(k, -1)
-        self._blocks = []  # (i0, distances or squared differences)
-        end = 0
-        for i0, i1 in blocks:
-            r, m = i1 - i0, n_q - i0
-            d = store[:, end:end + r * m].reshape(k, r, m)
-            end += r * m
-            if anisotropic:
-                for dj, sq in zip(d, _squared_differences(nodes[i0:i1],
-                                                          nodes[i0:])):
-                    dj[...] = sq
-            else:
-                d = _node_distances(nodes[i0:i1], nodes[i0:], out=d[0])
-            self._blocks.append((i0, d))
-        # largest first, so each block's temporaries fit in the memory the
-        # previous block's freed (in row order fit_fine's peak RSS rose
-        # by 0.8 MB)
-        self._blocks.sort(key=lambda block: -block[1].size)
-        # weights that halve the diagonal and zero the lower part; the
-        # leading r x r corner serves a block of r rows
-        r = max(i1 - i0 for i0, i1 in blocks)
-        self._mask = np.triu(np.ones((r, r)), 1)
-        np.fill_diagonal(self._mask, 0.5)
+        self._geometry = _packed(
+            n_q, self._dim if anisotropic else 1,
+            lambda i0, i1: _block_geometry(nodes, i0, i1, anisotropic))
 
     def __call__(self, spec: KernelSpec):
         """(mu, sigma2, loglik, factorization) of the data under the
         unit-variance `spec`, whose family and premap are the
-        operator's.  An isotropic operator reads the first lengthscale
-        only."""
+        operator's."""
         with np.errstate(invalid="ignore"):  # a NaN fails in _factorize
             if spec.family == LINEAR:
-                K = self._linear_gram(spec.base)
+                _check_lengthscales(spec.base, self._dim)
+                UB = _times(((i0, _profile_block(g, spec.base))
+                             for i0, g in self._geometry), self._B)
+                K = _gram_from(self._B, UB)
             else:
                 K = matern_psi(spec.gamma * self._dist, spec.base)
         fact = _factorize(K, spec)
         return (*_profile(fact, self._y), fact)
-
-    def _linear_gram(self, base: MaternParams) -> np.ndarray:
-        theta = np.asarray(base.lengthscales)
-        if theta.size != self._dim:
-            raise FigpError("point dimension does not match lengthscales")
-        scale = 2.0 * math.sqrt(base.nu)
-        B = self._B
-        G = np.zeros((B.shape[1], B.shape[1]))
-        for i0, d in self._blocks:
-            if self._anisotropic:
-                z = np.sqrt(sum(t * t * sq for t, sq in zip(theta, d)))
-                z *= scale
-            else:
-                z = d * (theta[0] * scale)
-            P = _matern_profile(z, base)
-            r = P.shape[0]
-            P[:, :r] *= self._mask[:r, :r]
-            G += B[i0:i0 + r].T @ (P @ B[i0:])
-        return G + G.T
 
 
 def log_marginal_likelihood(spec: KernelSpec, inputs: Sequence[FunctionalInput],
@@ -230,10 +184,9 @@ def log_marginal_likelihood(spec: KernelSpec, inputs: Sequence[FunctionalInput],
     """Profiled log marginal likelihood of the data under `spec`.
 
     The constant mean and the variance are profiled out, so the value
-    depends only on the correlation parameters of `spec`.  It scores
-    the search Gram, as `fit` does (`_Likelihood`): for the linear kernel
-    that Gram is summed from Psi's upper triangle and differs from the
-    model Gram `gram` builds by round-off alone.
+    depends only on the correlation parameters of `spec`.  It goes
+    through `fit`'s operator (`_Likelihood`), whose Gram is bitwise the
+    one `gram` builds.
     """
     inputs = list(inputs)
     y = np.asarray(y, dtype=float)
@@ -263,8 +216,7 @@ def build_model(spec: KernelSpec, inputs: Sequence[FunctionalInput], y,
         raise FigpError("outputs must be finite")
     fact = gram(inputs, spec)
     if mu is None:
-        one = np.ones(y.size)
-        mu = float(one @ fact.solve(y)) / float(one @ fact.solve(one))
+        mu = _gls_mean(fact, y)
     alpha = fact.solve_refined(y - mu)
     return GPModel(spec, inputs, y, float(mu), fact, alpha)
 
@@ -336,18 +288,15 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     starts drawn with `config.seed`, and keeps the best likelihood.
     Deterministic for a fixed config.
 
-    The objective scores the search Gram of a `_Likelihood` built once
-    per fit, which holds what the parameters do not change (the grid
-    node distances, or the distances between inputs).  It keeps the
-    profiled (mu, sigma2, loglik) of the best evaluation of the whole
-    search with its exact parameters, and the fit is that kept winner:
-    the model is built once, by `build_model` through `gram`, and
-    carries the winner's profile, not a refit one.  For the linear
-    kernel the search Gram is summed from Psi's upper triangle while
-    the model Gram is (W A)^T (Psi W A) from the full Psi that
-    prediction keeps, so the two differ by round-off alone.  An
-    anisotropic fit may return a finite-difference point of L-BFGS-B
-    when that evaluation had the highest likelihood.
+    The objective scores the Gram of a `_Likelihood` built once per fit,
+    which holds what the parameters do not change (the geometry of the
+    grid nodes, or the distances between inputs).  It keeps the profiled
+    (mu, sigma2, loglik) of the best evaluation of the whole search with
+    its exact parameters, and the fit is that kept winner: the model is
+    built once, by `build_model` through `gram`, and carries the
+    winner's profile, not a refit one.  An anisotropic fit may return a
+    finite-difference point of L-BFGS-B when that evaluation had the
+    highest likelihood.
 
     An explicit `nugget` is a fraction of the fitted variance: the model
     is sigma2_hat (R + nugget I), the covariance the search scored, so
@@ -377,10 +326,10 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     hi = np.array([b[1] for b in box])
 
     # A cold import of 0.26 s, made before the operator and the model
-    # allocate.  Made between them, the module's memory lands above a
-    # freed Psi-sized buffer, and where the C library keeps freed memory
-    # (bench/run.py sets glibc to) the next Psi cannot reuse the buffer:
-    # fit_fine's peak RSS rose from 104 to 112-120 MB.
+    # allocate.  Made between them, the module's memory lands above the
+    # freed geometry, and where the C library keeps freed memory
+    # (bench/run.py sets glibc to) the model's triangle cannot reuse it:
+    # fit_fine's peak RSS rose from 93 to 102 MB.
     from scipy.optimize import minimize
 
     likelihood = _Likelihood(inputs, y, family, premap, n_free > 1)
@@ -412,7 +361,7 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
                 minimize(objective, np.asarray(p0), method="L-BFGS-B",
                          bounds=box, options={"maxiter": MAX_ITERS})
             failure = f"all {len(starts)} L-BFGS-B starts failed"
-    del likelihood  # frees the hoisted distances before the model's Psi
+    del likelihood  # frees the hoisted geometry before the model's triangle
     if kept["x"] is None:
         raise FitError(f"{failure} for the {family} kernel")
 
@@ -436,19 +385,18 @@ def predict_many(model: GPModel, inputs: Sequence[FunctionalInput]):
     """Posterior predictive means and variances at a batch of inputs.
 
     `inputs` must be non-empty (FigpError) and share the training grid
-    (GridMismatchError otherwise).  The cost is one
-    `kernel_matrix_and_diag` call for the whole batch.  A linear model
-    built by `build_model` (so every fitted or loaded one) carries the
-    Psi of its Gram, so no base-kernel matrix is built here; a model
-    whose factorization holds none builds one per call.
+    (GridMismatchError otherwise).  The kernel quantities are formed
+    once for the whole batch, for a linear model built by `build_model`
+    from the triangle of Psi its Gram kept.
     A slightly negative variance is clamped to zero; one more negative
     than VARIANCE_CLAMP_REL * max(sigma2, K(g, g)) raises FigpError.
     """
     inputs = list(inputs)
-    _check_nonempty("predict_many", inputs=inputs)
-    K_cross, kgg = kernel_matrix_and_diag(list(model.inputs), inputs,
-                                          model.spec,
-                                          psi=model.factorization.psi)
+    _shared_grid("predict_many", inputs=inputs, training=list(model.inputs))
+    triangle = model.factorization.triangle
+    K_cross, kgg = (triangle.cross_and_diag(inputs) if triangle else
+                    kernel_matrix_and_diag(list(model.inputs), inputs,
+                                           model.spec))
     means = model.mu_hat + K_cross.T @ model.alpha
     quad = np.einsum("ij,ij->j", K_cross, model.factorization.solve(K_cross))
     raw = kgg - quad

@@ -69,12 +69,10 @@ class MaternParams:
         else:
             ls = tuple(float(t) for t in self.lengthscales)
         object.__setattr__(self, "lengthscales", ls)
-        if not self.nu > 0:
-            raise FigpError("nu must be positive")
-        if not self.sigma2 > 0:
-            raise FigpError("sigma2 must be positive")
-        if any(t <= 0 for t in ls):
-            raise FigpError("all lengthscales must be positive")
+        for name, v in (("nu", self.nu), ("sigma2", self.sigma2),
+                        *(("lengthscales", t) for t in ls)):
+            if not 0 < v < math.inf:
+                raise FigpError(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,8 @@ class KernelSpec:
         if self.family not in (LINEAR, NONLINEAR):
             raise FigpError(f"unknown kernel family {self.family!r}")
         if self.family == NONLINEAR:
-            if self.gamma is None or not self.gamma > 0:
-                raise FigpError("nonlinear kernel requires gamma > 0")
+            if self.gamma is None or not 0 < self.gamma < math.inf:
+                raise FigpError(f"gamma must be finite and > 0, got {self.gamma}")
             if self.premap is not None:
                 raise FigpError("premap applies to the linear kernel only")
         else:
@@ -109,8 +107,8 @@ class KernelSpec:
                 raise FigpError(
                     f"unknown premap {self.premap!r}; known: {sorted(PREMAPS)}"
                 )
-        if self.nugget is not None and self.nugget < 0:
-            raise FigpError("nugget must be non-negative")
+        if self.nugget is not None and not 0 <= self.nugget < math.inf:
+            raise FigpError(f"nugget must be finite and >= 0, got {self.nugget}")
 
     def with_sigma2(self, sigma2: float) -> "KernelSpec":
         return replace(self, base=replace(self.base, sigma2=sigma2))
@@ -171,33 +169,10 @@ def _matern_profile(z: np.ndarray, params: MaternParams) -> np.ndarray:
     return out
 
 
-# Elements per row block of base_kernel_matrix: 32,768 doubles are 256 KiB
-# per temporary.  Of 8 K, 16 K, 32 K and 64 K elements, 16-32 K was fastest
-# at n_q = 400 and 1600 and 64 K took twice as long at n_q = 400.
+# Elements per row block of Psi's upper triangle: 32,768 doubles are
+# 256 KiB per temporary.  Of 8 K, 16 K, 32 K and 64 K elements, 16-32 K was
+# fastest at n_q = 400 and 1600 and 64 K took twice as long at n_q = 400.
 PSI_BLOCK = 32768
-
-# A Psi profiled on its upper triangle takes its rows in panels of about
-# PSI_PANEL * sqrt(n) rows.  Each panel is mirrored into the rows below it
-# by one strided copy, which costs about n^2 / panel over the matrix, and
-# profiles its diagonal tile in full, about n * panel / 2 extra elements,
-# so panels of order sqrt(n) balance the two.  Of panels of 64 and 128
-# rows, 64 was fastest at n_q = 400 and 128 at n_q = 1600, as 3.2 sqrt(n)
-# gives.
-PSI_PANEL = 3.2
-
-
-def _row_blocks(start: int, stop: int, n_cols: int, upper: bool = False):
-    """The (i0, i1) ranges of about PSI_BLOCK elements each that cover
-    the rows start..stop-1 of a matrix of n_cols columns, or with
-    `upper` of the upper triangle of an n_cols x n_cols matrix, whose
-    row i starts at column i."""
-    blocks = []
-    while start < stop:
-        m = n_cols - start if upper else n_cols
-        i1 = min(stop, start + max(1, PSI_BLOCK // max(1, m)))
-        blocks.append((start, i1))
-        start = i1
-    return blocks
 
 
 def _squared_differences(a: np.ndarray, b: np.ndarray):
@@ -212,60 +187,140 @@ def _squared_differences(a: np.ndarray, b: np.ndarray):
         yield sq
 
 
-def _node_distances(a: np.ndarray, b: np.ndarray,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Euclidean distances between the rows of `a` and of `b`, written
-    to `out` when given: the squared differences summed in dimension
-    order, then the root.  That is cdist's order of operations, so the
-    values are bitwise cdist(a, b)'s, and since (x - y)^2 = (y - x)^2
-    exactly, the distances between a set of points and itself are
-    exactly symmetric."""
+def _node_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of `a` and of `b`: the
+    squared differences summed in dimension order, then the root.  That
+    is cdist's order of operations, so the values are bitwise
+    cdist(a, b)'s."""
     terms = _squared_differences(a, b)
     d = next(terms)
     for sq in terms:
         d += sq
-    return np.sqrt(d, out=d if out is None else out)
+    return np.sqrt(d, out=d)
+
+
+def _check_lengthscales(params: MaternParams, dim: int) -> None:
+    if len(params.lengthscales) != dim:
+        raise FigpError("point dimension does not match lengthscales")
 
 
 def base_kernel_matrix(points_a, points_b, params: MaternParams) -> np.ndarray:
-    """Matern base kernel evaluated on all pairs of rows.
-
-    The result is allocated once and filled in blocks of rows of about
-    PSI_BLOCK elements, so the distances and the profile's temporaries
-    stay cache-sized instead of streaming whole n_a x n_b buffers.
-    When the two point sets are equal, as on the grid nodes of every
-    Psi, the rows are taken in panels (see PSI_PANEL): a panel's blocks
-    are profiled from the panel's first column on, which is the upper
-    triangle plus the panel's diagonal tile, and the panel is then
-    mirrored into the rows below it.  Every element goes through the
-    same operations as matern_psi(cdist(a * theta, b * theta), params),
-    and those distances are exactly symmetric (`_node_distances`), so
-    the values, mirrored ones included, are bitwise those.
-    """
+    """Matern base kernel evaluated on all pairs of rows, by the same
+    operations as matern_psi(cdist(a * theta, b * theta), params)."""
     a = np.atleast_2d(np.asarray(points_a, dtype=float))
     b = np.atleast_2d(np.asarray(points_b, dtype=float))
+    _check_lengthscales(params, a.shape[1])
+    _check_lengthscales(params, b.shape[1])
     theta = np.asarray(params.lengthscales, dtype=float)
-    if a.shape[1] != theta.size or b.shape[1] != theta.size:
-        raise FigpError("point dimension does not match lengthscales")
-    upper = np.array_equal(a, b)
-    a = a * theta
-    b = a if upper else b * theta
+    z = _node_distances(a * theta, b * theta)  # norms: never negative
+    z *= 2.0 * math.sqrt(params.nu)
+    return _matern_profile(z, params)
+
+
+def _packed(n_q: int, depth: int, fill):
+    """The blocks (i0, fill(i0, i1)) of about PSI_BLOCK elements that
+    cover the rows of an n_q x n_q upper triangle, row i from column i
+    on, `depth` layers deep: read-only views of one buffer they are
+    copied to as they come (separate arrays raised fit_fine's peak RSS
+    from 93.5 to 96.1 MB)."""
+    ends = [0]
+    while ends[-1] < n_q:
+        ends.append(min(n_q, ends[-1] + max(1, PSI_BLOCK // (n_q - ends[-1]))))
+    blocks = list(zip(ends, ends[1:]))
+    store = np.empty(depth * sum((i1 - i0) * (n_q - i0) for i0, i1 in blocks))
+    packed, end = [], 0
+    for i0, i1 in blocks:
+        x = fill(i0, i1)
+        view = store[end:end + x.size].reshape(x.shape)
+        view[...] = x
+        view.setflags(write=False)
+        packed.append((i0, view))
+        end += x.size
+    return packed
+
+
+def _block_geometry(nodes: np.ndarray, i0: int, i1: int,
+                    anisotropic: bool) -> np.ndarray:
+    """The geometry of the row block I = i0..i1-1 of Psi's upper
+    triangle: the distances from nodes[I] to nodes[i0:], or with
+    `anisotropic` their squared differences per dimension, stacked."""
+    if anisotropic:
+        return np.stack(list(_squared_differences(nodes[i0:i1], nodes[i0:])))
+    return _node_distances(nodes[i0:i1], nodes[i0:])
+
+
+# Weights on the leading r x r corner of a row block of the triangle: 1/2
+# on the diagonal, 0 below.  A block of r rows has at least r columns and
+# at most PSI_BLOCK elements, so r <= sqrt(PSI_BLOCK).
+_HALF_UPPER = np.triu(np.ones((math.isqrt(PSI_BLOCK),) * 2), 1)
+np.fill_diagonal(_HALF_UPPER, 0.5)
+_HALF_UPPER.setflags(write=False)
+
+
+def _profile_block(g: np.ndarray, params: MaternParams) -> np.ndarray:
+    """The row block P_I = Psi[I, i0:] from its geometry `g`, with the
+    diagonal halved and the lower part zeroed, so Psi = U + U^T for the
+    stacked blocks U.  Equal lengthscales scale the distances, bitwise
+    the same from either geometry."""
+    theta = params.lengthscales
     scale = 2.0 * math.sqrt(params.nu)
-    n_a, n_b = a.shape[0], b.shape[0]
-    out = np.empty((n_a, n_b))
-    panel = max(1, n_a)  # all rows profiled in full, unless mirroring pays
-    if upper and n_a * n_a > PSI_BLOCK:
-        panel = round(PSI_PANEL * math.sqrt(n_a))
-    for g0 in range(0, n_a, panel):
-        g1 = min(n_a, g0 + panel)
-        j0 = g0 if upper else 0
-        for i0, i1 in _row_blocks(g0, g1, n_b - j0):
-            z = _node_distances(a[i0:i1], b[j0:])  # norms: never negative
-            z *= scale
-            out[i0:i1, j0:] = _matern_profile(z, params)
-        if upper:
-            out[g1:, g0:g1] = out[g0:g1, g1:].T
-    return out
+    if len(set(theta)) > 1:
+        z = np.sqrt(sum(t * t * sq for t, sq in zip(theta, g)))
+        z *= scale
+    else:
+        z = (np.sqrt(sum(g)) if g.ndim == 3 else g) * (theta[0] * scale)
+    P = _matern_profile(z, params)
+    r = P.shape[0]
+    P[:, :r] *= _HALF_UPPER[:r, :r]
+    return P
+
+
+def _times(blocks, X: np.ndarray) -> np.ndarray:
+    """U X for Psi's upper triangle U given as its profiled row blocks
+    (i0, P_I): the block products P_I X[i0:], stacked."""
+    UX = np.empty_like(X)
+    for i0, P in blocks:
+        UX[i0:i0 + P.shape[0]] = P @ X[i0:]
+    return UX
+
+
+def _gram_from(A: np.ndarray, UA: np.ndarray) -> np.ndarray:
+    """The linear Gram A^T Psi A = G + G^T, G = A^T (U A)."""
+    G = A.T @ UA
+    return G + G.T
+
+
+class _PsiTriangle:
+    """The linear kernel of training inputs through Psi's profiled upper
+    triangle U on the grid nodes: U's row blocks in one read-only buffer
+    of about n_q^2 / 2 floats, the weighted premapped values A and U A.
+
+    The Gram is G + G^T, G = A^T (U A).  Against the weighted premapped
+    values B of other inputs the cross matrix is A^T (U B) + (B^T (U A))^T,
+    bitwise the Gram at B = A, and the prior variances 2 colsum(B * U B).
+    """
+
+    def __init__(self, inputs: List[FunctionalInput], spec: KernelSpec,
+                 grid):
+        nodes = grid.nodes
+        _check_lengthscales(spec.base, nodes.shape[1])
+        anisotropic = len(set(spec.base.lengthscales)) > 1
+        self._weights, self._premap = grid.weights[:, None], spec.premap
+        self.A = self.weighted(inputs)
+        self.blocks = _packed(nodes.shape[0], 1, lambda i0, i1: _profile_block(
+            _block_geometry(nodes, i0, i1, anisotropic), spec.base))
+        self.UA = _times(self.blocks, self.A)
+        for kept in (self.A, self.UA):
+            kept.setflags(write=False)
+
+    def weighted(self, inputs: List[FunctionalInput]) -> np.ndarray:
+        return _values_matrix(inputs, self._premap) * self._weights
+
+    def cross_and_diag(self, inputs_b: List[FunctionalInput]):
+        B = self.weighted(inputs_b)
+        UB = _times(self.blocks, B)
+        return (self.A.T @ UB + (B.T @ self.UA).T,
+                2.0 * np.einsum("ij,ij->j", B, UB))
 
 
 def _values_matrix(inputs: List[FunctionalInput],
@@ -310,35 +365,23 @@ def kernel_matrix(inputs_a: List[FunctionalInput],
 
 def kernel_matrix_and_diag(inputs_a: List[FunctionalInput],
                            inputs_b: List[FunctionalInput],
-                           spec: KernelSpec, *,
-                           psi: Optional[np.ndarray] = None):
+                           spec: KernelSpec):
     """The cross-kernel matrix K[i, j] = K(a_i, b_j) and the prior
     variances K(b, b) of `inputs_b`, both without any nugget.
 
     Both lists must be non-empty and share one grid (FigpError and
-    GridMismatchError otherwise).  The linear kernel is (W A)^T (Psi W B)
-    with variances the column sums of (W B) * (Psi W B), where A and B
-    hold the premapped input values as columns, W the quadrature weights
-    and Psi is the base-kernel matrix on the grid nodes: one n_q x n_q
-    evaluation serves every pair.  A caller holding Psi (a linear `gram`
-    keeps it) passes it as `psi`, unchecked, for bitwise the results of
-    a fresh build.  `gram` and prediction share this product, so a model
-    Gram's upper triangle is bitwise the cross matrix prediction takes at
-    the training inputs.  The nonlinear kernel ignores `psi` and applies
-    the Matern profile to the scaled L2 distances between inputs; its
-    variances are sigma2, exactly, because matern_psi(0) is sigma2.
+    GridMismatchError otherwise).  The linear kernel goes through Psi's
+    upper triangle on the grid nodes (`_PsiTriangle`), the one product
+    that `gram` and prediction use too, so a model Gram's upper triangle
+    is bitwise the cross matrix prediction takes at the training inputs.
+    The nonlinear kernel applies the Matern profile to the scaled L2
+    distances between inputs; its variances are sigma2, exactly, because
+    matern_psi(0) is sigma2.
     """
     grid = _shared_grid("kernel_matrix", inputs_a=inputs_a,
                         inputs_b=inputs_b)
     if spec.family == LINEAR:
-        A = _values_matrix(inputs_a, spec.premap) * grid.weights[:, None]
-        B = _values_matrix(inputs_b, spec.premap) * grid.weights[:, None]
-        if psi is None:
-            psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
-        # Psi is symmetric, so this is psi @ B, which OpenBLAS forms a
-        # third slower for the few columns of a fit's Gram (n_q = 1600)
-        psi_B = (B.T @ psi).T
-        return A.T @ psi_B, np.einsum("ij,ij->j", B, psi_B)
+        return _PsiTriangle(inputs_a, spec, grid).cross_and_diag(inputs_b)
     dist = _l2_distances(inputs_a, inputs_b, grid.weights)
     return (matern_psi(spec.gamma * dist, spec.base),
             np.full(len(inputs_b), spec.base.sigma2))
@@ -380,19 +423,17 @@ class GramFactorization:
 
     `chol` is the lower factor from `np.linalg.cholesky`, and every
     solve with it goes through `_chol_solve`.  `gram` and `chol` are
-    read-only copies of the arrays given.  `psi` is the read-only
-    base-kernel matrix Psi on the grid nodes that a linear Gram was
-    built from, kept so that predictions from the same kernel multiply
-    by it instead of rebuilding it: n_q^2 floats, held as given, never
-    copied.  It is None for the nonlinear kernel and for a fit's search
-    Gram, which is never predicted from.
+    read-only copies of the arrays given.  `triangle` is the
+    `_PsiTriangle` a linear Gram was built from, held as given, which
+    prediction multiplies by.  It is None for the nonlinear kernel and
+    for a fit's search Gram, which is never predicted from.
     """
 
     gram: np.ndarray  # K_n + nugget * I, exactly symmetric
     chol: np.ndarray  # lower triangular
     log_det: float
     nugget: float  # the nugget actually applied
-    psi: Optional[np.ndarray] = None
+    triangle: Optional[_PsiTriangle] = None
 
     def __post_init__(self):
         _freeze(self, "gram", "chol")
@@ -425,13 +466,14 @@ class GramFactorization:
 def _try_cholesky(K: np.ndarray) -> Optional[np.ndarray]:
     """Lower Cholesky factor of the finite matrix K, or None when
     Cholesky finds K not positive definite or the pivot test (see
-    PIVOT_TOL) rejects the factor."""
+    PIVOT_TOL) rejects the factor.  A NaN pivot fails the test: numpy's
+    Cholesky can return a NaN factor without raising."""
     try:
         L = np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
         return None
     pivot = L.diagonal().min()
-    if pivot * pivot <= PIVOT_TOL * K.shape[0] * _EPS * K.diagonal().max():
+    if not pivot * pivot > PIVOT_TOL * K.shape[0] * _EPS * K.diagonal().max():
         return None
     return L
 
@@ -439,24 +481,26 @@ def _try_cholesky(K: np.ndarray) -> Optional[np.ndarray]:
 def gram(inputs: List[FunctionalInput], spec: KernelSpec) -> GramFactorization:
     """Assemble the model Gram matrix and factorize it (`_factorize`).
 
-    The linear one is (W A)^T (Psi W A) from a full Psi, which the
-    factorization keeps for prediction.  A fit's search scores its own
-    Gram from Psi's upper triangle (`figp.gp._Likelihood`), which differs
-    from this one by round-off alone.
+    The linear one is G + G^T with G = (W A)^T (U W A), from Psi's
+    profiled upper triangle U (`_PsiTriangle`), which the factorization
+    keeps for prediction.  A fit's search sums its Gram by the same
+    product (`figp.gp._Likelihood`), so at the same spec the two are
+    bitwise equal.
     """
     grid = _shared_grid("gram", inputs=inputs)
-    psi = None
-    if spec.family == LINEAR:
-        psi = base_kernel_matrix(grid.nodes, grid.nodes, spec.base)
-        psi.setflags(write=False)
+    triangle = None
     # an invalid operation leaves a NaN, which _factorize reports
     with np.errstate(invalid="ignore"):
-        K = kernel_matrix_and_diag(inputs, inputs, spec, psi=psi)[0]
-    return _factorize(K, spec, psi)
+        if spec.family == LINEAR:
+            triangle = _PsiTriangle(inputs, spec, grid)
+            K = _gram_from(triangle.A, triangle.UA)
+        else:
+            K = kernel_matrix_and_diag(inputs, inputs, spec)[0]
+    return _factorize(K, spec, triangle)
 
 
 def _factorize(K: np.ndarray, spec: KernelSpec,
-               psi: Optional[np.ndarray] = None) -> GramFactorization:
+               triangle: Optional[_PsiTriangle] = None) -> GramFactorization:
     """Factorize the assembled Gram K plus a nugget: the one owner of
     the nugget policy.
 
@@ -470,7 +514,6 @@ def _factorize(K: np.ndarray, spec: KernelSpec,
     failure the inputs are reported as degenerate either way.  A Gram
     with non-finite entries (the kernel overflowed, e.g. at a huge
     sigma2) is reported as such before any factorization is tried.
-    `psi` is kept on the factorization as given.
     """
     if not np.isfinite(K).all():
         raise GramFactorizationError(
@@ -501,7 +544,7 @@ def _factorize(K: np.ndarray, spec: KernelSpec,
                     stacklevel=3,
                 )
             log_det = float(2.0 * np.sum(np.log(np.diag(L))))
-            return GramFactorization(Kn, L, log_det, float(nug), psi)
+            return GramFactorization(Kn, L, log_det, float(nug), triangle)
     raise GramFactorizationError(
         "Cholesky failed or left a negligible pivot at every nugget level; "
         "the inputs are degenerate (duplicated, or linearly dependent under "

@@ -7,6 +7,7 @@ import os
 import numpy as np
 from scipy.spatial.distance import cdist
 
+import figp.kernels
 from figp import LINEAR, FunctionalInput, kernel_matrix, matern_psi, \
     sample_function
 from figp.kernels import PREMAPS
@@ -20,6 +21,22 @@ def random_poly_inputs(grid, n, rng):
     cols = np.column_stack([sample_function(e, grid).values for e in POLY_BASIS])
     return [FunctionalInput(grid, cols @ rng.standard_normal(cols.shape[1]))
             for _ in range(n)]
+
+
+def count_psi_triangles(monkeypatch):
+    """From here on, record the number of inputs of every triangle of
+    Psi that figp profiles (`figp.kernels._PsiTriangle`); returns the
+    list the counts go to."""
+    real = figp.kernels._PsiTriangle
+    builds = []
+
+    class Counted(real):
+        def __init__(self, inputs, *args):
+            builds.append(len(inputs))
+            super().__init__(inputs, *args)
+
+    monkeypatch.setattr(figp.kernels, "_PsiTriangle", Counted)
+    return builds
 
 
 def kernel_entry(g1, g2, spec):

@@ -16,6 +16,8 @@ from figp.designs import DecayCurve, KnotSet
 from figp.kernels import base_kernel_matrix
 from figp.reproduce import mspe_decay_curve, run_reproduce
 
+from figp_testlib import count_psi_triangles
+
 UNIT = Domain(((0.0, 1.0),))
 PARAMS = MaternParams(1.5, 1.0, (8.0,))
 SPEC = KernelSpec(LINEAR, PARAMS)
@@ -225,18 +227,11 @@ def test_empirical_mspe_mc_agrees_with_exact(unit_grid, test_inputs):
 
 
 def test_mc_curve_reuses_the_joint_psi(unit_grid, test_inputs, monkeypatch):
-    builds = []
-    real_base = figp.kernels.base_kernel_matrix
-
-    def counted(a, b, params):
-        if len(a) == len(b) == unit_grid.nodes.shape[0]:
-            builds.append(len(b))
-        return real_base(a, b, params)
-
-    monkeypatch.setattr(figp.kernels, "base_kernel_matrix", counted)
+    builds = count_psi_triangles(monkeypatch)
     curve = empirical_mspe(_knot_builder(unit_grid), (4, 8), test_inputs,
                            SPEC, method="mc", replicates=50, seed=3)
-    assert len(builds) == 2  # the joint Gram's, once per size
+    # the joint Gram's triangle of Psi, once per size
+    assert builds == [4 + len(test_inputs), 8 + len(test_inputs)]
     # values of the route that built Psi three times per size
     np.testing.assert_allclose(curve.mspe, [0.003919827304606594,
                                             7.597254156326606e-05],

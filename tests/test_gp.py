@@ -12,13 +12,14 @@ import figp.kernels
 from figp import (Domain, FigpError, FitConfig, GramFactorizationError,
                   GridMismatchError, KernelSpec, LINEAR, MaternParams,
                   NONLINEAR, build_grid, build_model, fit, gram, kernel_matrix,
-                  log_marginal_likelihood, loocv_error, predict,
+                  log_marginal_likelihood, loocv_error, matern_psi, predict,
                   predict_many, sample_function, select_kernel)
 from figp.gp import (LOG_GAMMA_BOUNDS, LOG_THETA_BOUNDS, SCAN_XATOL, GPModel,
                      _Likelihood, _profile_scan, select_family)
-from figp.kernels import GramFactorization, base_kernel_matrix
+from figp.kernels import GramFactorization
 
-from figp_testlib import brute_loocv, random_poly_inputs
+from figp_testlib import brute_loocv, count_psi_triangles, \
+    random_poly_inputs
 
 
 def _direct_profile(K, y):
@@ -195,12 +196,6 @@ def test_fit_profile_is_bitwise_the_refit_profile(name, family, anisotropic,
         (mu, s2, ll)
 
 
-# the search Gram is summed from Psi's upper triangle and the model Gram
-# from the full Psi, so they differ by round-off: measured at most 1.0e-15
-# of max|K| here (grid 20) and 2.9e-15 at grid 40
-SEARCH_GRAM_RTOL = 1e-14
-
-
 @pytest.mark.parametrize("spec,anisotropic", [
     (KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.6, 0.6))), False),
     (KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.3, 1.7))), True),
@@ -212,15 +207,16 @@ SEARCH_GRAM_RTOL = 1e-14
 def test_search_gram_is_the_model_gram_up_to_round_off(spec, anisotropic,
                                                        bench_inputs,
                                                        bench_outputs):
+    # both sum the Gram by one product on Psi's upper triangle
     y = bench_outputs["f2"]
     likelihood = _Likelihood(bench_inputs, y, LINEAR, spec.premap,
                              anisotropic)
     got = likelihood(spec)[3]
     want = gram(bench_inputs, spec)
-    scale = np.abs(want.gram).max()
-    assert np.abs(got.gram - want.gram).max() <= SEARCH_GRAM_RTOL * scale
-    assert got.nugget == want.nugget
-    assert got.psi is None
+    assert got.gram.tobytes() == want.gram.tobytes()
+    assert got.chol.tobytes() == want.chol.tobytes()
+    assert (got.log_det, got.nugget) == (want.log_det, want.nugget)
+    assert got.triangle is None
 
 
 @pytest.mark.parametrize("nugget", [None, 1e-3])
@@ -237,8 +233,9 @@ def test_nonlinear_search_gram_is_bitwise_the_model_gram(nugget, bench_inputs,
 
 def test_isotropic_linear_fit_builds_psi_once(bench_inputs, bench_outputs,
                                               monkeypatch):
-    # the search reads hoisted node distances; only the model build forms
-    # a Psi, so the kept model predicts from it
+    # the search profiles hoisted node distances block by block and only
+    # the model build keeps a triangle of Psi, which the model predicts
+    # from; no full Psi is formed
     real = figp.kernels.base_kernel_matrix
     calls = {"n": 0}
 
@@ -247,16 +244,18 @@ def test_isotropic_linear_fit_builds_psi_once(bench_inputs, bench_outputs,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(figp.kernels, "base_kernel_matrix", counted)
+    builds = count_psi_triangles(monkeypatch)
     model = fit(bench_inputs, bench_outputs["f1"], LINEAR)
-    assert calls["n"] == 1
-    assert model.factorization.psi is not None
+    assert calls["n"] == 0
+    assert builds == [len(bench_inputs)]
+    assert model.factorization.triangle is not None
 
 
 def test_fit_frees_its_likelihood_before_the_model_build(bench_inputs,
                                                        bench_outputs,
                                                        monkeypatch):
     # the hoisted node distances are half a Psi; holding them while the
-    # model forms its Psi would raise the fit's peak memory
+    # model profiles its triangle of Psi would raise the fit's peak memory
     real = figp.gp.build_model
     live = []
 
@@ -386,33 +385,33 @@ def test_predict_many_psi_builds_do_not_grow_with_batch(bench_models,
                                                         square_grid,
                                                         monkeypatch):
     model = bench_models[("f1", LINEAR)]
-    real = figp.kernels.base_kernel_matrix
-    calls = {"n": 0}
-
-    def counted(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(figp.kernels, "base_kernel_matrix", counted)
+    builds = count_psi_triangles(monkeypatch)
     rng = np.random.default_rng(53)
-    counts = []
     for size in (1, 50):
-        calls["n"] = 0
         predict_many(model, random_poly_inputs(square_grid, size, rng))
-        counts.append(calls["n"])
-    assert counts == [0, 0]
+    assert builds == []  # the model's kept triangle serves every batch
 
 
 def test_linear_gram_keeps_its_psi_read_only(square_grid):
     rng = np.random.default_rng(59)
     ins = random_poly_inputs(square_grid, 4, rng)
     spec = KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.9, 1.4)))
-    psi = gram(ins, spec).psi
-    want = base_kernel_matrix(square_grid.nodes, square_grid.nodes, spec.base)
-    assert psi.tobytes() == want.tobytes()
-    assert not psi.flags.writeable
+    triangle = gram(ins, spec).triangle
+    # Psi from the scaled squared differences, as the triangle forms it,
+    # with the diagonal halved and the lower part zeroed
+    nodes = square_grid.nodes
+    r = np.sqrt(sum(t * t * np.subtract.outer(x, x) ** 2
+                    for t, x in zip(spec.base.lengthscales, nodes.T)))
+    psi = matern_psi(r, spec.base)
+    want = np.triu(psi, 1) + np.diag(0.5 * np.diag(psi))
+    got = np.zeros_like(want)
+    for i0, P in triangle.blocks:
+        got[i0:i0 + P.shape[0], i0:] = P
+        assert not P.flags.writeable
+    assert got.tobytes() == want.tobytes()
+    assert not (triangle.A.flags.writeable or triangle.UA.flags.writeable)
     nonlinear = KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=0.5)
-    assert gram(ins, nonlinear).psi is None
+    assert gram(ins, nonlinear).triangle is None
 
 
 def test_predict_many_rejects_empty_inputs(bench_models):

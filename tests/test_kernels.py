@@ -82,10 +82,10 @@ def test_matern_psi_monotone_decreasing(nu):
 
 
 def _blocked_cases(square_grid):
-    """(name, a, b) pairs that exercise the row blocks of
-    base_kernel_matrix: a row count that is not a multiple of the rows
-    per block, a grid-nodes x knots cross pair as `knot_design` forms
-    it, both ways round, and a one-row side."""
+    """(name, a, b) pairs for base_kernel_matrix: a row count that is
+    not a multiple of the rows per block of Psi's triangle, a grid-nodes
+    x knots cross pair as `knot_design` forms it, both ways round, and a
+    one-row side."""
     rng = np.random.default_rng(61)
     pts = rng.uniform(0.0, 1.0, size=(1000, 2))
     knots = rng.uniform(0.0, 1.0, size=(5, 2))
@@ -129,7 +129,7 @@ def test_mirrored_psi_is_bitwise_the_cdist_profile(res, theta):
     params = MaternParams(2.5, 0.37, theta)
     want = matern_psi(cdist(nodes * theta, nodes * theta), params)
     # freed NaNs: Psi gets their memory or fresh zeroed pages, so an entry
-    # the mirror missed cannot pass on a stale copy of its value
+    # the blocks missed cannot pass on a stale copy of its value
     np.full(want.shape, np.nan)
     got = base_kernel_matrix(nodes, nodes, params)
     assert np.array_equal(got, want)
@@ -186,6 +186,33 @@ def test_kernel_spec_validation():
         KernelSpec(LINEAR, p, gamma=1.0)
     with pytest.raises(FigpError):
         KernelSpec(LINEAR, p, premap="cube")
+
+
+# each record field, built with a given value
+WITH_FIELD = {
+    "nu": lambda v: MaternParams(v, 1.0),
+    "sigma2": lambda v: MaternParams(2.5, v),
+    "lengthscales": lambda v: MaternParams(2.5, 1.0, (1.0, v)),
+    "gamma": lambda v: KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=v),
+    "nugget": lambda v: KernelSpec(LINEAR, MaternParams(2.5, 1.0), nugget=v),
+}
+
+
+@pytest.mark.parametrize("field", sorted(WITH_FIELD))
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_kernel_records_reject_non_finite_values(field, value):
+    with pytest.raises(FigpError, match=f"{field} must be finite"):
+        WITH_FIELD[field](value)
+
+
+def test_try_cholesky_rejects_a_nan_factor():
+    # numpy's Cholesky can return a NaN factor of a NaN matrix unraised
+    K = np.full((3, 3), math.nan)
+    try:
+        assert np.isnan(np.linalg.cholesky(K)).any()
+    except np.linalg.LinAlgError:
+        pass
+    assert _try_cholesky(K) is None
 
 
 def test_linear_kernel_refined_grid_oracle():
@@ -294,8 +321,8 @@ def test_linear_gram_triangle_is_bitwise_the_prediction_cross_matrix(
                       premap=premap, nugget=0.0)
     ins = random_poly_inputs(square_grid, 5, np.random.default_rng(14))
     fact = gram(ins, spec)
-    for psi in (fact.psi, None):
-        cross = kernel_matrix_and_diag(ins, ins, spec, psi=psi)[0]
+    for cross in (fact.triangle.cross_and_diag(ins)[0],
+                  kernel_matrix_and_diag(ins, ins, spec)[0]):
         assert np.triu(fact.gram).tobytes() == np.triu(cross).tobytes()
 
 

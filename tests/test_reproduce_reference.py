@@ -31,6 +31,8 @@ exactly.
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -76,10 +78,30 @@ def test_reference_check_fails_on_a_perturbed_gram(tmp_path, monkeypatch):
     # fails the check (1e-11 fails it too; 1e-12 does not)
     factorize = figp.gp._factorize
 
-    def perturbed(K, spec, psi=None):
+    def perturbed(K, spec, triangle=None):
         K = K * (1.0 + 1e-10 * (1.0 - np.eye(K.shape[0])))
-        return factorize(K, spec, psi)
+        return factorize(K, spec, triangle)
 
     monkeypatch.setattr(figp.gp, "_factorize", perturbed)
     failures = _failures("table2", tmp_path)
     assert failures and all(f.startswith("table2.") for f in failures)
+
+
+def test_table2_under_one_and_two_blas_threads_agrees_within_tolerance(
+        tmp_path):
+    # each run in a fresh interpreter, since OpenBLAS reads its thread
+    # count once, when numpy loads
+    src = os.path.dirname(os.path.dirname(figp.__file__))
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run(
+            [sys.executable, "-m", "figp", "reproduce", "table2", "--seed",
+             "42", "--out", str(tmp_path / f"threads{threads}")],
+            capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+    rtol, column_scale = TOLERANCES["table2"]
+    assert reproduce_moves(str(tmp_path / "threads1"),
+                           str(tmp_path / "threads2"), rtol,
+                           column_scale)[1] == []

@@ -237,17 +237,17 @@ def test_loaded_linear_model_predicts_from_its_kept_psi(tmp_path,
     model = bench_models[("f1", LINEAR)]
     path = str(tmp_path / "model.json")
     save_model(path, model)
-    # Psi is rebuilt on load, never saved
+    # Psi's triangle is profiled again on load, never saved
     assert set(json.loads(open(path).read())) == {
         "format", "version", "kernel", "mu_hat", "log_likelihood", "grid",
         "inputs", "y", "gram", "payload_sha256"}
     loaded = load_model(path)
     fresh = replace(model, factorization=replace(model.factorization,
-                                                 psi=None))
+                                                 triangle=None))
     tests = random_poly_inputs(square_grid, 6, np.random.default_rng(67))
     want = predict_many(fresh, tests)
     for m in (model, loaded):
-        assert m.factorization.psi is not None
+        assert m.factorization.triangle is not None
         for got, w in zip(predict_many(m, tests), want):
             assert got.tobytes() == w.tobytes()
 

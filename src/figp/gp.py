@@ -42,10 +42,13 @@ from .kernels import (
 LOG_THETA_BOUNDS = (-3.0, 3.0)
 LOG_GAMMA_BOUNDS = (-5.0, 2.0)
 # One-parameter fits scan the profile on a log grid of this spacing (25
-# points for log theta, 29 for log gamma), then refine once in the two
-# grid cells around the best point to this absolute log tolerance, which
-# is also how far inside a box edge the edge probe looks.
+# points for log theta, 29 for log gamma), coarse to fine with a stride
+# of SCAN_COARSE grid points (10 to 14 points evaluated when a coarse one
+# succeeds), then refine once in the two grid cells around the best point
+# to this absolute log tolerance, which is also how far inside a box edge
+# the edge probe looks.
 SCAN_STEP = 0.25
+SCAN_COARSE = 4
 SCAN_XATOL = 1e-5
 MAX_ITERS = 200  # L-BFGS-B iterations per start (anisotropic fits)
 
@@ -236,11 +239,19 @@ def _make_spec(family: str, params_log: np.ndarray, config: FitConfig,
 def _profile_scan(objective, lo: float, hi: float) -> int:
     """Search one log parameter on [lo, hi] for the minimum of
     `objective`, which keeps its own best evaluation; returns the number
-    of grid points.
+    of grid points evaluated.
 
-    Evaluates it on a grid of spacing SCAN_STEP, then runs one bounded
-    Brent refinement over the two grid cells around the best grid
-    point.  Deterministic.
+    The grid has spacing SCAN_STEP.  The scan evaluates every
+    SCAN_COARSE-th grid point and the last one, then the grid points
+    within one coarse step of the best of those, then runs one bounded
+    Brent refinement over the two grid cells around the best grid point.
+    If every coarse point fails, it evaluates the whole grid instead.
+    Deterministic, and no grid point is evaluated twice.
+
+    When the profile on the grid is unimodal its best grid point lies
+    within one coarse step of the best coarse point, so the scan picks
+    the point a scan of the whole grid picks.  A dip narrower than one
+    coarse step, away from the best coarse point, can be missed.
 
     Bounded Brent never evaluates an endpoint, so when the best grid
     point is an end of the box one probe SCAN_XATOL inside it decides:
@@ -248,21 +259,34 @@ def _profile_scan(objective, lo: float, hi: float) -> int:
     refinement runs.
     """
     grid = np.linspace(lo, hi, int(round((hi - lo) / SCAN_STEP)) + 1)
-    values = [objective(np.array([t])) for t in grid]
-    i = int(np.argmin(values))
+    last = grid.size - 1
+    values = np.full(grid.size, np.inf)  # inf until evaluated
+    seen = np.zeros(grid.size, dtype=bool)
+
+    def scan(indices) -> int:
+        for j in indices:
+            if not seen[j]:
+                seen[j] = True
+                values[j] = objective(np.array([grid[j]]))
+        return int(np.argmin(values))
+
+    i = scan([*range(0, last, SCAN_COARSE), last])
+    i = scan(range(max(i - SCAN_COARSE, 0), min(i + SCAN_COARSE, last) + 1)
+             if values[i] < _FAILED else range(grid.size))
+    points = int(seen.sum())
     if not values[i] < _FAILED:
-        return grid.size
-    if i in (0, grid.size - 1):
+        return points
+    if i in (0, last):
         inward = SCAN_XATOL if i == 0 else -SCAN_XATOL
         if not objective(np.array([grid[i] + inward])) < values[i]:
-            return grid.size
+            return points
     from scipy.optimize import minimize_scalar  # `fit` has loaded it
 
     minimize_scalar(
         lambda t: objective(np.array([t])), method="bounded",
-        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, last)]),
         options={"xatol": SCAN_XATOL})
-    return grid.size
+    return points
 
 
 def _stratified_starts(n: int, lo: np.ndarray, hi: np.ndarray,
@@ -281,18 +305,21 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     """Fit a surrogate of the given kernel family by maximum likelihood.
 
     With one free parameter (isotropic linear, or nonlinear) the
-    profiled likelihood is scanned on a log grid and refined once around
-    the best grid point (`_profile_scan`), whatever `config.multistarts`
-    and `config.seed` say.  An anisotropic linear fit runs L-BFGS-B from
-    the center of the log box plus `config.multistarts - 1` stratified
-    starts drawn with `config.seed`, and keeps the best likelihood.
-    Deterministic for a fixed config.
+    profiled likelihood is scanned coarse to fine on a log grid and
+    refined once around the best grid point (`_profile_scan`), whatever
+    `config.multistarts` and `config.seed` say; when every evaluation
+    fails, the `FitError` names the number of grid points evaluated.
+    An anisotropic linear fit runs L-BFGS-B from the center of the log
+    box plus `config.multistarts - 1` stratified starts drawn with
+    `config.seed`, and keeps the best likelihood.  Deterministic for a
+    fixed config.
 
     The objective scores the Gram of a `_Likelihood` built once per fit,
     which holds what the parameters do not change (the geometry of the
     grid nodes, or the distances between inputs).  It keeps the profiled
     (mu, sigma2, loglik) of the best evaluation of the whole search with
-    its exact parameters, and the fit is that kept winner: the model is
+    its exact parameters (of equal likelihoods, the one with the smaller
+    log parameters), and the fit is that kept winner: the model is
     built once, by `build_model` through `gram`, and carries the
     winner's profile, not a refit one.  An anisotropic fit may return a
     finite-difference point of L-BFGS-B when that evaluation had the
@@ -333,8 +360,10 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     from scipy.optimize import minimize
 
     likelihood = _Likelihood(inputs, y, family, premap, n_free > 1)
-    # the best evaluation so far: its exact parameters and (mu, s2, ll)
-    kept = {"x": None, "profile": (None, None, -np.inf)}
+    # the best evaluation so far: its exact parameters, (mu, s2, ll) and
+    # rank; a tie in ll goes to the smaller log parameters, so the winner
+    # does not depend on the order of the evaluations
+    kept = {"x": None, "profile": None, "rank": (-np.inf,)}
 
     def objective(p):
         spec = _make_spec(family, np.asarray(p), config, dim, 1.0,
@@ -343,8 +372,10 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
             profile = likelihood(spec)[:3]
         except (GramFactorizationError, FloatingPointError):
             return _FAILED
-        if profile[2] > kept["profile"][2]:
-            kept["x"], kept["profile"] = np.array(p, dtype=float), profile
+        x = np.array(p, dtype=float)
+        rank = (profile[2], tuple(-x))
+        if rank > kept["rank"]:
+            kept.update(x=x, profile=profile, rank=rank)
         return -profile[2]
 
     with warnings.catch_warnings():

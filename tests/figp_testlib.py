@@ -5,11 +5,13 @@ import math
 import os
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.spatial.distance import cdist
 
 import figp.kernels
 from figp import LINEAR, FunctionalInput, kernel_matrix, matern_psi, \
     sample_function
+from figp.gp import _FAILED, SCAN_STEP, SCAN_XATOL
 from figp.kernels import PREMAPS
 
 # basis for random smooth inputs on the unit square
@@ -37,6 +39,31 @@ def count_psi_triangles(monkeypatch):
 
     monkeypatch.setattr(figp.kernels, "_PsiTriangle", Counted)
     return builds
+
+
+def scan_grid(lo, hi):
+    """The log grid `figp.gp._profile_scan` searches on [lo, hi]."""
+    return np.linspace(lo, hi, int(round((hi - lo) / SCAN_STEP)) + 1)
+
+
+def full_profile_scan(objective, lo, hi):
+    """Reference for `figp.gp._profile_scan`: the same search, with every
+    point of its grid evaluated in order; returns the number of grid
+    points."""
+    grid = scan_grid(lo, hi)
+    values = [objective(np.array([t])) for t in grid]
+    i = int(np.argmin(values))
+    if not values[i] < _FAILED:
+        return grid.size
+    if i in (0, grid.size - 1):
+        inward = SCAN_XATOL if i == 0 else -SCAN_XATOL
+        if not objective(np.array([grid[i] + inward])) < values[i]:
+            return grid.size
+    minimize_scalar(
+        lambda t: objective(np.array([t])), method="bounded",
+        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+        options={"xatol": SCAN_XATOL})
+    return grid.size
 
 
 def kernel_entry(g1, g2, spec):

@@ -43,12 +43,12 @@ LOG_THETA_BOUNDS = (-3.0, 3.0)
 LOG_GAMMA_BOUNDS = (-5.0, 2.0)
 # One-parameter fits scan the profile on a log grid of this spacing (25
 # points for log theta, 29 for log gamma), coarse to fine with a stride
-# of SCAN_COARSE grid points (10 to 14 points evaluated when a coarse one
-# succeeds), then refine once in the two grid cells around the best point
-# to this absolute log tolerance, which is also how far inside a box edge
-# the edge probe looks.
+# of SCAN_COARSE grid points (at most 13 or 15 evaluated when the
+# profile is unimodal), then refine once in the two grid cells around
+# the best point to this absolute log tolerance, which is also how far
+# inside a box edge the edge probe looks.
 SCAN_STEP = 0.25
-SCAN_COARSE = 4
+SCAN_COARSE = 3
 SCAN_XATOL = 1e-5
 MAX_ITERS = 200  # L-BFGS-B iterations per start (anisotropic fits)
 
@@ -238,20 +238,28 @@ def _make_spec(family: str, params_log: np.ndarray, config: FitConfig,
 
 def _profile_scan(objective, lo: float, hi: float) -> int:
     """Search one log parameter on [lo, hi] for the minimum of
-    `objective`, which keeps its own best evaluation; returns the number
-    of grid points evaluated.
+    `objective(x, order)`, which keeps its own best evaluation and, of
+    equal values, the one of larger `order`, else the earlier; returns
+    the number of grid points evaluated.
 
     The grid has spacing SCAN_STEP.  The scan evaluates every
     SCAN_COARSE-th grid point and the last one, then the grid points
-    within one coarse step of the best of those, then runs one bounded
+    inside each coarse cell that borders a coarse local minimum (a coarse
+    point lower than the one before it and no higher than the one after
+    it) or lies between two failed coarse points, then runs one bounded
     Brent refinement over the two grid cells around the best grid point.
-    If every coarse point fails, it evaluates the whole grid instead.
+    So when every coarse point fails it evaluates the whole grid.
     Deterministic, and no grid point is evaluated twice.
 
-    When the profile on the grid is unimodal its best grid point lies
-    within one coarse step of the best coarse point, so the scan picks
-    the point a scan of the whole grid picks.  A dip narrower than one
-    coarse step, away from the best coarse point, can be missed.
+    Grid point j is evaluated with order -j and every other point with
+    order -(grid size), so of equal values the objective keeps what a
+    scan of the whole grid in ascending order keeps: the lowest grid
+    point, or else the earliest point off the grid.  Whenever the scan
+    evaluates the best point of the whole grid, its Brent refinement
+    and kept evaluation are that scan's.  It misses that point only when
+    it lies inside a coarse cell with no coarse local minimum at either
+    end (a dip narrower than one coarse step, beside a longer slope),
+    which a unimodal profile on the grid never has.
 
     Bounded Brent never evaluates an endpoint, so when the best grid
     point is an end of the box one probe SCAN_XATOL inside it decides:
@@ -260,30 +268,35 @@ def _profile_scan(objective, lo: float, hi: float) -> int:
     """
     grid = np.linspace(lo, hi, int(round((hi - lo) / SCAN_STEP)) + 1)
     last = grid.size - 1
-    values = np.full(grid.size, np.inf)  # inf until evaluated
-    seen = np.zeros(grid.size, dtype=bool)
+    values = np.full(grid.size, np.inf)  # inf where not evaluated
 
-    def scan(indices) -> int:
+    def evaluate(indices):
         for j in indices:
-            if not seen[j]:
-                seen[j] = True
-                values[j] = objective(np.array([grid[j]]))
-        return int(np.argmin(values))
+            values[j] = objective(np.array([grid[j]]), -j)
 
-    i = scan([*range(0, last, SCAN_COARSE), last])
-    i = scan(range(max(i - SCAN_COARSE, 0), min(i + SCAN_COARSE, last) + 1)
-             if values[i] < _FAILED else range(grid.size))
-    points = int(seen.sum())
+    coarse = [*range(0, last, SCAN_COARSE), last]
+    evaluate(coarse)
+    c = values[coarse]
+    fails = ~(c < _FAILED)
+    ends = np.concatenate([[np.inf], c, [np.inf]])  # c with inf beyond
+    lows = ~fails & (c < ends[:-2]) & (c <= ends[2:])  # local minima
+    fine = [j for k in range(len(coarse) - 1)
+            if lows[k] or lows[k + 1] or fails[k] and fails[k + 1]
+            for j in range(coarse[k] + 1, coarse[k + 1])]
+    evaluate(fine)
+    points = len(coarse) + len(fine)
+    i = int(np.argmin(values))
     if not values[i] < _FAILED:
         return points
+    off_grid = -grid.size
     if i in (0, last):
         inward = SCAN_XATOL if i == 0 else -SCAN_XATOL
-        if not objective(np.array([grid[i] + inward])) < values[i]:
+        if not objective(np.array([grid[i] + inward]), off_grid) < values[i]:
             return points
     from scipy.optimize import minimize_scalar  # `fit` has loaded it
 
     minimize_scalar(
-        lambda t: objective(np.array([t])), method="bounded",
+        lambda t: objective(np.array([t]), off_grid), method="bounded",
         bounds=(grid[max(i - 1, 0)], grid[min(i + 1, last)]),
         options={"xatol": SCAN_XATOL})
     return points
@@ -318,12 +331,12 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     which holds what the parameters do not change (the geometry of the
     grid nodes, or the distances between inputs).  It keeps the profiled
     (mu, sigma2, loglik) of the best evaluation of the whole search with
-    its exact parameters (of equal likelihoods, the one with the smaller
-    log parameters), and the fit is that kept winner: the model is
-    built once, by `build_model` through `gram`, and carries the
-    winner's profile, not a refit one.  An anisotropic fit may return a
-    finite-difference point of L-BFGS-B when that evaluation had the
-    highest likelihood.
+    its exact parameters (of equal likelihoods, the lowest grid point of
+    a one-parameter scan, else the earlier evaluation), and the fit is
+    that kept winner: the model is built once, by `build_model` through
+    `gram`, and carries the winner's profile, not a refit one.  An
+    anisotropic fit may return a finite-difference point of L-BFGS-B
+    when that evaluation had the highest likelihood.
 
     An explicit `nugget` is a fraction of the fitted variance: the model
     is sigma2_hat (R + nugget I), the covariance the search scored, so
@@ -361,21 +374,19 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
 
     likelihood = _Likelihood(inputs, y, family, premap, n_free > 1)
     # the best evaluation so far: its exact parameters, (mu, s2, ll) and
-    # rank; a tie in ll goes to the smaller log parameters, so the winner
-    # does not depend on the order of the evaluations
-    kept = {"x": None, "profile": None, "rank": (-np.inf,)}
+    # rank; of equal ll the larger `order` is kept, else the earlier
+    kept = {"x": None, "profile": None, "rank": (-np.inf, 0)}
 
-    def objective(p):
+    def objective(p, order=0):
         spec = _make_spec(family, np.asarray(p), config, dim, 1.0,
                           premap, nugget)
         try:
             profile = likelihood(spec)[:3]
         except (GramFactorizationError, FloatingPointError):
             return _FAILED
-        x = np.array(p, dtype=float)
-        rank = (profile[2], tuple(-x))
-        if rank > kept["rank"]:
-            kept.update(x=x, profile=profile, rank=rank)
+        if (profile[2], order) > kept["rank"]:
+            kept.update(x=np.array(p, dtype=float), profile=profile,
+                        rank=(profile[2], order))
         return -profile[2]
 
     with warnings.catch_warnings():

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .domain import FunctionalInput, _check_same_grid, _freeze
-from .errors import FigpError
+from .errors import FigpError, FitError
 from .gp import FitConfig, GPModel, fit, predict, select_kernel
 from .kernels import LINEAR, NONLINEAR
 
@@ -118,22 +118,22 @@ def fit_emulator(dataset: FieldDataset, threshold: float = 0.999,
 
     `family` None selects between linear and nonlinear per score by
     leave-one-out error; a family name fits that family to every score.
+    All k scores go through one `select_kernel` or `fit` call, so the
+    score fits share each family's Gram factorizations.  A failed score
+    fit raises FigpError naming its component (1-based).
     """
     if family not in (None, LINEAR, NONLINEAR):
         raise FigpError(f"unknown family {family!r}")
     components, scores, mean_field, ratios = pca_reduce(dataset, threshold)
-    models = []
-    for l in range(components.shape[0]):
-        try:
-            if family is None:
-                model, _ = select_kernel(dataset.inputs, scores[:, l],
-                                         config=config)
-            else:
-                model = fit(dataset.inputs, scores[:, l], family,
-                            config=config)
-        except FigpError as exc:
-            raise FigpError(f"fit failed for component {l + 1}: {exc}")
-        models.append(model)
+    try:
+        if family is None:
+            models = [model for model, _ in
+                      select_kernel(dataset.inputs, scores, config=config)]
+        else:
+            models = fit(dataset.inputs, scores, family, config=config)
+    except FitError as exc:
+        raise FigpError(f"fit failed for component {exc.column + 1}: "
+                        f"{exc}") from exc
     return PCAEmulator(mean_field, components, tuple(models), ratios,
                        dataset.field_shape)
 

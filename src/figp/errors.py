@@ -34,4 +34,14 @@ class GramFactorizationError(FigpError):
 
 
 class FitError(FigpError):
-    """Raised when hyperparameter estimation fails for every start."""
+    """Raised when hyperparameter estimation fails for every start.
+
+    Carries the index of the failed output column when the outputs were
+    given as columns of a 2-D array, else None.
+    """
+
+    def __init__(self, message, column=None):
+        if column is not None:
+            message = f"output column {column}: {message}"
+        super().__init__(message)
+        self.column = column

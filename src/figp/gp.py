@@ -134,10 +134,28 @@ def _profile(fact: GramFactorization, y: np.ndarray):
     return mu, s2, ll
 
 
+def _check_outputs(stage: str, y, n: int, columns: bool = False) -> np.ndarray:
+    """`y` as a float array of one output per input: shape (n,), or with
+    `columns` also (n, m), m >= 1 outputs on the same inputs.  The one
+    owner of the output checks; FigpError names `stage` and the cause
+    (a wrong shape or length, or a non-finite output)."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in ((1, 2) if columns else (1,)) or 0 in y.shape[1:]:
+        shapes = "(n,) or (n, m)" if columns else "(n,)"
+        raise FigpError(f"{stage}: outputs of shape {y.shape}; give shape "
+                        f"{shapes} for n = {n} inputs")
+    if y.shape[0] != n:
+        raise FigpError(f"{stage}: {y.shape[0]} outputs for {n} inputs; "
+                        "give one output per input")
+    if not np.isfinite(y).all():
+        raise FigpError(f"{stage}: outputs must be finite")
+    return y
+
+
 class _Likelihood:
-    """The profiled likelihood of one fit's data as a function of the
-    kernel's correlation parameters, with the work they do not change
-    done once, when the operator is built.
+    """The profiled likelihood on one set of inputs as a function of the
+    kernel's correlation parameters and of the outputs, with the work
+    neither changes done once, when the operator is built.
 
     Linear kernel: it holds the weighted premapped values B and, in one
     buffer, the geometry of Psi's upper triangle on the grid nodes (the
@@ -148,14 +166,22 @@ class _Likelihood:
     Nonlinear kernel: it holds the n x n L2 distances between the
     inputs, from the helper `kernel_matrix_and_diag` uses, so its Gram
     is bitwise `gram`'s too.
+
+    The Gram does not depend on the outputs, so with `shared` (for
+    several output columns fitted on the same inputs) the operator keeps
+    the factorization of each distinct unit-variance spec, or the
+    GramFactorizationError it raised, for as long as it lives: a column
+    that evaluates a spec another column has evaluated gets that very
+    factorization back, so its fit is bitwise the fit it would make
+    alone.
     """
 
-    def __init__(self, inputs: Sequence[FunctionalInput], y: np.ndarray,
-                 family: str, premap: Optional[str] = None,
-                 anisotropic: bool = False):
+    def __init__(self, inputs: Sequence[FunctionalInput], family: str,
+                 premap: Optional[str] = None, anisotropic: bool = False,
+                 shared: bool = False):
         inputs = list(inputs)
         grid = _shared_grid("likelihood", inputs=inputs)
-        self._y = y
+        self._memo = {} if shared else None
         if family == NONLINEAR:
             self._dist = _l2_distances(inputs, inputs, grid.weights)
             return
@@ -166,10 +192,7 @@ class _Likelihood:
             n_q, self._dim if anisotropic else 1,
             lambda i0, i1: _block_geometry(nodes, i0, i1, anisotropic))
 
-    def __call__(self, spec: KernelSpec):
-        """(mu, sigma2, loglik, factorization) of the data under the
-        unit-variance `spec`, whose family and premap are the
-        operator's."""
+    def _factorize(self, spec: KernelSpec) -> GramFactorization:
         with np.errstate(invalid="ignore"):  # a NaN fails in _factorize
             if spec.family == LINEAR:
                 _check_lengthscales(spec.base, self._dim)
@@ -178,29 +201,44 @@ class _Likelihood:
                 K = _gram_from(self._B, UB)
             else:
                 K = matern_psi(spec.gamma * self._dist, spec.base)
-        fact = _factorize(K, spec)
-        return (*_profile(fact, self._y), fact)
+        return _factorize(K, spec)
+
+    def __call__(self, spec: KernelSpec, y: np.ndarray):
+        """(mu, sigma2, loglik, factorization) of the outputs `y`, one
+        per input, under the unit-variance `spec`, whose family and
+        premap are the operator's."""
+        if self._memo is None:
+            fact = self._factorize(spec)
+        else:
+            if spec not in self._memo:
+                try:
+                    self._memo[spec] = self._factorize(spec)
+                except GramFactorizationError as exc:
+                    self._memo[spec] = exc
+            fact = self._memo[spec]
+            if isinstance(fact, GramFactorizationError):
+                raise fact.with_traceback(None)
+        return (*_profile(fact, y), fact)
 
 
 def log_marginal_likelihood(spec: KernelSpec, inputs: Sequence[FunctionalInput],
                             y) -> float:
-    """Profiled log marginal likelihood of the data under `spec`.
+    """Profiled log marginal likelihood of the outputs `y`, one per
+    input, under `spec`.
 
     The constant mean and the variance are profiled out, so the value
     depends only on the correlation parameters of `spec`.  It goes
     through `fit`'s operator (`_Likelihood`), whose Gram is bitwise the
-    one `gram` builds.
+    one `gram` builds.  `y` is checked as `fit` checks it: FigpError on a
+    length that does not match or a non-finite output.
     """
     inputs = list(inputs)
-    y = np.asarray(y, dtype=float)
+    y = _check_outputs("log_marginal_likelihood", y, len(inputs))
     if y.size < 2:
         raise FigpError("likelihood needs at least two observations")
-    if y.size != len(inputs):
-        raise FigpError(f"log_marginal_likelihood: {y.size} outputs for "
-                        f"{len(inputs)} inputs; give one output per input")
     anisotropic = len(set(spec.base.lengthscales)) > 1
-    likelihood = _Likelihood(inputs, y, spec.family, spec.premap, anisotropic)
-    return likelihood(spec.with_sigma2(1.0))[2]
+    likelihood = _Likelihood(inputs, spec.family, spec.premap, anisotropic)
+    return likelihood(spec.with_sigma2(1.0), y)[2]
 
 
 def build_model(spec: KernelSpec, inputs: Sequence[FunctionalInput], y,
@@ -212,11 +250,7 @@ def build_model(spec: KernelSpec, inputs: Sequence[FunctionalInput], y,
     spec's sigma2 is taken at face value; no fitting happens here.
     """
     inputs = list(inputs)
-    y = np.asarray(y, dtype=float)
-    if y.size != len(inputs):
-        raise FigpError("output length does not match the number of inputs")
-    if not np.all(np.isfinite(y)):
-        raise FigpError("outputs must be finite")
+    y = _check_outputs("build_model", y, len(inputs))
     fact = gram(inputs, spec)
     if mu is None:
         mu = _gls_mean(fact, y)
@@ -314,8 +348,15 @@ def _stratified_starts(n: int, lo: np.ndarray, hi: np.ndarray,
 
 def fit(inputs: Sequence[FunctionalInput], y, family: str,
         config: Optional[FitConfig] = None, premap: Optional[str] = None,
-        nugget: Optional[float] = None) -> GPModel:
+        nugget: Optional[float] = None):
     """Fit a surrogate of the given kernel family by maximum likelihood.
+
+    `y` holds one output per input, shape (n,), and the fit returns one
+    GPModel.  With shape (n, m), m outputs on the same inputs, it
+    returns a tuple of m models, each bitwise the model the fit of that
+    column alone returns; the columns share one `_Likelihood`, so a Gram
+    two columns evaluate at the same parameters is factorized once.  A
+    column whose fit fails raises its `FitError`, naming the column.
 
     With one free parameter (isotropic linear, or nonlinear) the
     profiled likelihood is scanned coarse to fine on a log grid and
@@ -327,32 +368,42 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     `config.seed`, and keeps the best likelihood.  Deterministic for a
     fixed config.
 
-    The objective scores the Gram of a `_Likelihood` built once per fit,
-    which holds what the parameters do not change (the geometry of the
-    grid nodes, or the distances between inputs).  It keeps the profiled
-    (mu, sigma2, loglik) of the best evaluation of the whole search with
-    its exact parameters (of equal likelihoods, the lowest grid point of
-    a one-parameter scan, else the earlier evaluation), and the fit is
-    that kept winner: the model is built once, by `build_model` through
-    `gram`, and carries the winner's profile, not a refit one.  An
-    anisotropic fit may return a finite-difference point of L-BFGS-B
-    when that evaluation had the highest likelihood.
+    The objective scores the Gram of a `_Likelihood` built once per
+    call, which holds what the parameters do not change (the geometry of
+    the grid nodes, or the distances between inputs).  Each column keeps
+    the profiled (mu, sigma2, loglik) of the best evaluation of its own
+    search with its exact parameters (of equal likelihoods, the lowest
+    grid point of a one-parameter scan, else the earlier evaluation), and
+    its fit is that kept winner: the operator is dropped, then each model
+    is built once, by `build_model` through `gram`, and carries the
+    winner's profile, not a refit one.  An anisotropic fit may return a
+    finite-difference point of L-BFGS-B when that evaluation had the
+    highest likelihood.
 
     An explicit `nugget` is a fraction of the fitted variance: the model
     is sigma2_hat (R + nugget I), the covariance the search scored, so
     `log_likelihood` is the model's own log-density.
     """
+    inputs = list(inputs)
+    y = _check_outputs("fit", y, len(inputs), columns=True)
+    results = _fit_columns(inputs, y, family, config, premap, nugget)
+    for result in results:
+        if not isinstance(result, GPModel):
+            raise result
+    return results[0] if y.ndim == 1 else tuple(results)
+
+
+def _fit_columns(inputs: Sequence[FunctionalInput], y: np.ndarray,
+                 family: str, config: Optional[FitConfig],
+                 premap: Optional[str], nugget: Optional[float]) -> list:
+    """`fit` of the checked outputs `y`, returning per column the GPModel
+    or the error its fit raised: for 1-D `y` the `FitError` or
+    `GramFactorizationError` as raised, for 2-D `y` a `FitError` naming
+    the column."""
     if config is None:
         config = FitConfig()
-    inputs = list(inputs)
     if len(inputs) < 2:
         raise FigpError("fitting needs at least two training points")
-    y = np.asarray(y, dtype=float)
-    if y.size != len(inputs):
-        raise FigpError("output length does not match the number of inputs")
-    if not np.all(np.isfinite(y)):
-        raise FigpError("outputs must be finite")
-
     dim = inputs[0].grid.domain.dim
     if family == LINEAR:
         n_free = dim if config.anisotropic else 1
@@ -372,45 +423,65 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     # fit_fine's peak RSS rose from 93 to 102 MB.
     from scipy.optimize import minimize
 
-    likelihood = _Likelihood(inputs, y, family, premap, n_free > 1)
-    # the best evaluation so far: its exact parameters, (mu, s2, ll) and
-    # rank; of equal ll the larger `order` is kept, else the earlier
-    kept = {"x": None, "profile": None, "rank": (-np.inf, 0)}
+    columns = [y] if y.ndim == 1 else np.ascontiguousarray(y.T)
+    likelihood = _Likelihood(inputs, family, premap, n_free > 1,
+                             shared=len(columns) > 1)
 
-    def objective(p, order=0):
-        spec = _make_spec(family, np.asarray(p), config, dim, 1.0,
-                          premap, nugget)
-        try:
-            profile = likelihood(spec)[:3]
-        except (GramFactorizationError, FloatingPointError):
-            return _FAILED
-        if (profile[2], order) > kept["rank"]:
-            kept.update(x=np.array(p, dtype=float), profile=profile,
-                        rank=(profile[2], order))
-        return -profile[2]
+    def search(y_col):
+        # the best evaluation so far: its exact parameters, (mu, s2, ll)
+        # and rank; of equal ll the larger `order` is kept, else the
+        # earlier
+        kept = {"x": None, "profile": None, "rank": (-np.inf, 0)}
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # nugget escalation during search
-        if n_free == 1:
-            points = _profile_scan(objective, lo[0], hi[0])
-            failure = f"the profile scan failed at all {points} points"
-        else:
-            starts = [0.5 * (lo + hi)]
-            if config.multistarts > 1:
-                starts.extend(_stratified_starts(config.multistarts - 1,
-                                                 lo, hi, config.seed))
-            for p0 in starts:
-                minimize(objective, np.asarray(p0), method="L-BFGS-B",
-                         bounds=box, options={"maxiter": MAX_ITERS})
-            failure = f"all {len(starts)} L-BFGS-B starts failed"
+        def objective(p, order=0):
+            spec = _make_spec(family, np.asarray(p), config, dim, 1.0,
+                              premap, nugget)
+            try:
+                profile = likelihood(spec, y_col)[:3]
+            except (GramFactorizationError, FloatingPointError):
+                return _FAILED
+            if (profile[2], order) > kept["rank"]:
+                kept.update(x=np.array(p, dtype=float), profile=profile,
+                            rank=(profile[2], order))
+            return -profile[2]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # nugget escalation during search
+            if n_free == 1:
+                points = _profile_scan(objective, lo[0], hi[0])
+                failure = f"the profile scan failed at all {points} points"
+            else:
+                starts = [0.5 * (lo + hi)]
+                if config.multistarts > 1:
+                    starts.extend(_stratified_starts(config.multistarts - 1,
+                                                     lo, hi, config.seed))
+                for p0 in starts:
+                    minimize(objective, np.asarray(p0), method="L-BFGS-B",
+                             bounds=box, options={"maxiter": MAX_ITERS})
+                failure = f"all {len(starts)} L-BFGS-B starts failed"
+        return kept["x"], kept["profile"], failure
+
+    searches = [search(y_col) for y_col in columns]
     del likelihood  # frees the hoisted geometry before the model's triangle
-    if kept["x"] is None:
-        raise FitError(f"{failure} for the {family} kernel")
-
-    mu, s2, ll = kept["profile"]
-    spec = _make_spec(family, kept["x"], config, dim, s2, premap,
-                      None if nugget is None else nugget * s2)
-    return replace(build_model(spec, inputs, y, mu=mu), log_likelihood=ll)
+    results = []
+    for j, (y_col, (x, profile, failure)) in enumerate(zip(columns,
+                                                           searches)):
+        column = None if y.ndim == 1 else j
+        if x is None:
+            results.append(FitError(f"{failure} for the {family} kernel",
+                                    column))
+            continue
+        mu, s2, ll = profile
+        spec = _make_spec(family, x, config, dim, s2, premap,
+                          None if nugget is None else nugget * s2)
+        try:
+            model = build_model(spec, inputs, y_col, mu=mu)
+        except GramFactorizationError as exc:
+            results.append(exc if column is None else
+                           FitError(str(exc), column))
+            continue
+        results.append(replace(model, log_likelihood=ll))
+    return results
 
 
 def predict(model: GPModel, g: FunctionalInput) -> Tuple[float, float]:
@@ -495,26 +566,45 @@ def select_kernel(inputs: Sequence[FunctionalInput], y,
 
     Returns (best_model, report) where the report lists one
     `selection_entry` per family, tagged with its family and whether it
-    was selected; `select_family` breaks ties.  A family whose fit fails
-    is skipped with a warning unless every family fails.
+    was selected; `select_family` breaks ties.  With `y` of shape
+    (n, m) it returns a tuple of m such pairs, each bitwise the pair the
+    call on that column alone returns; each family fits all columns
+    through one `_Likelihood`, as `fit` does.
+
+    The outputs and the family names are checked before any fit, and a
+    bad one raises FigpError naming it.  A family whose fit raises
+    `FitError` or `GramFactorizationError` is skipped with a warning;
+    when every family fails for a column, the `FitError` names that
+    column (for 2-D `y`).
     """
     if len(families) < 1:
         raise FigpError("select_kernel needs at least one candidate family")
-    report = []
-    models = {}
     for family in families:
-        try:
-            model = fit(inputs, y, family, config=config, premap=premap,
-                        nugget=nugget)
-        except (FitError, GramFactorizationError, FigpError) as exc:
-            warnings.warn(f"{family} kernel fit failed: {exc}", stacklevel=2)
-            continue
-        models[family] = model
-        report.append({"family": family,
-                       **selection_entry(model, loocv_error(model))})
-    if not models:
-        raise FitError("every candidate kernel family failed to fit")
-    best = select_family({e["family"]: e["loocv"] for e in report})
-    for e in report:
-        e["selected"] = e["family"] == best
-    return models[best], report
+        if family not in (LINEAR, NONLINEAR):
+            raise FigpError(f"select_kernel: unknown kernel family "
+                            f"{family!r}; known: {LINEAR}, {NONLINEAR}")
+    inputs = list(inputs)
+    y = _check_outputs("select_kernel", y, len(inputs), columns=True)
+    m = 1 if y.ndim == 1 else y.shape[1]
+    models = [{} for _ in range(m)]
+    reports = [[] for _ in range(m)]
+    for family in families:
+        results = _fit_columns(inputs, y, family, config, premap, nugget)
+        for j, model in enumerate(results):
+            if not isinstance(model, GPModel):
+                warnings.warn(f"{family} kernel fit failed: {model}",
+                              stacklevel=2)
+                continue
+            models[j][family] = model
+            reports[j].append({"family": family,
+                               **selection_entry(model, loocv_error(model))})
+    selections = []
+    for j, report in enumerate(reports):
+        if not report:
+            raise FitError("every candidate kernel family failed to fit",
+                           None if y.ndim == 1 else j)
+        best = select_family({e["family"]: e["loocv"] for e in report})
+        for e in report:
+            e["selected"] = e["family"] == best
+        selections.append((models[j][best], report))
+    return selections[0] if y.ndim == 1 else tuple(selections)

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from figp import (FieldDataset, FigpError, FitConfig, LINEAR, l2_inner,
-                  field_mape, fit_emulator, pca_reduce, predict_field,
-                  sample_function)
+import figp.gp
+from figp import (FieldDataset, FigpError, FitConfig, GramFactorizationError,
+                  LINEAR, l2_inner, field_mape, fit, fit_emulator, pca_reduce,
+                  predict_field, sample_function, select_kernel)
 
 from figp_testlib import random_poly_inputs
 
@@ -166,3 +168,36 @@ def test_field_mape_values_and_exclusions():
         field_mape(np.zeros(3), np.zeros(3))
     with pytest.raises(FigpError):
         field_mape(np.zeros(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("family", [None, LINEAR])
+def test_fit_emulator_score_models_are_the_one_score_fits(square_grid, family):
+    ds, _, _ = _synthetic_dataset(square_grid, (0.8, 0.15, 0.05))
+    em = fit_emulator(ds, threshold=1.0, family=family)
+    _, scores, _, _ = pca_reduce(ds, 1.0)
+    for l, model in enumerate(em.score_models):
+        alone = (select_kernel(ds.inputs, scores[:, l])[0] if family is None
+                 else fit(ds.inputs, scores[:, l], family))
+        assert model.spec == alone.spec
+        assert (model.mu_hat, model.log_likelihood) == \
+            (alone.mu_hat, alone.log_likelihood)
+        assert model.alpha.tobytes() == alone.alpha.tobytes()
+
+
+@pytest.mark.parametrize("family", [None, LINEAR])
+def test_fit_emulator_names_the_component_whose_fit_fails(square_grid, family,
+                                                          monkeypatch):
+    ds, _, _ = _synthetic_dataset(square_grid, (0.8, 0.15, 0.05))
+    target = pca_reduce(ds, 1.0)[1][:, 1]
+    real = figp.gp._Likelihood.__call__
+
+    def failing(self, spec, y):  # every evaluation of score 2 fails
+        if np.array_equal(y, target):
+            raise GramFactorizationError("forced failure")
+        return real(self, spec, y)
+
+    monkeypatch.setattr(figp.gp._Likelihood, "__call__", failing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # select_kernel's per-family warnings
+        with pytest.raises(FigpError, match="fit failed for component 2: "):
+            fit_emulator(ds, threshold=1.0, family=family)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import figp.gp
 import figp.kernels
-from figp import (Domain, FigpError, FitConfig, FunctionalInput,
+from figp import (Domain, FigpError, FitConfig, FitError, FunctionalInput,
                   GramFactorizationError, GridMismatchError, KernelSpec,
                   LINEAR, MaternParams, NONLINEAR, build_grid, build_model,
                   fit, gram, kernel_matrix, log_marginal_likelihood,
@@ -334,9 +335,9 @@ def test_fit_keeps_the_lowest_grid_point_of_a_flat_profile(family,
     real = figp.gp._Likelihood.__call__
     top = math.exp(0.4)
 
-    def plateau(self, spec):
+    def plateau(self, spec, y):
         param = spec.base.lengthscales[0] if family == LINEAR else spec.gamma
-        mu, s2, _, fact = real(self, spec)
+        mu, s2, _, fact = real(self, spec, y)
         return mu, s2, min(param, top), fact
 
     monkeypatch.setattr(figp.gp._Likelihood, "__call__", plateau)
@@ -355,8 +356,8 @@ def test_anisotropic_fit_keeps_the_earliest_of_equal_likelihoods(
     # stratified starts (and the finite-difference points) tie with it
     real = figp.gp._Likelihood.__call__
 
-    def flat(self, spec):
-        mu, s2, _, fact = real(self, spec)
+    def flat(self, spec, y):
+        mu, s2, _, fact = real(self, spec, y)
         return mu, s2, 0.0, fact
 
     monkeypatch.setattr(figp.gp._Likelihood, "__call__", flat)
@@ -375,8 +376,8 @@ def test_fit_profile_is_bitwise_the_refit_profile(name, family, anisotropic,
     y = bench_outputs[name]
     model = fit(bench_inputs, y, family,
                 FitConfig(anisotropic=anisotropic, multistarts=2))
-    likelihood = _Likelihood(bench_inputs, y, family, None, anisotropic)
-    mu, s2, ll, _ = likelihood(model.spec.with_sigma2(1.0))
+    likelihood = _Likelihood(bench_inputs, family, None, anisotropic)
+    mu, s2, ll, _ = likelihood(model.spec.with_sigma2(1.0), y)
     assert (model.mu_hat, model.sigma2_hat, model.log_likelihood) == \
         (mu, s2, ll)
 
@@ -394,9 +395,8 @@ def test_search_gram_is_the_model_gram_up_to_round_off(spec, anisotropic,
                                                        bench_outputs):
     # both sum the Gram by one product on Psi's upper triangle
     y = bench_outputs["f2"]
-    likelihood = _Likelihood(bench_inputs, y, LINEAR, spec.premap,
-                             anisotropic)
-    got = likelihood(spec)[3]
+    likelihood = _Likelihood(bench_inputs, LINEAR, spec.premap, anisotropic)
+    got = likelihood(spec, y)[3]
     want = gram(bench_inputs, spec)
     assert got.gram.tobytes() == want.gram.tobytes()
     assert got.chol.tobytes() == want.chol.tobytes()
@@ -409,7 +409,7 @@ def test_nonlinear_search_gram_is_bitwise_the_model_gram(nugget, bench_inputs,
                                                          bench_outputs):
     spec = KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=0.7,
                       nugget=nugget)
-    got = _Likelihood(bench_inputs, bench_outputs["f3"], NONLINEAR)(spec)[3]
+    got = _Likelihood(bench_inputs, NONLINEAR)(spec, bench_outputs["f3"])[3]
     want = gram(bench_inputs, spec)
     assert got.gram.tobytes() == want.gram.tobytes()
     assert got.chol.tobytes() == want.chol.tobytes()
@@ -727,3 +727,184 @@ def test_select_family_tie_goes_to_linear():
 def test_select_kernel_rejects_empty_family_list(bench_inputs, bench_outputs):
     with pytest.raises(FigpError):
         select_kernel(bench_inputs, bench_outputs["f1"], families=())
+
+
+def _same_model(a, b):
+    """Bitwise equal fits: spec, profile and the model's solve."""
+    return _same_fit(a, b) and a.alpha.tobytes() == b.alpha.tobytes()
+
+
+def _columns(outputs):
+    """f1, f2 and f3 as the columns of one (n, 3) output array."""
+    return np.column_stack([outputs[name] for name in ("f1", "f2", "f3")])
+
+
+@pytest.mark.parametrize("family,kwargs", [
+    (LINEAR, {}),
+    (NONLINEAR, {}),
+    (LINEAR, {"config": FitConfig(anisotropic=True, multistarts=2)}),
+    (LINEAR, {"premap": "square"}),
+    (NONLINEAR, {"nugget": 1e-3}),
+], ids=["linear", "nonlinear", "anisotropic", "premap", "nugget"])
+def test_columns_fit_bitwise_as_their_one_column_fits(family, kwargs,
+                                                      bench_inputs,
+                                                      bench_outputs):
+    Y = _columns(bench_outputs)
+    models = fit(bench_inputs, Y, family, **kwargs)
+    assert isinstance(models, tuple) and len(models) == 3
+    for j, model in enumerate(models):
+        alone = fit(bench_inputs, Y[:, j], family, **kwargs)
+        assert _same_model(model, alone), j
+        assert model.y.tobytes() == alone.y.tobytes()
+
+
+def test_columns_fit_random_data_bitwise_as_their_one_column_fits():
+    grid = build_grid(Domain(((0.0, 1.0), (0.0, 1.0))), 12)
+    x1, x2 = grid.nodes.T
+    basis = np.column_stack([np.cos(np.pi * (j * x1 + 0.5 * k * x2))
+                             for j in range(4) for k in range(4)])
+    for seed in range(30):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(4, 16))
+        inputs = [FunctionalInput(grid, basis @ rng.standard_normal(16))
+                  for _ in range(n)]
+        a, b = rng.standard_normal((2, 3))
+        Y = np.array([grid.weights @ (a[:, None] * g.values
+                                      + b[:, None] * g.values ** 2).T
+                      for g in inputs])
+        for family in (LINEAR, NONLINEAR):
+            models = fit(inputs, Y, family)
+            for j in range(3):
+                assert _same_model(models[j], fit(inputs, Y[:, j], family)), \
+                    (seed, family, j)
+
+
+def test_columns_fit_factorizes_each_distinct_gram_once(bench_inputs,
+                                                        bench_outputs,
+                                                        monkeypatch):
+    real = figp.gp._Likelihood._factorize
+    specs = []
+
+    def recording(self, spec):
+        specs.append(spec)
+        return real(self, spec)
+
+    monkeypatch.setattr(figp.gp._Likelihood, "_factorize", recording)
+    Y = _columns(bench_outputs)
+    for j in range(3):
+        fit(bench_inputs, Y[:, j], LINEAR)
+    alone = list(specs)
+    specs.clear()
+    fit(bench_inputs, Y, LINEAR)
+    # 12, 14 and 14 evaluations alone, on 15 distinct grid points
+    assert len(alone) == 40
+    assert sorted(specs, key=repr) == sorted(set(alone), key=repr)
+    assert len(specs) == 15
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_fit_shares_a_memo_only_across_columns_and_frees_it(columns,
+                                                           bench_inputs,
+                                                           bench_outputs,
+                                                           monkeypatch):
+    real_call = figp.gp._Likelihood.__call__
+    real_build = figp.gp.build_model
+    memos, live = [], []
+
+    def recording(self, spec, y):
+        memos.append(self._memo)
+        return real_call(self, spec, y)
+
+    def checking(*args, **kwargs):
+        gc.collect()
+        live.append(sum(isinstance(o, _Likelihood) for o in gc.get_objects()))
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(figp.gp._Likelihood, "__call__", recording)
+    monkeypatch.setattr(figp.gp, "build_model", checking)
+    y = _columns(bench_outputs)[:, :columns]
+    fit(bench_inputs, y[:, 0] if columns == 1 else y, NONLINEAR)
+    if columns == 1:
+        assert all(memo is None for memo in memos)
+    else:
+        assert len({id(memo) for memo in memos}) == 1
+        assert isinstance(memos[0], dict) and memos[0]
+    assert live == [0] * columns
+
+
+def _fail_for_output(target, monkeypatch):
+    """From here on, every likelihood evaluation of outputs equal to
+    `target` fails, as a Gram that cannot be factorized does."""
+    real = figp.gp._Likelihood.__call__
+
+    def failing(self, spec, y):
+        if np.array_equal(y, target):
+            raise GramFactorizationError("forced failure")
+        return real(self, spec, y)
+
+    monkeypatch.setattr(figp.gp._Likelihood, "__call__", failing)
+
+
+def test_columns_fit_and_selection_name_the_column_that_fails(bench_inputs,
+                                                             bench_outputs,
+                                                             monkeypatch):
+    Y = _columns(bench_outputs)
+    _fail_for_output(Y[:, 1], monkeypatch)
+    with pytest.raises(FitError, match="output column 1: the profile scan "
+                                       "failed") as info:
+        fit(bench_inputs, Y, NONLINEAR)
+    assert info.value.column == 1
+    with pytest.warns(UserWarning, match="kernel fit failed: output column 1"):
+        with pytest.raises(FitError, match="output column 1: every "
+                                           "candidate") as info:
+            select_kernel(bench_inputs, Y)
+    assert info.value.column == 1
+    with pytest.raises(FitError) as info:
+        fit(bench_inputs, Y[:, 1], NONLINEAR)
+    assert info.value.column is None
+
+
+def test_select_kernel_pairs_are_the_one_column_pairs(bench_inputs,
+                                                      bench_outputs):
+    Y = _columns(bench_outputs)
+    pairs = select_kernel(bench_inputs, Y)
+    assert len(pairs) == 3
+    for j, (model, report) in enumerate(pairs):
+        alone, want = select_kernel(bench_inputs, Y[:, j])
+        assert _same_model(model, alone) and report == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda ins, y: fit(ins, y, LINEAR),
+    lambda ins, y: select_kernel(ins, y),
+    lambda ins, y: build_model(_unit_spec(NONLINEAR, 0.0), ins, y),
+    lambda ins, y: log_marginal_likelihood(_unit_spec(NONLINEAR, 0.0), ins, y),
+], ids=["fit", "select_kernel", "build_model", "log_marginal_likelihood"])
+def test_every_entry_point_checks_its_outputs_alike(call, bench_inputs):
+    ins = bench_inputs[:4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no fit runs before the check
+        with pytest.raises(FigpError, match="outputs must be finite"):
+            call(ins, [1.0, 2.0, np.nan, 3.0])
+        with pytest.raises(FigpError, match="3 outputs for 4 inputs"):
+            call(ins, [1.0, 2.0, 3.0])
+        with pytest.raises(FigpError, match=r"outputs of shape \(4, 0\)"):
+            call(ins, np.zeros((4, 0)))
+        with pytest.raises(FigpError, match="outputs of shape"):
+            call(ins, 1.0)
+
+
+@pytest.mark.parametrize("call", [build_model, log_marginal_likelihood],
+                         ids=["build_model", "log_marginal_likelihood"])
+def test_one_model_entry_points_reject_output_columns(call, bench_inputs):
+    with pytest.raises(FigpError, match=r"outputs of shape \(8, 2\)"):
+        call(_unit_spec(NONLINEAR, 0.0), bench_inputs, np.ones((8, 2)))
+
+
+def test_select_kernel_rejects_an_unknown_family_before_fitting(
+        bench_inputs, bench_outputs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FigpError, match="unknown kernel family 'bogus'"):
+            select_kernel(bench_inputs, bench_outputs["f1"],
+                          families=(LINEAR, "bogus"))

@@ -571,18 +571,21 @@ def select_kernel(inputs: Sequence[FunctionalInput], y,
     call on that column alone returns; each family fits all columns
     through one `_Likelihood`, as `fit` does.
 
-    The outputs and the family names are checked before any fit, and a
-    bad one raises FigpError naming it.  A family whose fit raises
+    The outputs and the family names (known, none twice) are checked
+    before any fit, and a bad one raises FigpError naming it.  A family whose fit raises
     `FitError` or `GramFactorizationError` is skipped with a warning;
     when every family fails for a column, the `FitError` names that
     column (for 2-D `y`).
     """
     if len(families) < 1:
         raise FigpError("select_kernel needs at least one candidate family")
-    for family in families:
+    for k, family in enumerate(families):
         if family not in (LINEAR, NONLINEAR):
             raise FigpError(f"select_kernel: unknown kernel family "
                             f"{family!r}; known: {LINEAR}, {NONLINEAR}")
+        if family in families[:k]:
+            raise FigpError(f"select_kernel: family {family!r} is listed "
+                            "twice")
     inputs = list(inputs)
     y = _check_outputs("select_kernel", y, len(inputs), columns=True)
     m = 1 if y.ndim == 1 else y.shape[1]

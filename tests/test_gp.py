@@ -901,10 +901,14 @@ def test_one_model_entry_points_reject_output_columns(call, bench_inputs):
         call(_unit_spec(NONLINEAR, 0.0), bench_inputs, np.ones((8, 2)))
 
 
-def test_select_kernel_rejects_an_unknown_family_before_fitting(
+def test_select_kernel_rejects_a_bad_family_list_before_fitting(
         bench_inputs, bench_outputs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FigpError, match="unknown kernel family 'bogus'"):
             select_kernel(bench_inputs, bench_outputs["f1"],
                           families=(LINEAR, "bogus"))
+        # two report rows of one family would both be marked selected
+        with pytest.raises(FigpError, match="'linear' is listed twice"):
+            select_kernel(bench_inputs, bench_outputs["f1"],
+                          families=[LINEAR, NONLINEAR, LINEAR])

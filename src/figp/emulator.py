@@ -133,7 +133,7 @@ def fit_emulator(dataset: FieldDataset, threshold: float = 0.999,
             models = fit(dataset.inputs, scores, family, config=config)
     except FitError as exc:
         raise FigpError(f"fit failed for component {exc.column + 1}: "
-                        f"{exc}") from exc
+                        f"{exc.reason}") from exc
     return PCAEmulator(mean_field, components, tuple(models), ratios,
                        dataset.field_shape)
 

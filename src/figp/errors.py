@@ -37,10 +37,12 @@ class FitError(FigpError):
     """Raised when hyperparameter estimation fails for every start.
 
     Carries the index of the failed output column when the outputs were
-    given as columns of a 2-D array, else None.
+    given as columns of a 2-D array, else None, and in `reason` the
+    message without the column.
     """
 
     def __init__(self, message, column=None):
+        self.reason = message
         if column is not None:
             message = f"output column {column}: {message}"
         super().__init__(message)

@@ -167,21 +167,20 @@ class _Likelihood:
     inputs, from the helper `kernel_matrix_and_diag` uses, so its Gram
     is bitwise `gram`'s too.
 
-    The Gram does not depend on the outputs, so with `shared` (for
-    several output columns fitted on the same inputs) the operator keeps
-    the factorization of each distinct unit-variance spec, or the
+    The Gram does not depend on the outputs, so the operator keeps the
+    factorization of each distinct unit-variance spec, or the
     GramFactorizationError it raised, for as long as it lives: a column
     that evaluates a spec another column has evaluated gets that very
     factorization back, so its fit is bitwise the fit it would make
-    alone.
+    alone.  `fit` drops the operator, memo and all, before the models
+    build.
     """
 
     def __init__(self, inputs: Sequence[FunctionalInput], family: str,
-                 premap: Optional[str] = None, anisotropic: bool = False,
-                 shared: bool = False):
+                 premap: Optional[str] = None, anisotropic: bool = False):
         inputs = list(inputs)
         grid = _shared_grid("likelihood", inputs=inputs)
-        self._memo = {} if shared else None
+        self._memo = {}
         if family == NONLINEAR:
             self._dist = _l2_distances(inputs, inputs, grid.weights)
             return
@@ -207,17 +206,14 @@ class _Likelihood:
         """(mu, sigma2, loglik, factorization) of the outputs `y`, one
         per input, under the unit-variance `spec`, whose family and
         premap are the operator's."""
-        if self._memo is None:
-            fact = self._factorize(spec)
-        else:
-            if spec not in self._memo:
-                try:
-                    self._memo[spec] = self._factorize(spec)
-                except GramFactorizationError as exc:
-                    self._memo[spec] = exc
-            fact = self._memo[spec]
-            if isinstance(fact, GramFactorizationError):
-                raise fact.with_traceback(None)
+        if spec not in self._memo:
+            try:
+                self._memo[spec] = self._factorize(spec)
+            except GramFactorizationError as exc:
+                self._memo[spec] = exc
+        fact = self._memo[spec]
+        if isinstance(fact, GramFactorizationError):
+            raise fact.with_traceback(None)
         return (*_profile(fact, y), fact)
 
 
@@ -424,8 +420,7 @@ def _fit_columns(inputs: Sequence[FunctionalInput], y: np.ndarray,
     from scipy.optimize import minimize
 
     columns = [y] if y.ndim == 1 else np.ascontiguousarray(y.T)
-    likelihood = _Likelihood(inputs, family, premap, n_free > 1,
-                             shared=len(columns) > 1)
+    likelihood = _Likelihood(inputs, family, premap, n_free > 1)
 
     def search(y_col):
         # the best evaluation so far: its exact parameters, (mu, s2, ll)
@@ -462,7 +457,7 @@ def _fit_columns(inputs: Sequence[FunctionalInput], y: np.ndarray,
         return kept["x"], kept["profile"], failure
 
     searches = [search(y_col) for y_col in columns]
-    del likelihood  # frees the hoisted geometry before the model's triangle
+    del likelihood  # frees the geometry and memo before the model's triangle
     results = []
     for j, (y_col, (x, profile, failure)) in enumerate(zip(columns,
                                                            searches)):
@@ -572,10 +567,11 @@ def select_kernel(inputs: Sequence[FunctionalInput], y,
     through one `_Likelihood`, as `fit` does.
 
     The outputs and the family names (known, none twice) are checked
-    before any fit, and a bad one raises FigpError naming it.  A family whose fit raises
-    `FitError` or `GramFactorizationError` is skipped with a warning;
-    when every family fails for a column, the `FitError` names that
-    column (for 2-D `y`).
+    before any fit, and a bad one raises FigpError naming it.  A family
+    whose fit raises `FitError` or `GramFactorizationError` is skipped
+    with a warning; when every family fails for a column, the
+    `FitError` names that column (for 2-D `y`).  `premap` applies to
+    the linear family; the nonlinear family is fitted without it.
     """
     if len(families) < 1:
         raise FigpError("select_kernel needs at least one candidate family")

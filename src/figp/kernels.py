@@ -330,6 +330,8 @@ def _values_matrix(inputs: List[FunctionalInput],
     V = np.column_stack([g.values for g in inputs])
     if premap in (None, "identity"):
         return V
+    if premap not in PREMAPS:
+        raise FigpError(f"unknown premap {premap!r}; known: {sorted(PREMAPS)}")
     V = PREMAPS[premap](V)
     if not np.isfinite(V).all():
         raise FigpError(f"premap {premap!r} produced non-finite values")

@@ -196,6 +196,21 @@ def test_select_kernel_json_deterministic(workdir, train_file, capsys):
     assert len(report["table"]) == 2
 
 
+def test_select_kernel_with_a_premap_selects_the_linear_model(workdir,
+                                                             capsys):
+    grid = build_grid(Domain(((0.0, 1.0), (0.0, 1.0))), 12)
+    inputs = [sample_function(e, grid) for e in TRAINING_EXPRESSIONS]
+    y = np.array([l2_inner(g, g) for g in inputs])
+    save_training_data(str(workdir / "train_sq.json"), grid, inputs, y)
+    assert cli_dispatch(["select-kernel", "--train", "train_sq.json",
+                         "--premap", "square", "--out", "best.json",
+                         "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["selected"] == "linear"
+    assert [e["family"] for e in report["table"]] == ["linear", "nonlinear"]
+    assert load_model("best.json").spec.premap == "square"
+
+
 def test_select_kernel_saves_model(workdir, train_file, capsys):
     rc = cli_dispatch(["select-kernel", "--train", str(train_file),
                        "--multistarts", "2", "--out", "best.json"])

@@ -199,5 +199,7 @@ def test_fit_emulator_names_the_component_whose_fit_fails(square_grid, family,
     monkeypatch.setattr(figp.gp._Likelihood, "__call__", failing)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # select_kernel's per-family warnings
-        with pytest.raises(FigpError, match="fit failed for component 2: "):
+        with pytest.raises(FigpError, match="fit failed for component 2: ") \
+                as info:
             fit_emulator(ds, threshold=1.0, family=family)
+    assert "column" not in str(info.value)  # one failure, one number

@@ -803,10 +803,10 @@ def test_columns_fit_factorizes_each_distinct_gram_once(bench_inputs,
 
 
 @pytest.mark.parametrize("columns", [1, 3])
-def test_fit_shares_a_memo_only_across_columns_and_frees_it(columns,
-                                                           bench_inputs,
-                                                           bench_outputs,
-                                                           monkeypatch):
+def test_fit_shares_one_memo_across_columns_and_frees_it(columns,
+                                                        bench_inputs,
+                                                        bench_outputs,
+                                                        monkeypatch):
     real_call = figp.gp._Likelihood.__call__
     real_build = figp.gp.build_model
     memos, live = [], []
@@ -824,11 +824,8 @@ def test_fit_shares_a_memo_only_across_columns_and_frees_it(columns,
     monkeypatch.setattr(figp.gp, "build_model", checking)
     y = _columns(bench_outputs)[:, :columns]
     fit(bench_inputs, y[:, 0] if columns == 1 else y, NONLINEAR)
-    if columns == 1:
-        assert all(memo is None for memo in memos)
-    else:
-        assert len({id(memo) for memo in memos}) == 1
-        assert isinstance(memos[0], dict) and memos[0]
+    assert len({id(memo) for memo in memos}) == 1
+    assert isinstance(memos[0], dict) and memos[0]
     assert live == [0] * columns
 
 
@@ -912,3 +909,27 @@ def test_select_kernel_rejects_a_bad_family_list_before_fitting(
         with pytest.raises(FigpError, match="'linear' is listed twice"):
             select_kernel(bench_inputs, bench_outputs["f1"],
                           families=[LINEAR, NONLINEAR, LINEAR])
+
+
+def test_select_kernel_fits_the_nonlinear_family_without_the_premap(
+        bench_inputs):
+    y = np.array([float(g.grid.weights @ g.values ** 2)
+                  for g in bench_inputs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no family is skipped
+        best, report = select_kernel(bench_inputs, y, premap="square")
+    assert [e["family"] for e in report] == [LINEAR, NONLINEAR]
+    assert best.spec.family == LINEAR and best.spec.premap == "square"
+    assert _same_model(best, fit(bench_inputs, y, LINEAR, premap="square"))
+    nonlinear = fit(bench_inputs, y, NONLINEAR)
+    assert nonlinear.spec.premap is None
+    assert report[1]["log_likelihood"] == nonlinear.log_likelihood
+
+
+def test_an_unknown_premap_raises_before_fitting(bench_inputs, bench_outputs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FigpError, match="unknown premap 'bogus'"):
+            fit(bench_inputs, bench_outputs["f1"], LINEAR, premap="bogus")
+        with pytest.raises(FigpError, match="unknown premap 'bogus'"):
+            select_kernel(bench_inputs, bench_outputs["f1"], premap="bogus")

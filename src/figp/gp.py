@@ -107,28 +107,29 @@ class GPModel:
         return self.spec.base.sigma2
 
 
-def _gls_mean(fact: GramFactorization, y: np.ndarray) -> float:
-    """The generalized-least-squares mean 1^T K^-1 y / 1^T K^-1 1 of y
-    under the factorized Gram K."""
-    one = np.ones(y.size)
-    denom = float(one @ fact.solve(one))
-    if denom <= 0:
-        raise GramFactorizationError("degenerate correlation matrix")
-    return float(one @ fact.solve(y)) / denom
+def _gls(fact: GramFactorization, y: np.ndarray) -> Tuple[float, float]:
+    """The GLS mean mu = 1^T K^-1 y / 1^T K^-1 1 of y under the factorized
+    Gram K = L L^T and the residual sum of squares |L^-1 (y - mu 1)|^2,
+    from w1 = L^-1 1 and wy = L^-1 y.  The residual wy - mu w1 is squared
+    once formed: |wy|^2 - (w1.wy)^2 / |w1|^2 would cancel digits."""
+    w1 = fact.whiten(np.ones(y.size))
+    wy = fact.whiten(y)
+    mu = float(w1 @ wy) / float(w1 @ w1)
+    r = wy - mu * w1
+    return mu, float(np.sum(r * r))
 
 
 def _profile(fact: GramFactorization, y: np.ndarray):
     """Profiled mean and variance given a factorized correlation matrix.
 
     Treats `fact` as the unit-variance Gram R; returns (mu, s2, loglik)
-    where loglik is the profiled log marginal likelihood.
+    where loglik is the profiled log marginal likelihood, from `_gls`:
+    two forward substitutions with R's factor, no back substitution.
     """
     n = y.size
-    mu = _gls_mean(fact, y)
-    r = y - mu
-    s2 = float(r @ fact.solve(r)) / n
+    mu, rss = _gls(fact, y)
     # floor keeps the degenerate constant-y case finite
-    s2 = max(s2, 1e-12 * max(1.0, float(np.mean(y * y))))
+    s2 = max(rss / n, 1e-12 * max(1.0, float(np.mean(y * y))))
     ll = -0.5 * n * math.log(s2) - 0.5 * fact.log_det \
         - 0.5 * n * (1.0 + math.log(2.0 * math.pi))
     return mu, s2, ll
@@ -249,7 +250,7 @@ def build_model(spec: KernelSpec, inputs: Sequence[FunctionalInput], y,
     y = _check_outputs("build_model", y, len(inputs))
     fact = gram(inputs, spec)
     if mu is None:
-        mu = _gls_mean(fact, y)
+        mu = _gls(fact, y)[0]
     alpha = fact.solve_refined(y - mu)
     return GPModel(spec, inputs, y, float(mu), fact, alpha)
 
@@ -378,8 +379,13 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
 
     An explicit `nugget` is a fraction of the fitted variance: the model
     is sigma2_hat (R + nugget I), the covariance the search scored, so
-    `log_likelihood` is the model's own log-density.
+    `log_likelihood` is the model's own log-density.  `premap` applies
+    to the linear family; given with the nonlinear one it raises
+    FigpError.
     """
+    if family == NONLINEAR and premap is not None:
+        raise FigpError(f"fit: premap {premap!r} applies to the linear "
+                        "kernel only; fit the nonlinear family without one")
     inputs = list(inputs)
     y = _check_outputs("fit", y, len(inputs), columns=True)
     results = _fit_columns(inputs, y, family, config, premap, nugget)
@@ -495,7 +501,9 @@ def predict_many(model: GPModel, inputs: Sequence[FunctionalInput]):
     `inputs` must be non-empty (FigpError) and share the training grid
     (GridMismatchError otherwise).  The kernel quantities are formed
     once for the whole batch, for a linear model built by `build_model`
-    from the triangle of Psi its Gram kept.
+    from the triangle of Psi its Gram kept.  The variances' quadratic
+    terms k^T K^-1 k are the column sums of V^2, V = L^-1 K_cross: one
+    forward substitution for the batch.
     A slightly negative variance is clamped to zero; one more negative
     than VARIANCE_CLAMP_REL * max(sigma2, K(g, g)) raises FigpError.
     """
@@ -506,7 +514,8 @@ def predict_many(model: GPModel, inputs: Sequence[FunctionalInput]):
                     kernel_matrix_and_diag(list(model.inputs), inputs,
                                            model.spec))
     means = model.mu_hat + K_cross.T @ model.alpha
-    quad = np.einsum("ij,ij->j", K_cross, model.factorization.solve(K_cross))
+    V = model.factorization.whiten(K_cross)
+    quad = np.einsum("ij,ij->j", V, V)
     raw = kgg - quad
     tol = VARIANCE_CLAMP_REL * np.maximum(model.sigma2_hat, np.abs(kgg))
     broken = ~(raw > -tol)  # a NaN variance counts as broken too

@@ -349,12 +349,15 @@ def _check_nonempty(stage: str, **named) -> None:
 
 def _shared_grid(stage: str, **named):
     """The one grid of the `named` input lists of `stage`, which must
-    all be non-empty (FigpError) and share it (GridMismatchError)."""
+    all be non-empty (FigpError) and share it (GridMismatchError).
+    Inputs that hold the first input's grid object pass unexamined."""
     _check_nonempty(stage, **named)
-    inputs = [g for given in named.values() for g in given]
-    for g in inputs[1:]:
-        _check_same_grid(inputs[0], g)
-    return inputs[0].grid
+    first, *rest = [g for given in named.values() for g in given]
+    # one input per distinct grid object, compared by value once
+    others = {id(g.grid): g for g in rest if g.grid is not first.grid}
+    for g in others.values():
+        _check_same_grid(first, g)
+    return first.grid
 
 
 def kernel_matrix(inputs_a: List[FunctionalInput],
@@ -403,29 +406,34 @@ def _l2_distances(inputs_a: List[FunctionalInput],
     return np.sqrt(np.clip(d2, 0.0, None))
 
 
-def _chol_solve(chol: np.ndarray, b) -> np.ndarray:
-    """x with L L^T x = b for the lower Cholesky factor L = `chol`, by
-    forward and back substitution.
+def _whiten(chol: np.ndarray, b) -> np.ndarray:
+    """L^-1 b for the lower Cholesky factor L = `chol`, by forward
+    substitution: all that a quadratic form or an inner product with
+    K^-1 = L^-T L^-1 needs (GPML Alg. 2.1).
 
     numpy has no triangular solver, but LU with partial pivoting of an
     upper triangular matrix with a positive diagonal pivots nowhere and
     eliminates only zeros, so `np.linalg.solve` on one is exact LU plus
-    back substitution.  L^T is upper triangular, and so is L with its
-    rows and columns reversed, which turns forward into back
-    substitution.
+    back substitution.  L with its rows and columns reversed is upper
+    triangular, which turns forward into back substitution.
     """
     b = np.asarray(b, dtype=float)
-    y = np.linalg.solve(chol[::-1, ::-1], b[::-1])[::-1]
-    return np.linalg.solve(chol.T, y)
+    return np.linalg.solve(chol[::-1, ::-1], b[::-1])[::-1]
+
+
+def _chol_solve(chol: np.ndarray, b) -> np.ndarray:
+    """x with L L^T x = b for the lower Cholesky factor L = `chol`:
+    `_whiten`, then back substitution with the upper triangular L^T."""
+    return np.linalg.solve(chol.T, _whiten(chol, b))
 
 
 @dataclass(frozen=True)
 class GramFactorization:
     """Cholesky factorization of the training Gram plus nugget.
 
-    `chol` is the lower factor from `np.linalg.cholesky`, and every
-    solve with it goes through `_chol_solve`.  `gram` and `chol` are
-    read-only copies of the arrays given.  `triangle` is the
+    `chol` is the lower factor L from `np.linalg.cholesky`; `whiten`
+    is L^-1 b (`_whiten`) and `solve` K^-1 b (`_chol_solve`).  `gram`
+    and `chol` are read-only copies of the arrays given.  `triangle` is the
     `_PsiTriangle` a linear Gram was built from, held as given, which
     prediction multiplies by.  It is None for the nonlinear kernel and
     for a fit's search Gram, which is never predicted from.
@@ -443,6 +451,9 @@ class GramFactorization:
     @property
     def n(self) -> int:
         return self.gram.shape[0]
+
+    def whiten(self, b: np.ndarray) -> np.ndarray:
+        return _whiten(self.chol, b)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return _chol_solve(self.chol, b)

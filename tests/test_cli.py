@@ -211,6 +211,16 @@ def test_select_kernel_with_a_premap_selects_the_linear_model(workdir,
     assert load_model("best.json").spec.premap == "square"
 
 
+def test_fit_rejects_a_premap_for_the_nonlinear_family(workdir, train_file,
+                                                       capsys):
+    rc = cli_dispatch(["fit", "--train", str(train_file), "--family",
+                       "nonlinear", "--premap", "square", "--out", "m.json"])
+    assert rc == 1
+    assert "error: fit: fit: premap 'square' applies to the linear kernel " \
+        "only" in capsys.readouterr().err
+    assert not (workdir / "m.json").exists()
+
+
 def test_select_kernel_saves_model(workdir, train_file, capsys):
     rc = cli_dispatch(["select-kernel", "--train", str(train_file),
                        "--multistarts", "2", "--out", "best.json"])

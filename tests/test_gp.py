@@ -18,8 +18,8 @@ from figp import (Domain, FigpError, FitConfig, FitError, FunctionalInput,
                   loocv_error, matern_psi, predict, predict_many,
                   sample_function, select_kernel)
 from figp.gp import (_FAILED, LOG_GAMMA_BOUNDS, LOG_THETA_BOUNDS,
-                     SCAN_XATOL, GPModel, _Likelihood, _profile_scan,
-                     select_family)
+                     SCAN_XATOL, GPModel, _Likelihood, _profile,
+                     _profile_scan, select_family)
 from figp.kernels import GramFactorization
 from figp.reproduce import TRAINING_EXPRESSIONS
 
@@ -53,6 +53,25 @@ def test_profiled_likelihood_matches_direct(square_grid):
     # the process variance is profiled out, so sigma2 must not matter
     scaled = log_marginal_likelihood(spec.with_sigma2(4.0), [x1, x2], y)
     assert math.isclose(got, scaled, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("family", [LINEAR, NONLINEAR])
+@pytest.mark.parametrize("name", ["f1", "f2", "f3"])
+def test_whitened_profile_matches_the_dense_one(name, family, bench_models,
+                                                bench_inputs, bench_outputs):
+    # the unit-variance Gram at each bench fit's parameters (condition
+    # numbers 2.8e3 to 7.7e8), the bench outputs and a near-constant y
+    # whose residuals are 1e-6 of its mean: the whitened residual agrees
+    # with the dense inverse to 1e-6 (1.9e-8 seen), where the cancelling
+    # |wy|^2 - (w1.wy)^2 / |w1|^2 is off by up to 2.4e-5 on the linear Grams
+    fact = gram(bench_inputs, bench_models[(name, family)].spec.with_sigma2(1))
+    noise = np.random.default_rng(3).standard_normal(len(bench_inputs))
+    for y in (bench_outputs[name], 1e3 + 1e-3 * noise):
+        mu, s2, _ = _profile(fact, y)
+        want_mu, want_s2, _ = _direct_profile(fact.gram, y)
+        assert s2 > 1e-12 * np.mean(y * y)  # above the variance floor
+        assert math.isclose(mu, want_mu, rel_tol=1e-6)
+        assert math.isclose(s2, want_s2, rel_tol=1e-6)
 
 
 def test_likelihood_needs_two_points(square_grid):
@@ -678,6 +697,37 @@ def test_variance_clamp_rejects_inconsistent_factorization(square_grid):
     broken = GPModel(spec, ins, good.y, 0.0, bad, bad.solve(good.y))
     with pytest.raises(FigpError):
         predict(broken, ins[0])
+
+
+@pytest.mark.parametrize("family", [LINEAR, NONLINEAR])
+def test_hot_paths_make_one_forward_substitution_per_solve(
+        family, bench_models, bench_inputs, bench_outputs, monkeypatch):
+    # a likelihood evaluation whitens 1 and y, a prediction batch its
+    # cross matrix; none of them back-substitutes
+    y = bench_outputs["f1"]
+    likelihood = _Likelihood(bench_inputs, family)
+    spec = _unit_spec(family, 0.0)
+    likelihood(spec, y)  # factorizes, so the next call is a memo hit
+    calls = []
+    real = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(b.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    likelihood(spec, y)
+    assert len(calls) == 2
+    calls.clear()
+    predict_many(bench_models[("f1", family)], bench_inputs[:3])
+    assert calls == [(len(bench_inputs), 3)]
+
+
+def test_fit_rejects_a_premap_for_the_nonlinear_family(bench_inputs,
+                                                       bench_outputs):
+    with pytest.raises(FigpError, match="fit: premap 'square' applies to "
+                                        "the linear kernel only"):
+        fit(bench_inputs, bench_outputs["f1"], NONLINEAR, premap="square")
 
 
 def test_select_kernel_report(bench_inputs, bench_outputs):

@@ -6,11 +6,11 @@ from scipy.spatial.distance import cdist
 
 import figp.kernels
 from figp import (Domain, FigpError, FunctionalInput, GramFactorizationError,
-                  KernelSpec, LINEAR, MaternParams, NONLINEAR,
-                  apply_pointwise_map, build_grid, gram,
+                  GridMismatchError, KernelSpec, LINEAR, MaternParams,
+                  NONLINEAR, apply_pointwise_map, build_grid, gram,
                   kernel_matrix, matern_psi, sample_function)
 from figp.kernels import (PIVOT_TOL, PSI_BLOCK, _node_distances,
-                          _try_cholesky, base_kernel_matrix,
+                          _shared_grid, _try_cholesky, base_kernel_matrix,
                           kernel_matrix_and_diag)
 
 from figp_testlib import (kernel_entry, pairwise_kernel_oracle,
@@ -163,6 +163,34 @@ def test_base_kernel_matrix_keeps_the_shape_of_an_empty_side(square_grid):
     n = nodes.shape[0]
     assert base_kernel_matrix(nodes, empty, params).shape == (n, 0)
     assert base_kernel_matrix(empty, nodes, params).shape == (0, n)
+
+
+def test_shared_grid_finds_a_mismatch_hidden_among_one_grid(square_grid):
+    inputs = [sample_function("x1", square_grid)] * 20
+    inputs[13] = sample_function("x1", build_grid(square_grid.domain, 21))
+    with pytest.raises(GridMismatchError):
+        _shared_grid("test", inputs=inputs)
+    with pytest.raises(GridMismatchError):
+        _shared_grid("test", inputs=inputs[:10], others=inputs[10:])
+
+
+def test_shared_grid_compares_each_distinct_grid_object_once(square_grid,
+                                                              monkeypatch):
+    twins = [build_grid(square_grid.domain, 20) for _ in range(2)]
+    assert all(t == square_grid and t is not square_grid for t in twins)
+    grids = [square_grid] * 12 + twins * 4  # 3 objects, the twins alternating
+    inputs = [sample_function("x1", grid) for grid in grids]
+    compared = []
+    real = figp.kernels._check_same_grid
+
+    def counted(g1, g2):
+        compared.append(g2.grid)
+        return real(g1, g2)
+
+    monkeypatch.setattr(figp.kernels, "_check_same_grid", counted)
+    assert _shared_grid("test", a=inputs[:5], b=inputs[5:]) is square_grid
+    assert len(compared) == 2
+    assert {id(g) for g in compared} == {id(t) for t in twins}
 
 
 def test_matern_params_validation():

@@ -24,7 +24,6 @@ from .kernels import (
     KernelSpec,
     MaternParams,
     _check_nonempty,
-    _chol_solve,
     _node_distances,
     base_kernel_matrix,
     gram,
@@ -249,11 +248,12 @@ def empirical_mspe(design_builder: Callable[[int], List[FunctionalInput]],
             except FigpError as exc:
                 raise FigpError(f"Gram factorization failed at size {n}: {exc}")
             Z = rng.standard_normal((replicates, len(joint)))
-            paths = Z @ fact.chol.T
-            Y_d, Y_t = paths[:, :n], paths[:, n:]
-            # the joint factor's leading block factors the design Gram (at
-            # the joint nugget); the Gram's off-diagonal block is K_cross
-            preds = Y_d @ _chol_solve(fact.chol[:n, :n], fact.gram[:n, n:])
+            Y_t = Z @ fact.chol[n:].T
+            # the paths are Z L^T, so with L's blocks L_dd and L_td the
+            # design paths are Z_d L_dd^T and the joint Gram's blocks are
+            # K_dd = L_dd L_dd^T, K_dt = L_dd L_td^T: the posterior mean
+            # Y_d K_dd^-1 K_dt is Z_d L_td^T, with no solve
+            preds = Z[:, :n] @ fact.chol[n:, :n].T
             per_rep = np.mean((preds - Y_t) ** 2, axis=1)
             mspe_vals.append(float(per_rep.mean()))
             se_vals.append(float(per_rep.std(ddof=1) / np.sqrt(replicates)))

@@ -324,13 +324,83 @@ def _profile_scan(objective, lo: float, hi: float) -> int:
         inward = SCAN_XATOL if i == 0 else -SCAN_XATOL
         if not objective(np.array([grid[i] + inward]), off_grid) < values[i]:
             return points
-    from scipy.optimize import minimize_scalar  # `fit` has loaded it
-
-    minimize_scalar(
-        lambda t: objective(np.array([t]), off_grid), method="bounded",
-        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, last)]),
-        options={"xatol": SCAN_XATOL})
+    _bounded_brent(lambda t: objective(np.array([t]), off_grid),
+                   grid[max(i - 1, 0)], grid[min(i + 1, last)], SCAN_XATOL)
     return points
+
+
+def _bounded_brent(f, a, b, xatol, maxfun=500):
+    """Minimize the scalar function `f` on [a, b] to the absolute
+    tolerance `xatol` by Brent's method: golden-section steps, parabolic
+    where the parabola is acceptable (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 5).  Returns (x, f(x)) of the
+    best point; at most `maxfun` evaluations, never at a or b.
+
+    A port of SciPy's `_minimize_scalar_bounded` (BSD-3 licensed), the
+    method behind `minimize_scalar(method="bounded")`, without its
+    options and result object: it evaluates the same points, bitwise.
+    It keeps SciPy's `np.sign`/`np.maximum` steps, which carry a NaN on;
+    with finite bounds no step is NaN, and a NaN value of `f` only fails
+    the comparisons, as in SciPy."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            parabolic = abs(p) < abs(0.5 * q * r) and \
+                q * (a - xf) < p < q * (b - xf)
+            if parabolic:
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + (xm - xf == 0))
+        if not parabolic:  # golden section of the larger side
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
 
 
 def _stratified_starts(n: int, lo: np.ndarray, hi: np.ndarray,
@@ -418,13 +488,6 @@ def _fit_columns(inputs: Sequence[FunctionalInput], y: np.ndarray,
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
 
-    # A cold import of 0.26 s, made before the operator and the model
-    # allocate.  Made between them, the module's memory lands above the
-    # freed geometry, and where the C library keeps freed memory
-    # (bench/run.py sets glibc to) the model's triangle cannot reuse it:
-    # fit_fine's peak RSS rose from 93 to 102 MB.
-    from scipy.optimize import minimize
-
     columns = [y] if y.ndim == 1 else np.ascontiguousarray(y.T)
     likelihood = _Likelihood(inputs, family, premap, n_free > 1)
 
@@ -452,6 +515,8 @@ def _fit_columns(inputs: Sequence[FunctionalInput], y: np.ndarray,
                 points = _profile_scan(objective, lo[0], hi[0])
                 failure = f"the profile scan failed at all {points} points"
             else:
+                from scipy.optimize import minimize
+
                 starts = [0.5 * (lo + hi)]
                 if config.multistarts > 1:
                     starts.extend(_stratified_starts(config.multistarts - 1,

@@ -10,8 +10,9 @@ import figp.reproduce
 from figp import (Domain, FigpError, GridMismatchError, KernelSpec, LINEAR,
                   MaternParams, NONLINEAR, build_grid, build_model,
                   empirical_mspe, exact_mspe, eigenfunction_design,
-                  fill_distance, kernel_matrix, knot_design, lattice_knots,
-                  matern_psi, nystrom_eig, predict, sample_function)
+                  fill_distance, gram, kernel_matrix, knot_design,
+                  lattice_knots, matern_psi, nystrom_eig, predict,
+                  sample_function)
 from figp.designs import DecayCurve, KnotSet
 from figp.kernels import base_kernel_matrix
 from figp.reproduce import mspe_decay_curve, run_reproduce
@@ -224,6 +225,27 @@ def test_empirical_mspe_mc_agrees_with_exact(unit_grid, test_inputs):
                         SPEC, method="mc", replicates=400, seed=11)
     assert np.all(mc.se > 0)
     assert np.all(np.abs(exact.mspe - mc.mspe) <= 3.0 * mc.se)
+
+
+def test_mc_posterior_mean_is_the_solve_routes(unit_grid, test_inputs):
+    # The MC route predicts with the joint factor's block product; the
+    # posterior mean by a solve against the design Gram is the reference.
+    # The design Grams reach condition 1.9e7 at 32 knots, so the bound is
+    # 1e-9 relative (cond * eps = 4e-9); 3.8e-12 was seen.
+    sizes, replicates, seed = (4, 8, 16, 32), 200, 5
+    build = _knot_builder(unit_grid)
+    curve = empirical_mspe(build, sizes, test_inputs, SPEC, method="mc",
+                           replicates=replicates, seed=seed)
+    rng = np.random.default_rng(seed)
+    for n, mspe, se in zip(sizes, curve.mspe, curve.se):
+        fact = gram(build(n) + test_inputs, SPEC)
+        paths = rng.standard_normal((replicates, fact.n)) @ fact.chol.T
+        K = fact.gram
+        preds = paths[:, :n] @ np.linalg.solve(K[:n, :n], K[:n, n:])
+        per_rep = np.mean((preds - paths[:, n:]) ** 2, axis=1)
+        assert math.isclose(mspe, per_rep.mean(), rel_tol=1e-9)
+        assert math.isclose(se, per_rep.std(ddof=1) / math.sqrt(replicates),
+                            rel_tol=1e-9)
 
 
 def test_mc_curve_reuses_the_joint_psi(unit_grid, test_inputs, monkeypatch):

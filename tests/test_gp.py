@@ -18,8 +18,8 @@ from figp import (Domain, FigpError, FitConfig, FitError, FunctionalInput,
                   loocv_error, matern_psi, predict, predict_many,
                   sample_function, select_kernel)
 from figp.gp import (_FAILED, LOG_GAMMA_BOUNDS, LOG_THETA_BOUNDS,
-                     SCAN_XATOL, GPModel, _Likelihood, _profile,
-                     _profile_scan, select_family)
+                     SCAN_XATOL, GPModel, _Likelihood, _bounded_brent,
+                     _profile, _profile_scan, select_family)
 from figp.kernels import GramFactorization
 from figp.reproduce import TRAINING_EXPRESSIONS
 
@@ -285,6 +285,47 @@ def test_profile_scan_can_miss_a_dip_narrower_than_one_coarse_step():
     assert min(full_calls, key=f) == grid[14]
 
 
+def _band(lo, hi, value, f):
+    return lambda t: value if lo < t < hi else f(t)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda t: (t - 0.37) ** 2, -0.25, 0.5),  # smooth, inside
+    (lambda t: math.cosh(3.0 * t) - t, -3.0, 3.0),  # smooth, asymmetric
+    (lambda t: abs(t - 1.1), 0.75, 1.25),  # a kink
+    (lambda t: math.sin(20.0 * t) + t, -1.0, 1.0),  # many local minima
+    (lambda t: 1.0, -0.5, 0.0),  # flat
+    (lambda t: -t, -3.0, -2.5),  # falls toward the upper edge
+    (lambda t: t * t, 0.25, 0.75),  # rises from the lower edge
+    (_band(0.1, math.inf, _FAILED, lambda t: (t - 0.05) ** 2), -0.5, 0.5),
+    (_band(-math.inf, 0.2, _FAILED, lambda t: -t), -0.5, 0.5),
+    (_band(-0.1, 0.0, math.nan, lambda t: (t + 0.02) ** 2), -0.5, 0.5),
+    (_band(-math.inf, 0.0, math.nan, lambda t: t * t), -0.5, 0.5),  # NaN first
+    (_band(-math.inf, math.inf, math.nan, abs), -0.5, 0.5),  # NaN throughout
+    (_band(0.0, 0.1, math.inf, lambda t: (t - 0.05) ** 2), -0.5, 0.5),
+])
+@pytest.mark.parametrize("xatol, maxfun", [(SCAN_XATOL, 500), (1e-9, 500),
+                                           (SCAN_XATOL, 6)])
+def test_bounded_brent_evaluates_the_points_scipy_evaluates(f, a, b, xatol,
+                                                            maxfun):
+    # the port against SciPy's bounded Brent, evaluated point for point
+    # and bitwise: the same iterates, the same result
+    from scipy.optimize import minimize_scalar
+
+    ours, ours_calls = _recorded(f)
+    theirs, theirs_calls = _recorded(f)
+    x, fx = _bounded_brent(lambda t: ours(np.array([t])), np.float64(a),
+                           np.float64(b), xatol, maxfun)
+    res = minimize_scalar(lambda t: theirs(np.array([t])), method="bounded",
+                          bounds=(np.float64(a), np.float64(b)),
+                          options={"xatol": xatol, "maxiter": maxfun})
+    assert [t.hex() for t in ours_calls] == [t.hex() for t in theirs_calls]
+    assert len(ours_calls) == res.nfev <= maxfun
+    assert (float(x).hex(), float(fx).hex()) == \
+        (float(res.x).hex(), float(res.fun).hex())
+    assert all(a < t < b for t in ours_calls)
+
+
 def _fits_by_both_scans(inputs, y, family, monkeypatch):
     """`fit` through `_profile_scan`, then through the full-grid scan."""
     fitted = fit(inputs, y, family)
@@ -521,8 +562,8 @@ _SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
 
 
 def test_import_loads_no_scipy():
-    # SciPy is imported where it is used: inside fit and the general-nu
-    # Matern branch, so `import figp` pays for none of it
+    # SciPy is imported where it is used: inside anisotropic fits and the
+    # general-nu Matern branch, so `import figp` pays for none of it
     out = _fresh_interpreter("import sys, figp; " + _SCIPY_MODULES)
     assert out.strip() == "[]"
 
@@ -548,6 +589,49 @@ assert nystrom_eig(model.spec.base, grid, 5).truncation == 5
 """
     out = _fresh_interpreter(code + _SCIPY_MODULES)
     assert out.strip() == "[]"
+
+
+_FIT_SETUP = """
+import contextlib, io, os, sys, tempfile
+import figp.cli
+from figp import (Domain, FitConfig, build_grid, fit, sample_function,
+                  select_kernel)
+from figp.storage import save_training_data
+grid = build_grid(Domain(((0.0, 1.0), (0.0, 1.0))), 12)
+inputs = [sample_function(e, grid)
+          for e in ("1", "x1", "x2", "x1*x2", "1+x1^2", "sin(x1)")]
+y = [float(grid.weights @ (g.values * g.values)) for g in inputs]
+"""
+
+_CLI_SELECT_KERNEL = """
+path = os.path.join(tempfile.mkdtemp(), "train.json")
+save_training_data(path, grid, inputs, y)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert figp.cli.main(["select-kernel", "--train", path, "--json"]) == 0
+"""
+
+
+@pytest.mark.parametrize("call", [
+    "fit(inputs, y, 'linear')",
+    "fit(inputs, y, 'linear', premap='square')",
+    "fit(inputs, y, 'nonlinear')",
+    "select_kernel(inputs, y)",
+    _CLI_SELECT_KERNEL,
+], ids=["linear", "linear-premap", "nonlinear", "select_kernel",
+        "cli-select-kernel"])
+def test_one_parameter_fits_load_no_scipy(call):
+    # a one-parameter fit refines with gp._bounded_brent, not SciPy's
+    out = _fresh_interpreter(_FIT_SETUP + call + "\n" + _SCIPY_MODULES)
+    assert out.strip() == "[]"
+
+
+def test_anisotropic_fit_is_the_fit_that_loads_scipy_optimize():
+    code = _FIT_SETUP + """
+model = fit(inputs, y, 'linear', FitConfig(anisotropic=True, multistarts=2))
+assert len(model.spec.base.lengthscales) == 2 and model.log_likelihood > -1e9
+print('scipy.optimize' in sys.modules)
+"""
+    assert _fresh_interpreter(code).strip() == "True"
 
 
 def test_fit_affine_equivariance(bench_inputs, bench_outputs, square_grid):

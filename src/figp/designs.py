@@ -23,8 +23,8 @@ from .kernels import (
     LINEAR,
     KernelSpec,
     MaternParams,
-    _check_nonempty,
     _node_distances,
+    _shared_grid,
     base_kernel_matrix,
     gram,
 )
@@ -195,7 +195,7 @@ def exact_mspe(design: Sequence[FunctionalInput],
     """
     design = list(design)
     tests = list(tests)
-    _check_nonempty("exact_mspe", design=design, tests=tests)
+    _shared_grid("exact_mspe", design=design, tests=tests)
     if spec.family == LINEAR and spec.premap in (None, "identity"):
         if eigensystem is None:
             eigensystem = nystrom_eig(spec.base, design[0].grid)

@@ -24,19 +24,10 @@ from .kernels import (
     GramFactorization,
     KernelSpec,
     MaternParams,
-    _block_geometry,
-    _check_lengthscales,
-    _factorize,
-    _gram_from,
-    _l2_distances,
-    _packed,
-    _profile_block,
+    _GramOperator,
     _shared_grid,
-    _times,
-    _values_matrix,
     gram,
     kernel_matrix_and_diag,
-    matern_psi,
 )
 
 LOG_THETA_BOUNDS = (-3.0, 3.0)
@@ -155,66 +146,23 @@ def _check_outputs(stage: str, y, n: int, columns: bool = False) -> np.ndarray:
 
 class _Likelihood:
     """The profiled likelihood on one set of inputs as a function of the
-    kernel's correlation parameters and of the outputs, with the work
-    neither changes done once, when the operator is built.
-
-    Linear kernel: it holds the weighted premapped values B and, in one
-    buffer, the geometry of Psi's upper triangle on the grid nodes (the
-    distances, or per-dimension squared differences when anisotropic).
-    An evaluation profiles it block by block and sums the Gram by
-    `gram`'s product, so the two are bitwise equal at the same spec.
-
-    Nonlinear kernel: it holds the n x n L2 distances between the
-    inputs, from the helper `kernel_matrix_and_diag` uses, so its Gram
-    is bitwise `gram`'s too.
-
-    The Gram does not depend on the outputs, so the operator keeps the
-    factorization of each distinct unit-variance spec, or the
-    GramFactorizationError it raised, for as long as it lives: a column
-    that evaluates a spec another column has evaluated gets that very
-    factorization back, so its fit is bitwise the fit it would make
-    alone.  `fit` drops the operator, memo and all, before the models
-    build.
-    """
+    kernel's correlation parameters and of the outputs: `_profile` of the
+    outputs under a `_GramOperator`'s factorization of the unit-variance
+    spec, kept for as long as the likelihood lives, so columns that
+    evaluate one spec share its factorization and each column's fit is
+    bitwise its fit alone; `fit` drops it before the models build."""
 
     def __init__(self, inputs: Sequence[FunctionalInput], family: str,
                  premap: Optional[str] = None, anisotropic: bool = False):
-        inputs = list(inputs)
-        grid = _shared_grid("likelihood", inputs=inputs)
-        self._memo = {}
-        if family == NONLINEAR:
-            self._dist = _l2_distances(inputs, inputs, grid.weights)
-            return
-        self._B = _values_matrix(inputs, premap) * grid.weights[:, None]
-        nodes = grid.nodes
-        n_q, self._dim = nodes.shape
-        self._geometry = _packed(
-            n_q, self._dim if anisotropic else 1,
-            lambda i0, i1: _block_geometry(nodes, i0, i1, anisotropic))
-
-    def _factorize(self, spec: KernelSpec) -> GramFactorization:
-        with np.errstate(invalid="ignore"):  # a NaN fails in _factorize
-            if spec.family == LINEAR:
-                _check_lengthscales(spec.base, self._dim)
-                UB = _times(((i0, _profile_block(g, spec.base))
-                             for i0, g in self._geometry), self._B)
-                K = _gram_from(self._B, UB)
-            else:
-                K = matern_psi(spec.gamma * self._dist, spec.base)
-        return _factorize(K, spec)
+        self._operator = _GramOperator(
+            inputs, _shared_grid("likelihood", inputs=inputs), family,
+            premap, anisotropic)
 
     def __call__(self, spec: KernelSpec, y: np.ndarray):
         """(mu, sigma2, loglik, factorization) of the outputs `y`, one
         per input, under the unit-variance `spec`, whose family and
         premap are the operator's."""
-        if spec not in self._memo:
-            try:
-                self._memo[spec] = self._factorize(spec)
-            except GramFactorizationError as exc:
-                self._memo[spec] = exc
-        fact = self._memo[spec]
-        if isinstance(fact, GramFactorizationError):
-            raise fact.with_traceback(None)
+        fact = self._operator.factorize(spec)
         return (*_profile(fact, y), fact)
 
 
@@ -224,18 +172,16 @@ def log_marginal_likelihood(spec: KernelSpec, inputs: Sequence[FunctionalInput],
     input, under `spec`.
 
     The constant mean and the variance are profiled out, so the value
-    depends only on the correlation parameters of `spec`.  It goes
-    through `fit`'s operator (`_Likelihood`), whose Gram is bitwise the
-    one `gram` builds.  `y` is checked as `fit` checks it: FigpError on a
-    length that does not match or a non-finite output.
+    depends only on the correlation parameters of `spec`: `_profile` of
+    `y` under one `gram` of the unit-variance spec, bitwise the Gram a
+    fit's search scores.  `y` is checked as `fit` checks it: FigpError
+    on a length that does not match or a non-finite output.
     """
     inputs = list(inputs)
     y = _check_outputs("log_marginal_likelihood", y, len(inputs))
     if y.size < 2:
         raise FigpError("likelihood needs at least two observations")
-    anisotropic = len(set(spec.base.lengthscales)) > 1
-    likelihood = _Likelihood(inputs, spec.family, spec.premap, anisotropic)
-    return likelihood(spec.with_sigma2(1.0), y)[2]
+    return _profile(gram(inputs, spec.with_sigma2(1.0)), y)[2]
 
 
 def build_model(spec: KernelSpec, inputs: Sequence[FunctionalInput], y,
@@ -436,8 +382,8 @@ def fit(inputs: Sequence[FunctionalInput], y, family: str,
     fixed config.
 
     The objective scores the Gram of a `_Likelihood` built once per
-    call, which holds what the parameters do not change (the geometry of
-    the grid nodes, or the distances between inputs).  Each column keeps
+    call, under no warning filter: its operator never warns, and an
+    escalated nugget warns once, from the model build.  Each column keeps
     the profiled (mu, sigma2, loglik) of the best evaluation of its own
     search with its exact parameters (of equal likelihoods, the lowest
     grid point of a one-parameter scan, else the earlier evaluation), and
@@ -509,22 +455,20 @@ def _fit_columns(inputs: Sequence[FunctionalInput], y: np.ndarray,
                             rank=(profile[2], order))
             return -profile[2]
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # nugget escalation during search
-            if n_free == 1:
-                points = _profile_scan(objective, lo[0], hi[0])
-                failure = f"the profile scan failed at all {points} points"
-            else:
-                from scipy.optimize import minimize
+        if n_free == 1:
+            points = _profile_scan(objective, lo[0], hi[0])
+            failure = f"the profile scan failed at all {points} points"
+        else:
+            from scipy.optimize import minimize
 
-                starts = [0.5 * (lo + hi)]
-                if config.multistarts > 1:
-                    starts.extend(_stratified_starts(config.multistarts - 1,
-                                                     lo, hi, config.seed))
-                for p0 in starts:
-                    minimize(objective, np.asarray(p0), method="L-BFGS-B",
-                             bounds=box, options={"maxiter": MAX_ITERS})
-                failure = f"all {len(starts)} L-BFGS-B starts failed"
+            starts = [0.5 * (lo + hi)]
+            if config.multistarts > 1:
+                starts.extend(_stratified_starts(config.multistarts - 1,
+                                                 lo, hi, config.seed))
+            for p0 in starts:
+                minimize(objective, np.asarray(p0), method="L-BFGS-B",
+                         bounds=box, options={"maxiter": MAX_ITERS})
+            failure = f"all {len(starts)} L-BFGS-B starts failed"
         return kept["x"], kept["profile"], failure
 
     searches = [search(y_col) for y_col in columns]

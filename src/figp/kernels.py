@@ -338,20 +338,15 @@ def _values_matrix(inputs: List[FunctionalInput],
     return V
 
 
-def _check_nonempty(stage: str, **named) -> None:
-    """Raise FigpError naming the first of the `named` input lists of
-    `stage` that is empty."""
+def _shared_grid(stage: str, **named):
+    """The one grid of the `named` input lists of `stage`, which must
+    all be non-empty (FigpError naming the first empty one) and share it
+    (GridMismatchError).  Inputs that hold the first input's grid object
+    pass unexamined."""
     for name, given in named.items():
         if len(given) == 0:
             raise FigpError(f"{stage} needs at least one input in "
                             f"`{name}`, which is empty")
-
-
-def _shared_grid(stage: str, **named):
-    """The one grid of the `named` input lists of `stage`, which must
-    all be non-empty (FigpError) and share it (GridMismatchError).
-    Inputs that hold the first input's grid object pass unexamined."""
-    _check_nonempty(stage, **named)
     first, *rest = [g for given in named.values() for g in given]
     # one input per distinct grid object, compared by value once
     others = {id(g.grid): g for g in rest if g.grid is not first.grid}
@@ -436,7 +431,8 @@ class GramFactorization:
     and `chol` are read-only copies of the arrays given.  `triangle` is the
     `_PsiTriangle` a linear Gram was built from, held as given, which
     prediction multiplies by.  It is None for the nonlinear kernel and
-    for a fit's search Gram, which is never predicted from.
+    for a `_GramOperator`'s Gram, which a fit's search scores and never
+    predicts from.
     """
 
     gram: np.ndarray  # K_n + nugget * I, exactly symmetric
@@ -491,31 +487,84 @@ def _try_cholesky(K: np.ndarray) -> Optional[np.ndarray]:
     return L
 
 
+class _GramOperator:
+    """The Gram of one list of inputs on their `grid` as a function of
+    the kernel's parameters, with what those do not change computed
+    once: for the linear kernel the weighted premapped values B and, in
+    one buffer, the geometry of Psi's upper triangle on the nodes (the
+    distances, or squared differences per dimension when anisotropic),
+    summed by `_PsiTriangle`'s product, so bitwise `gram`'s at the same
+    spec; for the nonlinear kernel the n x n L2 distances, the one place
+    that kernel's Gram of a list of inputs is formed.  `factorize` keeps
+    each distinct spec's factorization or GramFactorizationError for
+    as long as the operator lives, and never warns."""
+
+    def __init__(self, inputs: List[FunctionalInput], grid, family: str,
+                 premap: Optional[str] = None, anisotropic: bool = False):
+        self._memo = {}
+        if family == NONLINEAR:
+            self._dist = _l2_distances(inputs, inputs, grid.weights)
+            return
+        self._B = _values_matrix(inputs, premap) * grid.weights[:, None]
+        nodes = grid.nodes
+        n_q, self._dim = nodes.shape
+        self._geometry = _packed(
+            n_q, self._dim if anisotropic else 1,
+            lambda i0, i1: _block_geometry(nodes, i0, i1, anisotropic))
+
+    def factorize(self, spec: KernelSpec) -> GramFactorization:
+        if spec not in self._memo:
+            try:
+                self._memo[spec] = self._factorized(spec)
+            except GramFactorizationError as exc:
+                self._memo[spec] = exc
+        fact = self._memo[spec]
+        if isinstance(fact, GramFactorizationError):
+            raise fact.with_traceback(None)
+        return fact
+
+    def _factorized(self, spec: KernelSpec) -> GramFactorization:
+        """`_factorize` of the Gram at `spec` (the operator's family and
+        premap), made while U B lives: freed first, its heap chunk took
+        the memo's small arrays and fit_fine's peak RSS rose by 8.6 MB."""
+        with np.errstate(invalid="ignore"):  # a NaN fails in _factorize
+            if spec.family == NONLINEAR:
+                K = matern_psi(spec.gamma * self._dist, spec.base)
+            else:
+                _check_lengthscales(spec.base, self._dim)
+                UB = _times(((i0, _profile_block(g, spec.base))
+                             for i0, g in self._geometry), self._B)
+                K = _gram_from(self._B, UB)
+            return _factorize(K, spec)
+
+
 def gram(inputs: List[FunctionalInput], spec: KernelSpec) -> GramFactorization:
-    """Assemble the model Gram matrix and factorize it (`_factorize`).
+    """Assemble the model Gram matrix and factorize it (`_factorize`);
+    the one place that warns, once, when the automatic nugget escalated.
 
     The linear one is G + G^T with G = (W A)^T (U W A), from Psi's
     profiled upper triangle U (`_PsiTriangle`), which the factorization
-    keeps for prediction.  A fit's search sums its Gram by the same
-    product (`figp.gp._Likelihood`), so at the same spec the two are
-    bitwise equal.
+    keeps for prediction; the nonlinear one is `_GramOperator`'s.  A
+    search's operator sums the same product and never warns.
     """
     grid = _shared_grid("gram", inputs=inputs)
-    triangle = None
-    # an invalid operation leaves a NaN, which _factorize reports
-    with np.errstate(invalid="ignore"):
-        if spec.family == LINEAR:
+    if spec.family == LINEAR:
+        with np.errstate(invalid="ignore"):  # a NaN fails in _factorize
             triangle = _PsiTriangle(inputs, spec, grid)
             K = _gram_from(triangle.A, triangle.UA)
-        else:
-            K = kernel_matrix_and_diag(inputs, inputs, spec)[0]
-    return _factorize(K, spec, triangle)
+        fact = _factorize(K, spec, triangle)
+    else:
+        fact = _GramOperator(inputs, grid, NONLINEAR).factorize(spec)
+    if spec.nugget is None and fact.nugget > NUGGET_START * spec.base.sigma2:
+        warnings.warn(f"nugget escalated to {fact.nugget:.3e} to factorize "
+                      "the Gram", stacklevel=2)
+    return fact
 
 
 def _factorize(K: np.ndarray, spec: KernelSpec,
                triangle: Optional[_PsiTriangle] = None) -> GramFactorization:
     """Factorize the assembled Gram K plus a nugget: the one owner of
-    the nugget policy.
+    the nugget policy.  It does not warn; `gram` reports an escalation.
 
     The matrix is made exactly symmetric by mirroring the upper
     triangle.  A factorization counts as failed when Cholesky raises or
@@ -534,28 +583,17 @@ def _factorize(K: np.ndarray, spec: KernelSpec,
             "overflowed); no factorization was attempted"
         )
     K = np.triu(K) + np.triu(K, 1).T
-    n = K.shape[0]
-    eye = np.eye(n)
-
-    if spec.nugget is not None:
-        nuggets = [spec.nugget]
-        escalate = False
-    else:
+    eye = np.eye(K.shape[0])
+    nuggets = [spec.nugget]
+    if spec.nugget is None:  # the automatic policy
         s2 = spec.base.sigma2
         nuggets = [NUGGET_START * s2]
         while nuggets[-1] < NUGGET_CEIL * s2 * (1 - 1e-12):
             nuggets.append(nuggets[-1] * 10.0)
-        escalate = True
-
-    for k, nug in enumerate(nuggets):
+    for nug in nuggets:
         Kn = K + nug * eye
         L = _try_cholesky(Kn)
         if L is not None:
-            if escalate and k > 0:
-                warnings.warn(
-                    f"nugget escalated to {nug:.3e} to factorize the Gram",
-                    stacklevel=3,
-                )
             log_det = float(2.0 * np.sum(np.log(np.diag(L))))
             return GramFactorization(Kn, L, log_det, float(nug), triangle)
     raise GramFactorizationError(

@@ -27,7 +27,7 @@ from .designs import (
 from .domain import (Domain, FunctionalInput, QuadratureGrid, build_grid,
                      sample_function)
 from .errors import FigpError
-from .gp import (FitConfig, fit, loocv_error, predict_many, select_family,
+from .gp import (fit, loocv_error, predict_many, select_family,
                  selection_entry)
 from .kernels import LINEAR, NONLINEAR, KernelSpec, MaternParams
 from .sampling import nystrom_eig, sample_paths_gram, sine_frequency_family
@@ -115,7 +115,6 @@ def reproduce_table2(out_dir: str, seed: int = 42,
     """
     grid = _unit_square_grid(grid_res)
     inputs = _training_set(grid)
-    config = FitConfig(seed=seed)
 
     rng = np.random.default_rng(seed)
     all_tests = []
@@ -130,7 +129,7 @@ def reproduce_table2(out_dir: str, seed: int = 42,
               for f in FUNCTIONALS]
     report = {fname: {} for fname in FUNCTIONALS}
     for family in (LINEAR, NONLINEAR):
-        models = fit(inputs, outputs, family, config=config)
+        models = fit(inputs, outputs, family)
         for fname, truth, model in zip(FUNCTIONALS, truths, models):
             preds, _ = predict_many(model, all_tests)
             ape = np.abs((truth - preds) / truth).reshape(N_DRAWS, 3) * 100.0

@@ -916,14 +916,14 @@ def test_columns_fit_random_data_bitwise_as_their_one_column_fits():
 def test_columns_fit_factorizes_each_distinct_gram_once(bench_inputs,
                                                         bench_outputs,
                                                         monkeypatch):
-    real = figp.gp._Likelihood._factorize
+    real = figp.kernels._GramOperator._factorized
     specs = []
 
     def recording(self, spec):
         specs.append(spec)
         return real(self, spec)
 
-    monkeypatch.setattr(figp.gp._Likelihood, "_factorize", recording)
+    monkeypatch.setattr(figp.kernels._GramOperator, "_factorized", recording)
     Y = _columns(bench_outputs)
     for j in range(3):
         fit(bench_inputs, Y[:, j], LINEAR)
@@ -946,7 +946,7 @@ def test_fit_shares_one_memo_across_columns_and_frees_it(columns,
     memos, live = [], []
 
     def recording(self, spec, y):
-        memos.append(self._memo)
+        memos.append(self._operator._memo)
         return real_call(self, spec, y)
 
     def checking(*args, **kwargs):
@@ -961,6 +961,81 @@ def test_fit_shares_one_memo_across_columns_and_frees_it(columns,
     assert len({id(memo) for memo in memos}) == 1
     assert isinstance(memos[0], dict) and memos[0]
     assert live == [0] * columns
+
+
+def test_a_warning_inside_the_search_reaches_the_caller_of_fit(
+        bench_inputs, bench_outputs, monkeypatch):
+    # the search runs under no warning filter of its own
+    real = figp.gp._Likelihood.__call__
+    calls = []
+
+    def warning_once(self, spec, y):
+        if not calls:
+            warnings.warn("inside the search", UserWarning)
+        calls.append(spec)
+        return real(self, spec, y)
+
+    monkeypatch.setattr(figp.gp._Likelihood, "__call__", warning_once)
+    with pytest.warns(UserWarning, match="inside the search") as record:
+        fit(bench_inputs, bench_outputs["f3"], NONLINEAR)
+    assert len(calls) > 1
+    assert sum("inside the search" in str(w.message) for w in record) == 1
+
+
+def test_fit_warns_of_an_escalated_nugget_once_from_the_model_build(
+        bench_inputs, bench_outputs, monkeypatch):
+    # the first nugget level of every factorization fails, so every one
+    # escalates; only `gram`, which builds the model, says so
+    real_factorize = figp.kernels._factorize
+    real_cholesky = figp.kernels._try_cholesky
+    counts = {"factorizations": 0, "failed": 0}
+
+    def counted(K, spec, triangle=None):
+        counts["factorizations"] += 1
+        return real_factorize(K, spec, triangle)
+
+    def first_level_fails(K):
+        if counts["failed"] < counts["factorizations"]:
+            counts["failed"] += 1
+            return None
+        return real_cholesky(K)
+
+    monkeypatch.setattr(figp.kernels, "_factorize", counted)
+    monkeypatch.setattr(figp.kernels, "_try_cholesky", first_level_fails)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        model = fit(bench_inputs, bench_outputs["f3"], NONLINEAR)
+    escalated = [w for w in record if "nugget escalated" in str(w.message)]
+    assert len(escalated) == 1
+    assert escalated[0].filename == figp.gp.__file__  # from build_model
+    assert counts["factorizations"] > 10
+    assert counts["failed"] == counts["factorizations"]
+    assert model.factorization.nugget == \
+        pytest.approx(1e-7 * model.sigma2_hat, rel=1e-9)
+
+
+@pytest.mark.parametrize("family", [LINEAR, NONLINEAR])
+def test_log_marginal_likelihood_is_one_gram_call(family, bench_inputs,
+                                                  bench_outputs, monkeypatch):
+    calls = {"gram": 0, "likelihoods": 0}
+    real_gram = figp.gp.gram
+    real_init = figp.gp._Likelihood.__init__
+
+    def counted_gram(*args):
+        calls["gram"] += 1
+        return real_gram(*args)
+
+    def counted_init(self, *args):
+        calls["likelihoods"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(figp.gp, "gram", counted_gram)
+    monkeypatch.setattr(figp.gp._Likelihood, "__init__", counted_init)
+    spec = _unit_spec(family, 0.3)
+    y = bench_outputs["f2"]
+    ll = log_marginal_likelihood(spec.with_sigma2(2.0), bench_inputs, y)
+    assert calls == {"gram": 1, "likelihoods": 0}
+    assert ll == _profile(real_gram(bench_inputs, spec), y)[2]
 
 
 def _fail_for_output(target, monkeypatch):

@@ -76,13 +76,19 @@ def test_reproduce_outputs_match_the_reference_within_tolerance(target,
 def test_reference_check_fails_on_a_perturbed_gram(tmp_path, monkeypatch):
     # a fit's search Gram moved by 1e-10 relative off its diagonal: table2
     # fails the check (1e-11 fails it too; 1e-12 does not)
-    factorize = figp.gp._factorize
+    factorize = figp.kernels._factorize
 
     def perturbed(K, spec, triangle=None):
         K = K * (1.0 + 1e-10 * (1.0 - np.eye(K.shape[0])))
         return factorize(K, spec, triangle)
 
-    monkeypatch.setattr(figp.gp, "_factorize", perturbed)
+    class Perturbed(figp.kernels._GramOperator):  # the search's operator
+        def _factorized(self, spec):
+            with monkeypatch.context() as search:
+                search.setattr(figp.kernels, "_factorize", perturbed)
+                return super()._factorized(spec)
+
+    monkeypatch.setattr(figp.gp, "_GramOperator", Perturbed)
     failures = _failures("table2", tmp_path)
     assert failures and all(f.startswith("table2.") for f in failures)
 

@@ -336,15 +336,10 @@ def cli_dispatch(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except FigpError as exc:
-        stage = getattr(args, "command", None) or "figp"
-        if getattr(args, "emulate_command", None):
-            stage = f"{stage} {args.emulate_command}"
+    except (FigpError, OSError) as exc:
+        stage = " ".join(filter(None, (args.command,
+                                       getattr(args, "emulate_command", None))))
         print(f"error: {stage}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {getattr(args, 'command', 'figp')}: {exc}",
-              file=sys.stderr)
         return 1
 
 

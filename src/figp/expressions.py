@@ -1,12 +1,13 @@
 """Small analytic-expression language for defining functional inputs.
 
-Grammar (standard precedence, ``^`` binds tightest and is right-associative)::
-
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?
-    atom   := NUMBER | FUNC '(' expr ')' | VAR | '(' expr ')'
+An expression is an operand followed by binary operators and their
+operands; an operand is a number, ``FUNC(expr)``, a variable,
+``(expr)`` or ``-operand``.  How operators bind is stated once, in
+``_BINARY`` and ``_NEG``, and read by both the parser and the printer:
+``^`` binds tightest and is right-associative, its left operand is an
+atom and its right one may carry a unary minus, so ``-x1^2`` is
+``-(x1^2)`` and ``2^-3^2`` is ``2^(-(3^2))``; ``* /`` then ``+ -`` are
+left-associative.
 
 Variables are ``x1 .. xd``; the supported functions are sin, cos, exp,
 sqrt and abs.  Parsing is deterministic and errors report the byte
@@ -91,6 +92,14 @@ def _tokenize(text):
     return tokens
 
 
+# Each binary operator's precedence, and the least precedence its left
+# and right operands may have without parentheses; a unary minus and
+# its operand sit at _NEG, and atoms at _ATOM, above everything.
+_BINARY = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3),
+           "^": (4, 5, 3)}
+_NEG, _ATOM = 3, 5
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -118,41 +127,21 @@ class _Parser:
             raise ExpressionError(f"unexpected token {val!r}", offset=off)
         return node
 
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = BinOp(val, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = BinOp(val, node, self.unary())
-            else:
-                return node
-
-    def unary(self):
+    def expr(self, least=1):
+        """An operand, then each binary operator of precedence `least` or
+        more with its right operand: precedence climbing on _BINARY."""
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
+            node = Neg(self.expr(_NEG))
+        else:
+            node = self.atom()
+        while True:
+            kind, val, _ = self.peek()
+            if kind != "op" or val not in _BINARY or _BINARY[val][0] < least:
+                return node
             self.advance()
-            # right-associative, and the exponent may carry a unary minus
-            node = BinOp("^", node, self.unary())
-        return node
+            node = BinOp(val, node, self.expr(_BINARY[val][2]))
 
     def atom(self):
         kind, val, off = self.advance()
@@ -179,22 +168,25 @@ class _Parser:
 
 def parse_expression(text: str) -> Expression:
     """Parse ``text`` into an AST, raising ExpressionError with a byte
-    offset on malformed input."""
+    offset on malformed input or on nesting too deep to parse."""
     if not isinstance(text, str) or text.strip() == "":
         raise ExpressionError("empty expression", offset=0)
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply",
+                              offset=parser.peek()[2]) from None
 
 
-# Precedence levels used by the printer; atoms sit above everything.
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _prec(node):
+def _operand(node, least):
+    """`node` printed as an operand of precedence `least` or more."""
     if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return 9
+        prec = _BINARY[node.op][0]
+    else:
+        prec = _NEG if isinstance(node, Neg) else _ATOM
+    text = print_expression(node)
+    return text if prec >= least else f"({text})"
 
 
 def print_expression(node: Expression) -> str:
@@ -209,27 +201,11 @@ def print_expression(node: Expression) -> str:
     if isinstance(node, Call):
         return f"{node.func}({print_expression(node.arg)})"
     if isinstance(node, Neg):
-        inner = print_expression(node.arg)
-        # -(a+b) and -(a*b) reassociate if left bare
-        if _prec(node.arg) <= 2:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return f"-{_operand(node.arg, _NEG)}"
     if isinstance(node, BinOp):
-        lhs = print_expression(node.left)
-        rhs = print_expression(node.right)
-        p = _PREC[node.op]
-        if node.op == "^":
-            # left operand of ^ must be atomic to survive a round trip
-            if _prec(node.left) <= p:
-                lhs = f"({lhs})"
-            if _prec(node.right) < _PREC["neg"]:
-                rhs = f"({rhs})"
-        else:
-            if _prec(node.left) < p:
-                lhs = f"({lhs})"
-            if _prec(node.right) <= p:
-                rhs = f"({rhs})"
-        return f"{lhs}{node.op}{rhs}"
+        _, left, right = _BINARY[node.op]
+        return (f"{_operand(node.left, left)}{node.op}"
+                f"{_operand(node.right, right)}")
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -496,8 +496,10 @@ class _GramOperator:
     summed by `_PsiTriangle`'s product, so bitwise `gram`'s at the same
     spec; for the nonlinear kernel the n x n L2 distances, the one place
     that kernel's Gram of a list of inputs is formed.  `factorize` keeps
-    each distinct spec's factorization or GramFactorizationError for
-    as long as the operator lives, and never warns."""
+    each distinct spec's factorization or failure message for as long
+    as the operator lives, and never warns; a failure is raised as a
+    fresh GramFactorizationError, since a kept one would hold, through
+    its traceback, the frame that holds the operator."""
 
     def __init__(self, inputs: List[FunctionalInput], grid, family: str,
                  premap: Optional[str] = None, anisotropic: bool = False):
@@ -517,10 +519,10 @@ class _GramOperator:
             try:
                 self._memo[spec] = self._factorized(spec)
             except GramFactorizationError as exc:
-                self._memo[spec] = exc
+                self._memo[spec] = str(exc)
         fact = self._memo[spec]
-        if isinstance(fact, GramFactorizationError):
-            raise fact.with_traceback(None)
+        if isinstance(fact, str):
+            raise GramFactorizationError(fact)
         return fact
 
     def _factorized(self, spec: KernelSpec) -> GramFactorization:

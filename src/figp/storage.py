@@ -105,6 +105,15 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _csv_numbers(path: str, line: int, cells) -> list:
+    """`cells`, from line `line` of the CSV file at `path`, as floats;
+    FigpError naming the file and the line if one is not a number."""
+    try:
+        return [float(v) for v in cells]
+    except ValueError as exc:
+        raise FigpError(f"{path!r} line {line}: {exc}") from None
+
+
 def _require_numbers(d: dict, what: str, lists=(), scalars=()) -> None:
     """Raise FigpError naming the first key of `d` in `lists` whose value
     is not a list of JSON numbers, or in `scalars` whose value is not a
@@ -133,8 +142,15 @@ def grid_to_dict(grid: QuadratureGrid) -> dict:
     }
 
 
-def grid_from_dict(d: dict) -> QuadratureGrid:
-    _require(d, ("domain",), "grid")
+def grid_from_dict(d: dict, what: str = "grid") -> QuadratureGrid:
+    """The grid of `d`; FigpError naming `what` if its "domain" is not
+    a list of [lower, upper] number pairs."""
+    _require(d, ("domain",), what)
+    if not isinstance(d["domain"], list) or not all(
+            isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
+            for b in d["domain"]):
+        raise FigpError(f"{what} 'domain' is not a list of [lower, upper] "
+                        "number pairs")
     domain = Domain(tuple(tuple(b) for b in d["domain"]))
     return build_grid(domain, d.get("resolution"), d.get("rule", "gauss-legendre"))
 
@@ -189,9 +205,12 @@ def input_to_reference(g: FunctionalInput, base_dir: str):
 
 def load_training_data(path: str):
     """Load {domain, resolution, rule, inputs, y} training data."""
-    d = read_json(path)
-    _require(d, ("domain", "inputs", "y"), f"training data {path!r}")
-    grid = grid_from_dict(d)
+    d, what = read_json(path), f"training data {path!r}"
+    _require(d, ("domain", "inputs", "y"), what)
+    _require_numbers(d, what, lists=("y",))
+    if not isinstance(d["inputs"], list):
+        raise FigpError(f"{what} 'inputs' is not a list")
+    grid = grid_from_dict(d, what)
     base_dir = os.path.dirname(path)
     inputs = [input_from_reference(ref, grid, base_dir) for ref in d["inputs"]]
     y = np.asarray(d["y"], dtype=float)
@@ -211,13 +230,18 @@ def save_training_data(path: str, grid: QuadratureGrid,
 
 def load_input_csv(path: str, grid: QuadratureGrid) -> FunctionalInput:
     """Read a functional input from CSV with d coordinate columns and a
-    final value column; rows must match the grid nodes in order."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    final value column after a header line; rows must match the grid
+    nodes in order, and empty lines are skipped."""
     d = grid.domain.dim
-    if data.shape[1] != d + 1:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        rows = [_csv_numbers(path, reader.line_num, r) for r in reader if r]
+    if any(len(r) != d + 1 for r in rows):
         raise FigpError(
             f"{path!r}: expected {d} coordinate columns plus one value column"
         )
+    data = np.array(rows).reshape(-1, d + 1)
     if data.shape[0] != grid.n_points:
         raise FigpError(
             f"{path!r}: {data.shape[0]} rows but the grid has "
@@ -345,7 +369,7 @@ def model_from_dict(d: dict, base_dir: str) -> GPModel:
     _require_numbers(d, "model", lists=("y",),
                      scalars=("mu_hat", "log_likelihood"))
     spec = kernel_spec_from_dict(d["kernel"])
-    grid = grid_from_dict(d["grid"])
+    grid = grid_from_dict(d["grid"], "model grid")
     ref_dir = "" if version == 1 else base_dir
     inputs = [input_from_reference(ref, grid, ref_dir) for ref in d["inputs"]]
     model = replace(build_model(spec, inputs, d["y"], mu=d["mu_hat"]),
@@ -419,7 +443,7 @@ def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
     manifest carrying the grid definition and field shape."""
     manifest = read_json(manifest_path)
     _require(manifest, ("domain", "field_shape"), f"manifest {manifest_path!r}")
-    grid = grid_from_dict(manifest)
+    grid = grid_from_dict(manifest, f"manifest {manifest_path!r}")
     base_dir = os.path.dirname(fields_csv)
     inputs, rows = [], []
     with open(fields_csv, newline="") as fh:
@@ -431,7 +455,7 @@ def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
             if not row:
                 continue
             inputs.append(input_from_reference(row[0], grid, base_dir))
-            rows.append([float(v) for v in row[1:]])
+            rows.append(_csv_numbers(fields_csv, reader.line_num, row[1:]))
     if not inputs:
         raise FigpError(f"{fields_csv!r} has no data rows")
     return FieldDataset(inputs, rows, manifest["field_shape"])

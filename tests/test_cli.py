@@ -164,6 +164,75 @@ def test_non_numeric_version_2_model_values_error_without_a_traceback(
     assert f"error: predict: {cause}" in capsys.readouterr().err
 
 
+def _one_error_line(argv, capsys, stage, cause):
+    """Run the CLI: it exits 1 with a single `error: <stage>:` line that
+    holds `cause` (an uncaught exception would fail the test)."""
+    rc = cli_dispatch(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith(f"error: {stage}: "), err
+    assert cause in err
+
+
+_TRAINING = {"domain": [[0.0, 1.0]], "resolution": 8,
+             "inputs": ["x1", "1+x1", "x1^2"], "y": [0.5, 1.5, 0.25]}
+
+
+@pytest.mark.parametrize("key,value,cause", [
+    ("y", [[1], [2], [3]], "'y' is not a list of numbers"),
+    ("y", ["a", 1, 2], "'y' is not a list of numbers"),
+    ("y", [1, 2, True], "'y' is not a list of numbers"),
+    ("inputs", "x1", "'inputs' is not a list"),
+    ("domain", 5, "'domain' is not a list of [lower, upper] number pairs"),
+    ("domain", [[0, "a"]],
+     "'domain' is not a list of [lower, upper] number pairs")],
+    ids=["y-nested", "y-string", "y-bool", "inputs-string", "domain-number",
+         "domain-string-bound"])
+@pytest.mark.parametrize("command", [["fit", "--family", "linear"],
+                                     ["select-kernel"]],
+                         ids=["fit", "select-kernel"])
+def test_malformed_training_files_error_without_a_traceback(
+        workdir, capsys, command, key, value, cause):
+    (workdir / "train.json").write_text(json.dumps(dict(_TRAINING,
+                                                        **{key: value})))
+    _one_error_line(command + ["--train", "train.json"], capsys, command[0],
+                    f"training data 'train.json' {cause}")
+
+
+def test_a_non_numeric_input_csv_cell_names_the_file_and_row(workdir, capsys):
+    grid = build_grid(Domain(((0.0, 1.0),)), 8)
+    rows = [f"{x!r},{x * x!r}" for x in grid.nodes[:, 0].tolist()]
+    rows[2] = rows[2].split(",")[0] + ",abc"
+    (workdir / "case.csv").write_text("\n".join(["x1,value"] + rows) + "\n")
+    (workdir / "train.json").write_text(json.dumps(
+        dict(_TRAINING, inputs=["x1", "1+x1", "case.csv"])))
+    _one_error_line(["fit", "--family", "linear", "--train", "train.json"],
+                    capsys, "fit", "'case.csv' line 4: could not convert "
+                                   "string to float: 'abc'")
+
+
+def test_a_non_numeric_field_csv_cell_names_the_file_and_line(workdir,
+                                                             capsys):
+    (workdir / "manifest.json").write_text(json.dumps(
+        {"domain": [[0.0, 1.0]], "resolution": 8, "field_shape": [2]}))
+    (workdir / "fields.csv").write_text(
+        "input,v1,v2\nx1,0.5,1.0\n1+x1,abc,2.0\nx1^2,0.25,0.5\n")
+    _one_error_line(["emulate", "fit", "--fields", "fields.csv",
+                     "--manifest", "manifest.json"], capsys, "emulate fit",
+                    "'fields.csv' line 3: could not convert string to "
+                    "float: 'abc'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["emulate", "predict", "--emulator", "absent.json", "--input", "x1"],
+    ["emulate", "predict", "--emulator", "bad.json", "--input", "x1"]],
+    ids=["missing-file", "not-json"])
+def test_emulate_predict_errors_name_one_stage(workdir, capsys, argv):
+    # an OSError and a FigpError from one command name the same stage
+    (workdir / "bad.json").write_text("not json {\n")
+    _one_error_line(argv, capsys, "emulate predict", argv[3])
+
+
 @pytest.mark.parametrize("argv", [["predict", "--grid-res", "5"],
                                   ["loocv", "--seed", "1"]])
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):

@@ -151,3 +151,54 @@ def test_no_string_ending_in_csv_parses(text):
     # appears inside a number, and no token may follow a number directly
     with pytest.raises(ExpressionError):
         parse_expression(text)
+
+
+def _pow(a, b):
+    return BinOp("^", a, b)
+
+
+# (source, parsed AST, printed AST); the expected values are those of the
+# four-method recursive-descent parser and the printer this one replaced
+BINDING_CASES = [
+    ("-x1^2", Neg(_pow(Var(1), Num(2.0))), "-x1^2"),
+    ("2^-3^2", _pow(Num(2.0), Neg(_pow(Num(3.0), Num(2.0)))), "2^-3^2"),
+    ("2*-x1^2", BinOp("*", Num(2.0), Neg(_pow(Var(1), Num(2.0)))),
+     "2*-x1^2"),
+    ("x1^x2^x3", _pow(Var(1), _pow(Var(2), Var(3))), "x1^x2^x3"),
+    ("8/2/2", BinOp("/", BinOp("/", Num(8.0), Num(2.0)), Num(2.0)), "8/2/2"),
+    ("1-2+3", BinOp("+", BinOp("-", Num(1.0), Num(2.0)), Num(3.0)), "1-2+3"),
+    ("--x1", Neg(Neg(Var(1))), "--x1"),
+    ("-(x1)^2", Neg(_pow(Var(1), Num(2.0))), "-x1^2"),
+    ("(x1)^2^3", _pow(Var(1), _pow(Num(2.0), Num(3.0))), "x1^2^3"),
+    ("(-x1)^2", _pow(Neg(Var(1)), Num(2.0)), "(-x1)^2"),
+    ("(x1^2)^3", _pow(_pow(Var(1), Num(2.0)), Num(3.0)), "(x1^2)^3"),
+    ("-x1*x2", BinOp("*", Neg(Var(1)), Var(2)), "-x1*x2"),
+    ("-(x1+x2)*x3", BinOp("*", Neg(BinOp("+", Var(1), Var(2))), Var(3)),
+     "-(x1+x2)*x3"),
+    ("x1-(x2-x3)", BinOp("-", Var(1), BinOp("-", Var(2), Var(3))),
+     "x1-(x2-x3)"),
+    ("x1/(x2*x3)", BinOp("/", Var(1), BinOp("*", Var(2), Var(3))),
+     "x1/(x2*x3)"),
+    ("sin(-x1)^-2", _pow(Call("sin", Neg(Var(1))), Neg(Num(2.0))),
+     "sin(-x1)^-2"),
+]
+
+
+@pytest.mark.parametrize("text,tree,printed", BINDING_CASES,
+                         ids=[case[0] for case in BINDING_CASES])
+def test_operator_binding_is_pinned(text, tree, printed):
+    assert parse_expression(text) == tree
+    assert print_expression(tree) == printed
+
+
+def test_a_300_deep_parenthesized_input_parses():
+    assert parse_expression("(" * 300 + "x1" + ")" * 300) == Var(1)
+
+
+@pytest.mark.parametrize("text", ["(" * 1000 + "x1" + ")" * 1000,
+                                  "-" * 1000 + "x1"],
+                         ids=["parentheses", "unary-minus"])
+def test_too_deep_nesting_is_an_expression_error(text):
+    with pytest.raises(ExpressionError, match="nested too deeply") as exc:
+        parse_expression(text)
+    assert 0 < exc.value.offset < len(text)

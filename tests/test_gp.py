@@ -20,7 +20,7 @@ from figp import (Domain, FigpError, FitConfig, FitError, FunctionalInput,
 from figp.gp import (_FAILED, LOG_GAMMA_BOUNDS, LOG_THETA_BOUNDS,
                      SCAN_XATOL, GPModel, _Likelihood, _bounded_brent,
                      _profile, _profile_scan, select_family)
-from figp.kernels import GramFactorization
+from figp.kernels import GramFactorization, _GramOperator
 from figp.reproduce import TRAINING_EXPRESSIONS
 
 from figp_testlib import brute_loocv, count_psi_triangles, \
@@ -511,6 +511,38 @@ def test_fit_frees_its_likelihood_before_the_model_build(bench_inputs,
 
     monkeypatch.setattr(figp.gp, "build_model", checking)
     fit(bench_inputs, bench_outputs["f1"], LINEAR)
+    assert live == [0]
+
+
+def test_a_failed_evaluation_leaves_no_cycle_holding_the_likelihood(
+        bench_inputs, bench_outputs, monkeypatch):
+    # a memoized exception would hold, through its traceback, the frame
+    # that holds the operator; with the cyclic GC off, that cycle would
+    # keep the likelihood and its node geometry alive into the model build
+    real_factorize = figp.kernels._factorize
+    real_build = figp.gp.build_model
+    calls, live = [], []
+
+    def failing_first(K, spec, *args):
+        calls.append(spec)
+        if len(calls) == 1:
+            raise GramFactorizationError("forced failure")
+        return real_factorize(K, spec, *args)
+
+    def checking(*args, **kwargs):
+        live.append(sum(isinstance(o, (_Likelihood, _GramOperator))
+                        for o in gc.get_objects()))
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(figp.kernels, "_factorize", failing_first)
+    monkeypatch.setattr(figp.gp, "build_model", checking)
+    gc.collect()
+    gc.disable()
+    try:
+        fit(bench_inputs[:4], bench_outputs["f1"][:4], LINEAR)
+    finally:
+        gc.enable()
+    assert len(calls) > 1
     assert live == [0]
 
 

@@ -142,16 +142,15 @@ def _cmd_sample_paths(args) -> int:
 
 
 def _cmd_mspe_decay(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
     curve = mspe_decay_curve(args.design, mspe_grid(args.grid_res),
                              seed=args.seed, nu=args.nu, theta=args.theta,
-                             sizes=sizes,
+                             sizes=args.sizes,
                              test_points=np.linspace(0.1, 0.9, args.n_tests),
                              method=args.method, replicates=args.replicates)
     out = args.out or f"mspe_{args.design}.csv"
     storage.save_decay_curve(out, curve)
     report = {
-        "file": out, "design": args.design, "sizes": sizes,
+        "file": out, "design": args.design, "sizes": args.sizes,
         "mspe": [float(v) for v in curve.mspe], "slope": curve.slope,
         "theoretical_rate": curve.theoretical_rate,
     }
@@ -218,6 +217,30 @@ def _cmd_reproduce(args) -> int:
           [f"{args.target}: wrote {len(files)} file(s) to {out_dir}"]
           + [f"  {p}" for p in files])
     return 0
+
+
+def _count(least: int):
+    """An argparse type: an integer of at least `least`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {least}, got {text!r}")
+        return value
+    return parse
+
+
+def _sizes(text: str) -> list:
+    """An argparse type: a comma-separated list of positive integers."""
+    try:
+        return [_count(1)(cell) for cell in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of positive integers, "
+            f"got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,10 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", default="knot", choices=["knot", "eigen"])
     p.add_argument("--nu", type=float, default=MSPE_NU)
     p.add_argument("--theta", type=float, default=MSPE_THETA)
-    p.add_argument("--sizes", default=",".join(map(str, MSPE_SIZES)))
-    p.add_argument("--n-tests", type=int, default=4)
+    p.add_argument("--sizes", type=_sizes, default=list(MSPE_SIZES))
+    p.add_argument("--n-tests", type=_count(1), default=4)
     p.add_argument("--method", default="exact", choices=["exact", "mc"])
-    p.add_argument("--replicates", type=int, default=200)
+    # the Monte Carlo standard error needs two replicates
+    p.add_argument("--replicates", type=_count(2), default=200)
     p.set_defaults(func=_cmd_mspe_decay)
 
     p = sub.add_parser("emulate", parents=[],

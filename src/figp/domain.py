@@ -10,8 +10,9 @@ rather than resampled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -117,6 +118,29 @@ class QuadratureGrid:
         return hash((self.domain.bounds, self.rule, self.resolution))
 
 
+@lru_cache(maxsize=8)
+def _reference_rule(resolution: int) -> Tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre nodes and weights on [-1, 1], read-only.
+    Building the rule costs more than the rest of a grid, so grids of
+    one resolution share it (the last 8 resolutions are kept)."""
+    rule = np.polynomial.legendre.leggauss(resolution)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def _check_resolution(resolution) -> int:
+    """`resolution` as an int of at least 2; FigpError naming it if it
+    is anything else (an integral float such as 20.0 is 20)."""
+    if (isinstance(resolution, numbers.Real)
+            and not isinstance(resolution, bool)
+            and math.isfinite(resolution)
+            and resolution == int(resolution) >= 2):
+        return int(resolution)
+    raise FigpError(f"resolution must be an integer of at least 2 points "
+                    f"per dimension, got {resolution!r}")
+
+
 def build_grid(domain: Domain, resolution: Optional[int] = None,
                rule: str = GAUSS_LEGENDRE) -> QuadratureGrid:
     """Build a tensor-product quadrature grid with `resolution` points
@@ -128,16 +152,14 @@ def build_grid(domain: Domain, resolution: Optional[int] = None,
     """
     if resolution is None:
         resolution = DEFAULT_RESOLUTION.get(domain.dim, 16)
-    resolution = int(resolution)
-    if resolution < 2:
-        raise FigpError("resolution must be at least 2 points per dimension")
+    resolution = _check_resolution(resolution)
     if rule not in _RULES:
         raise FigpError(f"unknown quadrature rule {rule!r}; use one of {_RULES}")
 
     axes, wts = [], []
     for a, b in domain.bounds:
         if rule == GAUSS_LEGENDRE:
-            x, w = np.polynomial.legendre.leggauss(resolution)
+            x, w = _reference_rule(resolution)
             axes.append(0.5 * (b - a) * x + 0.5 * (a + b))
             wts.append(0.5 * (b - a) * w)
         else:

@@ -30,7 +30,8 @@ from .errors import FigpError
 from .gp import (fit, loocv_error, predict_many, select_family,
                  selection_entry)
 from .kernels import LINEAR, NONLINEAR, KernelSpec, MaternParams
-from .sampling import nystrom_eig, sample_paths_gram, sine_frequency_family
+from .sampling import (EigenSystem, nystrom_eig, sample_paths_gram,
+                       sine_frequency_family)
 from .storage import (fmt6, save_decay_curve, save_path_family, write_csv,
                       write_json)
 
@@ -242,22 +243,24 @@ def mspe_grid(grid_res: Optional[int] = None) -> QuadratureGrid:
 def mspe_decay_curve(design: str, grid: QuadratureGrid, seed: int = 42,
                      nu: float = MSPE_NU, theta: float = MSPE_THETA,
                      sizes=MSPE_SIZES, test_points=MSPE_TEST_POINTS,
-                     method: str = "exact",
-                     replicates: int = 200) -> DecayCurve:
+                     method: str = "exact", replicates: int = 200,
+                     eigensystem: Optional[EigenSystem] = None) -> DecayCurve:
     """MSPE decay of the "knot" or "eigen" design on a `mspe_grid`.
 
     The kernel is linear with unit variance; the test inputs are kernel
     translates centered at `test_points`.  The theoretical rate is
     -2 nu / d for knots and -4 nu / d for eigenfunctions.  One full
-    eigensystem serves the eigenfunction design and every exact MSPE.
+    eigensystem serves the eigenfunction design and every exact MSPE:
+    `eigensystem`, which must be `nystrom_eig` of this kernel on `grid`,
+    or one built here when it is needed and not given.
     """
     domain = grid.domain
     params = MaternParams(nu, 1.0, (theta,))
     pts = np.asarray(test_points, dtype=float)[:, None]
     tests = knot_design(KnotSet(pts, fill_distance(pts, domain)), params,
                         grid)
-    eig = None
-    if design == "eigen" or method == "exact":
+    eig = eigensystem
+    if eig is None and (design == "eigen" or method == "exact"):
         eig = nystrom_eig(params, grid)
     if design == "knot":
         def builder(n):
@@ -278,8 +281,9 @@ def reproduce_mspe_decay(out_dir: str, seed: int = 42,
     grid = mspe_grid(grid_res)
     files = []
     report = {"sizes": list(MSPE_SIZES), "nu": MSPE_NU, "theta": MSPE_THETA}
+    eig = nystrom_eig(MaternParams(MSPE_NU, 1.0, (MSPE_THETA,)), grid)
     for name in ("knot", "eigen"):
-        curve = mspe_decay_curve(name, grid, seed=seed)
+        curve = mspe_decay_curve(name, grid, seed=seed, eigensystem=eig)
         path = os.path.join(out_dir, f"mspe_decay_{name}.csv")
         save_decay_curve(path, curve)
         files.append(path)

@@ -144,7 +144,8 @@ def grid_to_dict(grid: QuadratureGrid) -> dict:
 
 def grid_from_dict(d: dict, what: str = "grid") -> QuadratureGrid:
     """The grid of `d`; FigpError naming `what` if its "domain" is not
-    a list of [lower, upper] number pairs."""
+    a list of [lower, upper] number pairs, or its "resolution" (null
+    for the default) or "rule" is not one `build_grid` takes."""
     _require(d, ("domain",), what)
     if not isinstance(d["domain"], list) or not all(
             isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
@@ -152,7 +153,11 @@ def grid_from_dict(d: dict, what: str = "grid") -> QuadratureGrid:
         raise FigpError(f"{what} 'domain' is not a list of [lower, upper] "
                         "number pairs")
     domain = Domain(tuple(tuple(b) for b in d["domain"]))
-    return build_grid(domain, d.get("resolution"), d.get("rule", "gauss-legendre"))
+    try:
+        return build_grid(domain, d.get("resolution"),
+                          d.get("rule", "gauss-legendre"))
+    except FigpError as exc:
+        raise FigpError(f"{what}: {exc}") from None
 
 
 def _resolve_csv(path: str, base_dir: str) -> str:
@@ -440,10 +445,19 @@ def load_emulator(path: str) -> PCAEmulator:
 
 def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
     """Load a field dataset from a CSV (label, v1..vp per row) plus a
-    manifest carrying the grid definition and field shape."""
+    manifest carrying the grid definition and field shape; FigpError
+    names a "field_shape" that is not a list of positive integers, or
+    the line of a row whose length differs from the first row's."""
     manifest = read_json(manifest_path)
-    _require(manifest, ("domain", "field_shape"), f"manifest {manifest_path!r}")
-    grid = grid_from_dict(manifest, f"manifest {manifest_path!r}")
+    what = f"manifest {manifest_path!r}"
+    _require(manifest, ("domain", "field_shape"), what)
+    shape = manifest["field_shape"]
+    if not isinstance(shape, list) or not all(
+            isinstance(s, int) and not isinstance(s, bool) and s >= 1
+            for s in shape):
+        raise FigpError(f"{what} 'field_shape' is not a list of positive "
+                        "integers")
+    grid = grid_from_dict(manifest, what)
     base_dir = os.path.dirname(fields_csv)
     inputs, rows = [], []
     with open(fields_csv, newline="") as fh:
@@ -454,11 +468,16 @@ def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
         for row in reader:
             if not row:
                 continue
+            if rows and len(row) != len(rows[0]) + 1:
+                raise FigpError(
+                    f"{fields_csv!r} line {reader.line_num}: expected "
+                    f"{len(rows[0])} field values as on the first row, "
+                    f"got {len(row) - 1}")
             inputs.append(input_from_reference(row[0], grid, base_dir))
             rows.append(_csv_numbers(fields_csv, reader.line_num, row[1:]))
     if not inputs:
         raise FigpError(f"{fields_csv!r} has no data rows")
-    return FieldDataset(inputs, rows, manifest["field_shape"])
+    return FieldDataset(inputs, rows, shape)
 
 
 def save_field_dataset(fields_csv: str, manifest_path: str,
@@ -475,15 +494,20 @@ def save_field_dataset(fields_csv: str, manifest_path: str,
 # ---------------------------------------------------------------------------
 # CSV exports
 
+def _number_rows(header: Sequence[str], rows, row_format: str) -> str:
+    """CSV text of `header`, then of each row of numbers in `rows`
+    formatted by the one %-string `row_format` ("%.6g" per cell is what
+    `fmt6` writes, and a number never needs csv quoting)."""
+    lines = [",".join(header)] + [row_format % tuple(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def path_family_csv(family: PathFamily) -> str:
-    buf = io.StringIO()
     header = " ".join(f"{k}={v}" for k, v in sorted(family.params.items()))
-    buf.write(f"# {header}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["alpha"] + [f"path{i + 1}" for i in range(family.n_paths)])
-    for j, a in enumerate(family.index_values):
-        writer.writerow([fmt6(a)] + [fmt6(v) for v in family.draws[:, j]])
-    return buf.getvalue()
+    rows = np.column_stack((family.index_values, family.draws.T))
+    return f"# {header}\n" + _number_rows(
+        ["alpha"] + [f"path{i + 1}" for i in range(family.n_paths)],
+        rows.tolist(), ",".join(["%.6g"] * rows.shape[1]))
 
 
 def save_path_family(path: str, family: PathFamily) -> None:
@@ -491,17 +515,13 @@ def save_path_family(path: str, family: PathFamily) -> None:
 
 
 def decay_curve_csv(curve: DecayCurve) -> str:
-    buf = io.StringIO()
     rate = "" if curve.theoretical_rate is None else fmt6(curve.theoretical_rate)
-    buf.write(
+    return (
         f"# slope={fmt6(curve.slope)} slope_se={fmt6(curve.slope_se)} "
         f"theoretical_rate={rate} method={curve.method}\n"
-    )
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "mspe", "se"])
-    for n, m, s in zip(curve.sizes, curve.mspe, curve.se):
-        writer.writerow([int(n), fmt6(m), fmt6(s)])
-    return buf.getvalue()
+    ) + _number_rows(["n", "mspe", "se"],
+                     zip(curve.sizes.tolist(), curve.mspe.tolist(),
+                         curve.se.tolist()), "%d,%.6g,%.6g")
 
 
 def save_decay_curve(path: str, curve: DecayCurve) -> None:

@@ -223,6 +223,62 @@ def test_a_non_numeric_field_csv_cell_names_the_file_and_line(workdir,
                     "float: 'abc'")
 
 
+def test_a_non_integer_resolution_names_the_file_and_the_value(workdir,
+                                                               capsys):
+    (workdir / "train.json").write_text(json.dumps(
+        dict(_TRAINING, resolution="abc")))
+    _one_error_line(["fit", "--family", "linear", "--train", "train.json"],
+                    capsys, "fit", "training data 'train.json': resolution "
+                    "must be an integer of at least 2 points per dimension, "
+                    "got 'abc'")
+
+
+def _field_files(workdir, field_shape, fields_text):
+    (workdir / "manifest.json").write_text(json.dumps(
+        {"domain": [[0.0, 1.0]], "resolution": 8,
+         "field_shape": field_shape}))
+    (workdir / "fields.csv").write_text(fields_text)
+    return ["emulate", "fit", "--fields", "fields.csv",
+            "--manifest", "manifest.json"]
+
+
+def test_a_field_shape_that_is_not_integers_names_the_manifest(workdir,
+                                                              capsys):
+    argv = _field_files(workdir, "ab",
+                        "input,v1,v2\nx1,0.5,1.0\n1+x1,1.5,2.0\n")
+    _one_error_line(argv, capsys, "emulate fit",
+                    "manifest 'manifest.json' 'field_shape' is not a list "
+                    "of positive integers")
+
+
+def test_a_ragged_fields_csv_names_the_file_and_the_line(workdir, capsys):
+    argv = _field_files(workdir, [2], "input,v1,v2\nx1,0.5,1.0\n"
+                                      "1+x1,1.5\nx1^2,0.25,0.5\n")
+    _one_error_line(argv, capsys, "emulate fit",
+                    "'fields.csv' line 3: expected 2 field values as on the "
+                    "first row, got 1")
+
+
+@pytest.mark.parametrize("argv,flag,cause", [
+    (["--sizes", "a,b"], "--sizes", "positive integers, got 'a,b'"),
+    (["--sizes="], "--sizes", "positive integers, got ''"),
+    (["--n-tests", "0"], "--n-tests", "at least 1, got '0'"),
+    (["--method", "mc", "--replicates", "0"], "--replicates",
+     "at least 2, got '0'"),
+    (["--method", "mc", "--replicates", "1"], "--replicates",
+     "at least 2, got '1'")],
+    ids=["sizes-letters", "sizes-empty", "n-tests-0", "replicates-0",
+         "replicates-1"])
+def test_mspe_decay_rejects_bad_counts_naming_the_flag(workdir, capsys, argv,
+                                                       flag, cause):
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(["mspe-decay", "--out", "curve.csv"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"figp mspe-decay: error: argument {flag}: " in err and cause in err
+    assert not (workdir / "curve.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["emulate", "predict", "--emulator", "absent.json", "--input", "x1"],
     ["emulate", "predict", "--emulator", "bad.json", "--input", "x1"]],

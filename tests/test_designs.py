@@ -187,10 +187,10 @@ def eig_calls(monkeypatch):
     return calls
 
 
-def test_mspe_decay_target_builds_one_eigensystem_per_curve(tmp_path,
-                                                            eig_calls):
+def test_mspe_decay_target_builds_one_eigensystem_for_both_curves(
+        tmp_path, eig_calls):
     run_reproduce("mspe_decay", str(tmp_path), seed=42)
-    assert len(eig_calls) == 2
+    assert len(eig_calls) == 1
 
 
 def test_mc_knot_curve_builds_no_eigensystem(unit_grid, eig_calls):

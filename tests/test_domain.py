@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import figp.domain
 from figp import (NONLINEAR, DecayCurve, Domain, EigenSystem, ExpressionError,
                   FieldDataset, FigpError, FunctionalInput, GPModel,
                   GramFactorization, GridMismatchError, KernelSpec, KnotSet,
@@ -35,6 +36,44 @@ def test_grid_shapes_and_weights(square_grid):
 def test_grid_resolution_floor():
     with pytest.raises(FigpError):
         build_grid(Domain(((0.0, 1.0),)), 1)
+
+
+def test_grid_takes_an_integral_float_resolution_and_none():
+    unit = Domain(((0.0, 1.0),))
+    grid = build_grid(unit, 20.0)
+    assert grid.resolution == 20 and type(grid.resolution) is int
+    assert grid == build_grid(unit, np.int64(20))
+    assert build_grid(unit, None).resolution == 64
+
+
+def test_grids_of_one_resolution_share_one_reference_rule(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+    figp.domain._reference_rule.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    a = build_grid(Domain(((0.0, 1.0),)), 37)
+    b = build_grid(Domain(((-2.0, 3.0), (0.0, 1.0))), 37.0)
+    assert calls == [37]
+    np.testing.assert_array_equal(np.unique(b.nodes[:, 1]), a.nodes[:, 0])
+    build_grid(Domain(((0.0, 1.0),)), 38)
+    assert calls == [37, 38]
+    figp.domain._reference_rule.cache_clear()
+
+
+def test_the_shared_reference_rule_is_read_only_and_numpys():
+    for n in (2, 64, 256):
+        shared = figp.domain._reference_rule(n)
+        for got, want in zip(shared, np.polynomial.legendre.leggauss(n)):
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+    grid = build_grid(Domain(((0.0, 2.0),)), 64)
+    x, w = np.polynomial.legendre.leggauss(64)
+    assert grid.nodes[:, 0].tobytes() == (1.0 * x + 1.0).tobytes()
+    assert grid.weights.tobytes() == (1.0 * w).tobytes()
 
 
 def test_grid_equality(square_grid):

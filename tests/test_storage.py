@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from figp import (Domain, FieldDataset, FigpError, FunctionalInput,
                   build_grid, build_model, fit, fit_emulator, FitConfig,
                   predict, predict_field, predict_many, sample_function)
 from figp.domain import UNIFORM_MIDPOINT
-from figp.sampling import sample_paths_gram, sine_frequency_family
+from figp.sampling import PathFamily, sample_paths_gram, sine_frequency_family
 from figp.designs import DecayCurve
 from figp.storage import (atomic_write_text, decay_curve_csv, fmt, fmt6,
                           grid_from_dict, grid_to_dict, input_from_reference,
@@ -435,6 +437,65 @@ def test_version_3_emulator_loads_with_one_warning(tmp_path, square_grid):
     write_json(path, blob)
     with pytest.raises(FigpError, match="model payload check failed"):
         load_emulator(path)
+
+
+@pytest.mark.parametrize("text,shown", [
+    ('"abc"', "'abc'"), ('"20"', "'20'"), ("NaN", "nan"), ("Infinity", "inf"),
+    ("20.5", "20.5"), ("true", "True"), ("[]", "[]")])
+def test_a_bad_resolution_names_the_file_and_the_value(tmp_path, text, shown):
+    path = tmp_path / "train.json"
+    path.write_text('{"domain": [[0, 1]], "inputs": ["x1", "1+x1"], '
+                    f'"y": [0.5, 1.5], "resolution": {text}}}')
+    with pytest.raises(FigpError) as e:
+        load_training_data(str(path))
+    assert str(e.value) == (
+        f"training data {str(path)!r}: resolution must be an integer of at "
+        f"least 2 points per dimension, got {shown}")
+
+
+@pytest.mark.parametrize("resolution,expected", [(None, 64), (20.0, 20)])
+def test_a_null_or_integral_resolution_loads(tmp_path, resolution, expected):
+    path = str(tmp_path / "train.json")
+    write_json(path, {"domain": [[0, 1]], "inputs": ["x1", "1+x1"],
+                      "y": [0.5, 1.5], "resolution": resolution})
+    grid, inputs, _ = load_training_data(path)
+    assert grid.resolution == expected and inputs[0].values.size == expected
+
+
+def _old_number_csv(header, rows, first=int):
+    """A decay or path CSV body as csv.writer wrote it, with `first` on
+    each row's first cell and fmt6 on the others."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([first(row[0])] + [fmt6(v) for v in row[1:]])
+    return buf.getvalue()
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1e300, 123456.5, -1.5e-7, 1.0,
+                -2.5]
+
+
+def test_number_rows_are_the_csv_writer_bytes_on_edge_values(interval_grid):
+    # a one-replicate Monte Carlo curve has se = nan
+    curve = DecayCurve(np.arange(2, 3 + len(_EDGE_VALUES)),
+                       np.abs(_EDGE_VALUES + [0.5]),
+                       _EDGE_VALUES + [float("nan")], -1.0, 0.1, 1, "mc")
+    body = decay_curve_csv(curve).split("\n", 1)[1]
+    assert body == _old_number_csv(
+        ["n", "mspe", "se"], zip(curve.sizes, curve.mspe, curve.se))
+    assert body.endswith(",nan\n") and ",-0\n" in body
+
+    index = np.array(_EDGE_VALUES)
+    draws = np.array([_EDGE_VALUES, _EDGE_VALUES[::-1]])
+    inputs = [sample_function("x1", interval_grid)] * len(_EDGE_VALUES)
+    pf = PathFamily(index, inputs, draws, 0, {"nu": 2.5})
+    body = path_family_csv(pf).split("\n", 1)[1]
+    assert body == _old_number_csv(
+        ["alpha", "path1", "path2"],
+        ([a] + list(draws[:, j]) for j, a in enumerate(index)),
+        first=fmt6)
 
 
 def test_field_dataset_round_trip(tmp_path, square_grid):

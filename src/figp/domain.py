@@ -129,16 +129,19 @@ def _reference_rule(resolution: int) -> Tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _check_resolution(resolution) -> int:
-    """`resolution` as an int of at least 2; FigpError naming it if it
-    is anything else (an integral float such as 20.0 is 20)."""
-    if (isinstance(resolution, numbers.Real)
+def _check_resolution(resolution, dim: int) -> int:
+    """`resolution` as an int of at least 2 (20.0 is 20) whose grid of
+    resolution^dim nodes numpy can index; FigpError naming it if not."""
+    if not (isinstance(resolution, numbers.Real)
             and not isinstance(resolution, bool)
             and math.isfinite(resolution)
             and resolution == int(resolution) >= 2):
-        return int(resolution)
-    raise FigpError(f"resolution must be an integer of at least 2 points "
-                    f"per dimension, got {resolution!r}")
+        raise FigpError(f"resolution must be an integer of at least 2 points "
+                        f"per dimension, got {resolution!r}")
+    if int(resolution) ** dim > np.iinfo(np.intp).max:
+        raise FigpError(f"resolution must give at most {np.iinfo(np.intp).max}"
+                        f" grid nodes, got {resolution!r}^{dim}")
+    return int(resolution)
 
 
 def build_grid(domain: Domain, resolution: Optional[int] = None,
@@ -152,7 +155,7 @@ def build_grid(domain: Domain, resolution: Optional[int] = None,
     """
     if resolution is None:
         resolution = DEFAULT_RESOLUTION.get(domain.dim, 16)
-    resolution = _check_resolution(resolution)
+    resolution = _check_resolution(resolution, domain.dim)
     if rule not in _RULES:
         raise FigpError(f"unknown quadrature rule {rule!r}; use one of {_RULES}")
 

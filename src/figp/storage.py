@@ -91,18 +91,64 @@ def read_json(path: str):
             raise FigpError(f"{path!r} is not a JSON file: {exc}") from None
 
 
-def _require(d, keys, what: str) -> None:
-    """Raise FigpError naming `what` unless `d` is a JSON object that
-    holds every one of `keys`; the first missing key is named."""
-    if not isinstance(d, dict):
-        raise FigpError(f"{what} is not a JSON object")
-    for key in keys:
-        if key not in d:
-            raise FigpError(f"{what} is missing {key!r}")
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+_is_numbers = _list_of(_is_number)
+# Each kind a saved key can have: its test and its name in messages.
+_KINDS = {
+    "number": (_is_number, "a number"),
+    "numbers": (_is_numbers, "a list of numbers"),
+    "rows": (lambda v: _list_of(_is_numbers)(v) and len(set(map(len, v))) < 2,
+             "a list of equal-length number rows"),
+    "bounds": (_list_of(lambda b: _is_numbers(b) and len(b) == 2),
+               "a list of [lower, upper] number pairs"),
+    "counts": (_list_of(lambda s: type(s) is int and s > 0),
+               "a list of positive integers"),
+    "refs": (_list_of(lambda r: isinstance(r, str) or isinstance(r, dict)
+                      and isinstance(r.get("csv"), str)),
+             'a list of expressions, CSV paths or {"csv": path} objects'),
+    "objects": (_list_of(lambda m: isinstance(m, dict)), "a list of objects"),
+    "family": (lambda v: v in (LINEAR, NONLINEAR), "'linear' or 'nonlinear'"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "object": (lambda v: isinstance(v, dict), "a JSON object"),
+    "null": (lambda v: v is None, "null"),
+}
+# Each saved object's keys and their kinds: a `_KINDS` name, or several
+# joined by "|" for any one of them; a trailing "?" lets the key be
+# absent.  `build_grid` checks a grid's "resolution" itself.
+_GRID = {"domain": "bounds", "rule": "string?"}
+_TRAINING = {"inputs": "refs", "y": "numbers"}
+_MANIFEST = {"field_shape": "counts"}
+_KERNEL = {"variant": "family", "nu": "number", "sigma2": "number",
+           "nugget": "number|null?", "premap": "string|null?"}
+_KERNELS = {LINEAR: dict(_KERNEL, lengthscales="numbers"),
+            NONLINEAR: dict(_KERNEL, gamma="number")}
+_MODEL = {"kernel": "object", "grid": "object", "inputs": "refs",
+          "y": "numbers", "mu_hat": "number", "log_likelihood": "number?"}
+_GRAM = {"diag": "numbers", "row_sums": "numbers", "nugget": "number"}
+_EMULATOR = {"field_shape": "counts", "mean_field": "numbers",
+             "components": "rows", "explained_variance_ratio": "numbers",
+             "score_models": "objects"}
+
+
+def _check(d, table: dict, what: str) -> None:
+    """Raise FigpError naming `what` and the first key of `table` that
+    `d`, a JSON object, lacks or holds a value of another kind."""
+    if not isinstance(d, dict):
+        raise FigpError(f"{what} is not a JSON object")
+    for key, kind in table.items():
+        kinds = [_KINDS[k] for k in kind.rstrip("?").split("|")]
+        if key not in d and not kind.endswith("?"):
+            raise FigpError(f"{what} is missing {key!r}")
+        if key in d and not any(ok(d[key]) for ok, _ in kinds):
+            raise FigpError(f"{what} {key!r} is not "
+                            + " or ".join(name for _, name in kinds))
 
 
 def _csv_numbers(path: str, line: int, cells) -> list:
@@ -112,23 +158,6 @@ def _csv_numbers(path: str, line: int, cells) -> list:
         return [float(v) for v in cells]
     except ValueError as exc:
         raise FigpError(f"{path!r} line {line}: {exc}") from None
-
-
-def _require_numbers(d: dict, what: str, lists=(), scalars=()) -> None:
-    """Raise FigpError naming the first key of `d` in `lists` whose value
-    is not a list of JSON numbers, or in `scalars` whose value is not a
-    JSON number; keys absent from `d` are not checked."""
-    for key in lists + scalars:
-        if key not in d:
-            continue
-        v = d[key]
-        if key in lists:
-            ok = isinstance(v, list) and all(map(_is_number, v))
-            kind = "a list of numbers"
-        else:
-            ok, kind = _is_number(v), "a number"
-        if not ok:
-            raise FigpError(f"{what} {key!r} is not {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +172,10 @@ def grid_to_dict(grid: QuadratureGrid) -> dict:
 
 
 def grid_from_dict(d: dict, what: str = "grid") -> QuadratureGrid:
-    """The grid of `d`; FigpError naming `what` if its "domain" is not
-    a list of [lower, upper] number pairs, or its "resolution" (null
-    for the default) or "rule" is not one `build_grid` takes."""
-    _require(d, ("domain",), what)
-    if not isinstance(d["domain"], list) or not all(
-            isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
-            for b in d["domain"]):
-        raise FigpError(f"{what} 'domain' is not a list of [lower, upper] "
-                        "number pairs")
+    """The grid of `d`; FigpError naming `what` if its keys are not of
+    the kinds `_GRID` gives, or its "resolution" (null for the default)
+    or "rule" is not one `build_grid` takes."""
+    _check(d, _GRID, what)
     domain = Domain(tuple(tuple(b) for b in d["domain"]))
     try:
         return build_grid(domain, d.get("resolution"),
@@ -211,16 +235,13 @@ def input_to_reference(g: FunctionalInput, base_dir: str):
 def load_training_data(path: str):
     """Load {domain, resolution, rule, inputs, y} training data."""
     d, what = read_json(path), f"training data {path!r}"
-    _require(d, ("domain", "inputs", "y"), what)
-    _require_numbers(d, what, lists=("y",))
-    if not isinstance(d["inputs"], list):
-        raise FigpError(f"{what} 'inputs' is not a list")
+    _check(d, _TRAINING, what)
     grid = grid_from_dict(d, what)
     base_dir = os.path.dirname(path)
     inputs = [input_from_reference(ref, grid, base_dir) for ref in d["inputs"]]
     y = np.asarray(d["y"], dtype=float)
     if y.size != len(inputs):
-        raise FigpError("training data y length does not match inputs")
+        raise FigpError(f"{what} 'y' length does not match 'inputs'")
     return grid, inputs, y
 
 
@@ -276,9 +297,8 @@ def kernel_spec_to_dict(spec: KernelSpec) -> dict:
 
 
 def kernel_spec_from_dict(d: dict) -> KernelSpec:
-    _require(d, ("variant", "nu", "sigma2"), "model kernel")
-    linear = d["variant"] == LINEAR
-    _require(d, ("lengthscales" if linear else "gamma",), "model kernel")
+    linear = isinstance(d, dict) and d.get("variant") == LINEAR
+    _check(d, _KERNELS[LINEAR if linear else NONLINEAR], "model kernel")
     if linear:
         params = MaternParams(d["nu"], d["sigma2"],
                               tuple(d["lengthscales"]))
@@ -301,7 +321,7 @@ def _payload_version(d, file_format: str, current: int) -> int:
     payload of the `current` version must match its `payload_sha256`,
     which catches any edit after the save."""
     if not isinstance(d, dict) or d.get("format") != file_format:
-        raise FigpError(f"not a {file_format} file")
+        raise FigpError(f"not a {file_format} file: wrong 'format'")
     version = d.get("version", 1)
     if version not in range(1, current + 1):
         raise FigpError(f"unsupported {file_format} file version {version!r}")
@@ -320,10 +340,15 @@ def _gram_invariants(model: GPModel) -> dict:
 
 def _check_gram(stored: dict, model: GPModel, refs) -> None:
     """Raise FigpError naming the first invariant (and input) of the
-    model's Gram that is off `stored` by more than GRAM_RTOL * n * max diag."""
+    model's Gram that is off `stored` by more than GRAM_RTOL * n * max diag,
+    after checking the kinds of `stored` and the lengths of its lists."""
+    _check(stored, _GRAM, "model gram")
     found = _gram_invariants(model)
-    tol = GRAM_RTOL * model.n * max(stored["diag"])
+    tol = GRAM_RTOL * model.n * max(found["diag"])
     for key in ("diag", "row_sums", "nugget"):
+        if np.size(stored[key]) != np.size(found[key]):
+            raise FigpError(f"model gram {key!r} has {np.size(stored[key])} "
+                            f"entries for {model.n} inputs")
         delta = np.abs(np.subtract(found[key], stored[key])).ravel()
         bad = np.flatnonzero(~(delta <= tol))
         if bad.size:
@@ -361,18 +386,15 @@ def model_from_dict(d: dict, base_dir: str) -> GPModel:
     taken relative to `base_dir`, the directory of the file read, or to
     the current directory in a version-1 payload.
 
-    A version-3 payload must match its `payload_sha256`, which catches
-    any edit, and its rebuilt Gram the saved invariants (`_check_gram`),
+    Every version's keys must have the kinds `_MODEL` gives, and a
+    version-3 payload must match its `payload_sha256`, which catches any
+    edit, and its rebuilt Gram the saved invariants (`_check_gram`),
     which catch a changed CSV input; FigpError names the failed check.
     Versions 1 and 2 hold only a hash of the Gram's bytes, which other
-    arithmetic does not reproduce; they load unchecked with a warning.
-    In every version `y`, `mu_hat` and `log_likelihood` must be JSON
-    numbers; FigpError names the first key that is not."""
+    arithmetic does not reproduce; they load with a warning instead."""
     version = _payload_version(d, MODEL_FORMAT, FORMAT_VERSION)
-    _require(d, ("kernel", "grid", "inputs", "y", "mu_hat")
-             + (("gram",) if version == FORMAT_VERSION else ()), "model")
-    _require_numbers(d, "model", lists=("y",),
-                     scalars=("mu_hat", "log_likelihood"))
+    _check(d, dict(_MODEL, gram="object") if version == FORMAT_VERSION
+           else _MODEL, "model")
     spec = kernel_spec_from_dict(d["kernel"])
     grid = grid_from_dict(d["grid"], "model grid")
     ref_dir = "" if version == 1 else base_dir
@@ -424,8 +446,7 @@ def load_emulator(path: str) -> PCAEmulator:
     hash of its own keys and loads with a warning."""
     d = read_json(path)
     version = _payload_version(d, EMULATOR_FORMAT, EMULATOR_VERSION)
-    _require(d, ("field_shape", "mean_field", "components",
-                 "explained_variance_ratio", "score_models"), "emulator")
+    _check(d, _EMULATOR, "emulator")
     emulator = PCAEmulator(
         d["mean_field"], d["components"],
         tuple(model_from_dict(md, os.path.dirname(path))
@@ -446,17 +467,11 @@ def load_emulator(path: str) -> PCAEmulator:
 def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
     """Load a field dataset from a CSV (label, v1..vp per row) plus a
     manifest carrying the grid definition and field shape; FigpError
-    names a "field_shape" that is not a list of positive integers, or
-    the line of a row whose length differs from the first row's."""
+    names a manifest key that is not of the kind `_MANIFEST` or `_GRID`
+    gives, or the line of a row whose length differs from the first row's."""
     manifest = read_json(manifest_path)
     what = f"manifest {manifest_path!r}"
-    _require(manifest, ("domain", "field_shape"), what)
-    shape = manifest["field_shape"]
-    if not isinstance(shape, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) and s >= 1
-            for s in shape):
-        raise FigpError(f"{what} 'field_shape' is not a list of positive "
-                        "integers")
+    _check(manifest, _MANIFEST, what)
     grid = grid_from_dict(manifest, what)
     base_dir = os.path.dirname(fields_csv)
     inputs, rows = [], []
@@ -477,7 +492,7 @@ def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
             rows.append(_csv_numbers(fields_csv, reader.line_num, row[1:]))
     if not inputs:
         raise FigpError(f"{fields_csv!r} has no data rows")
-    return FieldDataset(inputs, rows, shape)
+    return FieldDataset(inputs, rows, manifest["field_shape"])
 
 
 def save_field_dataset(fields_csv: str, manifest_path: str,

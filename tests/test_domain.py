@@ -46,6 +46,20 @@ def test_grid_takes_an_integral_float_resolution_and_none():
     assert build_grid(unit, None).resolution == 64
 
 
+@pytest.mark.parametrize("resolution,dim", [(1e20, 1), (1e308, 1),
+                                            (1e20, 2)])
+def test_a_resolution_whose_nodes_numpy_cannot_index_is_refused_unbuilt(
+        monkeypatch, resolution, dim):
+    def unbuilt(n):
+        raise AssertionError(f"a rule of {n} nodes was built")
+    monkeypatch.setattr(figp.domain, "_reference_rule", unbuilt)
+    with pytest.raises(FigpError) as e:
+        build_grid(Domain(((0.0, 1.0),) * dim), resolution)
+    assert str(e.value) == (
+        f"resolution must give at most {np.iinfo(np.intp).max} grid nodes, "
+        f"got {resolution!r}^{dim}")
+
+
 def test_grids_of_one_resolution_share_one_reference_rule(monkeypatch):
     calls = []
     leggauss = np.polynomial.legendre.leggauss

@@ -542,3 +542,43 @@ def test_decay_curve_csv_format(tmp_path):
     out = tmp_path / "curve.csv"
     save_decay_curve(str(out), curve)
     assert out.read_text() == text
+
+
+@pytest.mark.parametrize("key,value", [("diag", []), ("row_sums", [1.0]),
+                                       ("diag", [1.0] * 7)])
+def test_a_gram_invariant_of_another_length_names_the_key(tmp_path,
+                                                          square_grid, key,
+                                                          value):
+    path = str(tmp_path / "model.json")
+    save_model(path, _linear_and_nonlinear_models(square_grid)[0])
+    blob = read_json(path)
+    blob["gram"][key] = value
+    blob["payload_sha256"] = figp.storage._payload_sha256(blob)
+    write_json(path, blob)
+    with pytest.raises(FigpError) as e:
+        load_model(path)
+    assert str(e.value) == (
+        f"model gram {key!r} has {len(value)} entries for 6 inputs")
+
+
+def test_a_training_y_of_another_length_names_the_file(tmp_path):
+    path = str(tmp_path / "train.json")
+    write_json(path, {"domain": [[0, 1]], "inputs": ["x1", "1+x1"],
+                      "y": [0.5]})
+    with pytest.raises(FigpError) as e:
+        load_training_data(path)
+    assert str(e.value) == (
+        f"training data {path!r} 'y' length does not match 'inputs'")
+
+
+@pytest.mark.parametrize("resolution", ["1e20", "1e308"])
+def test_a_resolution_too_large_to_index_names_the_file(tmp_path,
+                                                        resolution):
+    path = tmp_path / "train.json"
+    path.write_text('{"domain": [[0, 1]], "inputs": ["x1", "1+x1"], '
+                    f'"y": [0.5, 1.5], "resolution": {resolution}}}')
+    with pytest.raises(FigpError) as e:
+        load_training_data(str(path))
+    assert str(e.value).startswith(
+        f"training data {str(path)!r}: resolution must give at most ")
+    assert str(e.value).endswith(f"got {float(resolution)!r}^1")

@@ -228,6 +228,8 @@ def empirical_mspe(design_builder: Callable[[int], List[FunctionalInput]],
         raise FigpError("need at least one test function")
     if method not in ("exact", "mc"):
         raise FigpError(f"unknown method {method!r}")
+    if method == "mc" and replicates < 2:
+        raise FigpError(f"method 'mc' needs replicates >= 2, got {replicates}")
 
     mspe_vals, se_vals = [], []
     rng = np.random.default_rng(seed)

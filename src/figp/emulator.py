@@ -102,6 +102,12 @@ class PCAEmulator:
         if k < 1 or len(self.score_models) != k or \
                 self.explained_variance_ratio.size != k:
             raise FigpError("emulator component counts are inconsistent")
+        p = int(np.prod(self.field_shape))
+        if self.mean_field.shape != (p,) or self.components.shape[1:] != (p,):
+            raise FigpError(
+                f"emulator field_shape {list(self.field_shape)} holds {p} "
+                f"values, but mean_field holds {self.mean_field.size} and "
+                f"each component {self.components.shape[-1]}")
         G = self.components @ self.components.T
         if np.max(np.abs(G - np.eye(k))) > 1e-10:
             raise FigpError("components are not orthonormal")

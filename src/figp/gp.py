@@ -197,7 +197,11 @@ def build_model(spec: KernelSpec, inputs: Sequence[FunctionalInput], y,
     fact = gram(inputs, spec)
     if mu is None:
         mu = _gls(fact, y)[0]
-    alpha = fact.solve_refined(y - mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = fact.solve_refined(y - mu)
+    if not np.isfinite(alpha).all():
+        raise FigpError(f"build_model: the weights K^-1 (y - mu) are not "
+                        f"finite for mu = {float(mu):.6g}")
     return GPModel(spec, inputs, y, float(mu), fact, alpha)
 
 

@@ -13,7 +13,6 @@ import io
 import json
 import os
 import tempfile
-import warnings
 from dataclasses import replace
 from typing import Sequence
 
@@ -35,10 +34,10 @@ from .sampling import PathFamily
 
 MODEL_FORMAT = "figp-model"
 EMULATOR_FORMAT = "figp-emulator"
-# Version 3 adds the payload hash and the Gram invariants; version 1
-# read relative CSV paths from the current directory, and still does.
+# The one version of each file that figp writes and reads: a model
+# carries its payload hash and Gram invariants, an emulator its own hash.
 FORMAT_VERSION = 3
-EMULATOR_VERSION = 4  # version 4 adds the emulator's own payload hash
+EMULATOR_VERSION = 4
 # Saved and rebuilt Gram invariants may differ by GRAM_RTOL * n * max
 # diag; another BLAS or product order moves them by about 1e-15 of that.
 GRAM_RTOL = 1e-10
@@ -130,7 +129,8 @@ _KERNEL = {"variant": "family", "nu": "number", "sigma2": "number",
 _KERNELS = {LINEAR: dict(_KERNEL, lengthscales="numbers"),
             NONLINEAR: dict(_KERNEL, gamma="number")}
 _MODEL = {"kernel": "object", "grid": "object", "inputs": "refs",
-          "y": "numbers", "mu_hat": "number", "log_likelihood": "number?"}
+          "y": "numbers", "mu_hat": "number", "log_likelihood": "number?",
+          "gram": "object"}
 _GRAM = {"diag": "numbers", "row_sums": "numbers", "nugget": "number"}
 _EMULATOR = {"field_shape": "counts", "mean_field": "numbers",
              "components": "rows", "explained_variance_ratio": "numbers",
@@ -316,19 +316,19 @@ def _payload_sha256(d: dict) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def _payload_version(d, file_format: str, current: int) -> int:
-    """The version, 1 to `current`, of the `file_format` payload `d`; a
-    payload of the `current` version must match its `payload_sha256`,
-    which catches any edit after the save."""
+def _check_payload(d, file_format: str, version: int) -> None:
+    """Raise FigpError unless `d` is a `file_format` payload of the
+    integer `version`, the one figp writes, that matches its
+    `payload_sha256`, which catches any edit after the save."""
     if not isinstance(d, dict) or d.get("format") != file_format:
         raise FigpError(f"not a {file_format} file: wrong 'format'")
-    version = d.get("version", 1)
-    if version not in range(1, current + 1):
-        raise FigpError(f"unsupported {file_format} file version {version!r}")
-    if version == current and d.get("payload_sha256") != _payload_sha256(d):
+    if type(d.get("version")) is not int or d["version"] != version:
+        raise FigpError(f"unsupported {file_format} file version "
+                        f"{d.get('version')!r} (figp reads version {version}"
+                        "): fit it again from its training data")
+    if d.get("payload_sha256") != _payload_sha256(d):
         raise FigpError(f"{file_format} payload check failed: the file was "
                         "edited after it was saved (payload_sha256 mismatch)")
-    return version
 
 
 def _gram_invariants(model: GPModel) -> dict:
@@ -383,31 +383,21 @@ def save_model(path: str, model: GPModel) -> None:
 
 def model_from_dict(d: dict, base_dir: str) -> GPModel:
     """Rebuild a model from its payload; relative CSV input paths are
-    taken relative to `base_dir`, the directory of the file read, or to
-    the current directory in a version-1 payload.
+    taken relative to `base_dir`, the directory of the file read.
 
-    Every version's keys must have the kinds `_MODEL` gives, and a
-    version-3 payload must match its `payload_sha256`, which catches any
-    edit, and its rebuilt Gram the saved invariants (`_check_gram`),
-    which catch a changed CSV input; FigpError names the failed check.
-    Versions 1 and 2 hold only a hash of the Gram's bytes, which other
-    arithmetic does not reproduce; they load with a warning instead."""
-    version = _payload_version(d, MODEL_FORMAT, FORMAT_VERSION)
-    _check(d, dict(_MODEL, gram="object") if version == FORMAT_VERSION
-           else _MODEL, "model")
+    The payload must be of version FORMAT_VERSION and match its
+    `payload_sha256`, which catches any edit, its keys must have the
+    kinds `_MODEL` gives, and its rebuilt Gram must match the saved
+    invariants (`_check_gram`), which catch a changed CSV input;
+    FigpError names the failed check."""
+    _check_payload(d, MODEL_FORMAT, FORMAT_VERSION)
+    _check(d, _MODEL, "model")
     spec = kernel_spec_from_dict(d["kernel"])
     grid = grid_from_dict(d["grid"], "model grid")
-    ref_dir = "" if version == 1 else base_dir
-    inputs = [input_from_reference(ref, grid, ref_dir) for ref in d["inputs"]]
+    inputs = [input_from_reference(ref, grid, base_dir) for ref in d["inputs"]]
     model = replace(build_model(spec, inputs, d["y"], mu=d["mu_hat"]),
                     log_likelihood=float(d.get("log_likelihood", "nan")))
-    if version == FORMAT_VERSION:
-        _check_gram(d["gram"], model, d["inputs"])
-    else:
-        warnings.warn(
-            f"model file version {version} was loaded unchecked; save it "
-            f"again to write a checked version {FORMAT_VERSION}",
-            UserWarning, stacklevel=2)
+    _check_gram(d["gram"], model, d["inputs"])
     return model
 
 
@@ -441,24 +431,16 @@ def save_emulator(path: str, emulator: PCAEmulator) -> None:
 
 
 def load_emulator(path: str) -> PCAEmulator:
-    """Load an emulator file, checking each score model as
-    `model_from_dict` does; an emulator older than version 4 carries no
-    hash of its own keys and loads with a warning."""
+    """Load an emulator file, checking its own payload hash and each
+    score model as `model_from_dict` does."""
     d = read_json(path)
-    version = _payload_version(d, EMULATOR_FORMAT, EMULATOR_VERSION)
+    _check_payload(d, EMULATOR_FORMAT, EMULATOR_VERSION)
     _check(d, _EMULATOR, "emulator")
-    emulator = PCAEmulator(
+    return PCAEmulator(
         d["mean_field"], d["components"],
         tuple(model_from_dict(md, os.path.dirname(path))
               for md in d["score_models"]),
         d["explained_variance_ratio"], d["field_shape"])
-    if version != EMULATOR_VERSION:
-        warnings.warn(
-            f"emulator file version {version} was loaded without checking "
-            f"its own keys (its score models carry their own checks); save "
-            f"it again to write a checked version {EMULATOR_VERSION}",
-            UserWarning, stacklevel=2)
-    return emulator
 
 
 # ---------------------------------------------------------------------------

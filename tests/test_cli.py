@@ -11,7 +11,8 @@ from figp import Domain, FieldDataset, build_grid, l2_inner, loocv_error
 from figp import sample_function
 from figp.reproduce import TRAINING_EXPRESSIONS, evaluate_functional
 from figp.cli import cli_dispatch
-from figp.storage import (load_model, save_field_dataset, save_training_data)
+from figp.storage import (_payload_sha256, load_model, save_field_dataset,
+                          save_training_data)
 
 
 @pytest.fixture()
@@ -130,12 +131,12 @@ def test_malformed_model_files_error_without_a_traceback(workdir, train_file,
     assert cli_dispatch(["fit", "--train", str(train_file),
                          "--family", "linear", "--out", "model.json"]) == 0
     blob = json.loads((workdir / "model.json").read_text())
-    del blob["kernel"], blob["gram"], blob["payload_sha256"]
-    blob.update(version=2, gram_sha256="0" * 64)
-    (workdir / "old.json").write_text(json.dumps(blob))
+    del blob["kernel"]
+    blob["payload_sha256"] = _payload_sha256(blob)
+    (workdir / "edited.json").write_text(json.dumps(blob))
     capsys.readouterr()
     for path, cause in (("bad.json", "'bad.json' is not a JSON file"),
-                        ("old.json", "model is missing 'kernel'")):
+                        ("edited.json", "model is missing 'kernel'")):
         rc = cli_dispatch(["predict", "--model", path, "--input", "x1"])
         assert rc == 1
         assert f"error: predict: {cause}" in capsys.readouterr().err
@@ -151,15 +152,14 @@ def test_non_numeric_version_2_model_values_error_without_a_traceback(
     assert cli_dispatch(["fit", "--train", str(train_file),
                          "--family", "linear", "--out", "model.json"]) == 0
     blob = json.loads((workdir / "model.json").read_text())
-    del blob["gram"], blob["payload_sha256"]
-    blob.update(version=2, gram_sha256="0" * 64)
     if key == "y":
         blob["y"][0] = "abc"
     else:
         blob[key] = "abc"
-    (workdir / "old.json").write_text(json.dumps(blob))
+    blob["payload_sha256"] = _payload_sha256(blob)
+    (workdir / "edited.json").write_text(json.dumps(blob))
     capsys.readouterr()
-    rc = cli_dispatch(["predict", "--model", "old.json", "--input", "x1"])
+    rc = cli_dispatch(["predict", "--model", "edited.json", "--input", "x1"])
     assert rc == 1
     assert f"error: predict: {cause}" in capsys.readouterr().err
 

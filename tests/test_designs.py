@@ -280,6 +280,14 @@ def test_empirical_mspe_validation(unit_grid, test_inputs):
         empirical_mspe(build, (4, 8), test_inputs, SPEC, method="bootstrap")
 
 
+@pytest.mark.parametrize("replicates", [0, 1])
+def test_mc_mspe_needs_two_replicates(unit_grid, test_inputs, replicates):
+    with pytest.raises(FigpError, match=f"method 'mc' needs replicates "
+                                        f">= 2, got {replicates}"):
+        empirical_mspe(_knot_builder(unit_grid), (4, 8), test_inputs, SPEC,
+                       method="mc", replicates=replicates)
+
+
 def test_decay_curve_validation():
     with pytest.raises(FigpError):
         DecayCurve(np.array([4, 4]), np.array([1.0, 0.5]),

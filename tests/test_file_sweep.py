@@ -1,10 +1,14 @@
-"""Single-key mutation sweep over every saved file kind.
+"""Mutation sweeps over every saved file kind.
 
-Each key of a saved training file, manifest, model (version 3, linear
-and nonlinear, re-hashed; and version 2, which has no hash) and
-emulator (version 4, re-hashed) is set in turn to each wrong value in
-`_WRONG`, or deleted, and the file is loaded.  Every case must load or
-raise a FigpError that names the key; one failure lists every offender.
+Each key of a saved training file, manifest, model (linear and
+nonlinear, re-hashed) and emulator (re-hashed) is set in turn to each
+wrong value in `_WRONG`, or deleted, and the file is loaded.  Every case
+must load or raise a FigpError that names the key.  Each cell of an
+input CSV and of a fields CSV is set in turn to each value in `_CELLS`
+(`_LABELS` for a fields CSV's input column), and each of their lines
+goes through each of `_ROW_EDITS`.  Every case must load, raise a
+FigpError, or raise an OSError that names the file it could not open.
+Each failure lists every offender.
 """
 
 import json
@@ -17,18 +21,16 @@ import numpy as np
 from figp import (Domain, FigpError, KernelSpec, LINEAR, MaternParams,
                   NONLINEAR, PCAEmulator, build_grid, build_model,
                   sample_function)
-from figp.storage import (_payload_sha256, emulator_to_dict,
+from figp.storage import (_payload_sha256, emulator_to_dict, fmt,
                           load_emulator, load_field_dataset,
                           load_training_data, model_from_dict, model_to_dict)
 
 _WRONG = [None, True, 0, -1, 0.5, 1e308, math.nan, math.inf, "abc", "", [],
           [1], [[1]], ["abc"], [None], {}, {"a": 1}]
 _DELETE = object()
-# Keys whose null or absence stands for a default, and the version-2
-# Gram hash, which no loader reads: any kind may be reported by the
-# check that uses the value.
-_OPTIONAL = {"rule", "resolution", "nugget", "premap", "log_likelihood",
-             "gram_sha256"}
+# Keys whose null or absence stands for a default: any kind may be
+# reported by the check that uses the value.
+_OPTIONAL = {"rule", "resolution", "nugget", "premap", "log_likelihood"}
 # Sections of a model payload whose own keys are mutated too.
 _NESTED = ("kernel", "grid", "gram")
 
@@ -45,9 +47,6 @@ def _base_files():
                          inputs, y)
     nonlinear = build_model(KernelSpec(NONLINEAR, MaternParams(2.5, 0.8),
                                        gamma=0.6), inputs, y)
-    version_2 = model_to_dict(linear, "")
-    del version_2["gram"], version_2["payload_sha256"]
-    version_2.update(version=2, gram_sha256="0" * 64)
     emulator = PCAEmulator(np.array([1.0, 2.0]), np.eye(2),
                            (linear, nonlinear), np.array([0.9, 0.1]), (2,))
     return {
@@ -55,7 +54,6 @@ def _base_files():
         "manifest": dict(grid_keys, field_shape=[2]),
         "model-3-linear": model_to_dict(linear, ""),
         "model-3-nonlinear": model_to_dict(nonlinear, ""),
-        "model-2": version_2,
         "emulator-4": emulator_to_dict(emulator, ""),
     }
 
@@ -109,8 +107,8 @@ def _must_be_named(key, old, new):
 
 def _load(kind, d, tmp_path):
     """Load the payload `d` of file kind `kind` as its loader does.  A
-    load may warn (an unchecked version, or numpy on an extreme number);
-    only how it ends counts here."""
+    load may warn (numpy on an extreme number); only how it ends counts
+    here."""
     path = tmp_path / "file.json"
     path.write_text(json.dumps(d))
     with warnings.catch_warnings():
@@ -142,5 +140,73 @@ def test_no_single_key_mutation_ends_in_a_traceback(tmp_path):
                     offenders.append(case + (f"FigpError: {exc}",))
             except Exception as exc:
                 offenders.append(case + (f"{type(exc).__name__}: {exc}",))
+    assert not offenders, (f"{len(offenders)} cases:\n"
+                           + "\n".join(map(str, offenders)))
+
+
+_CELLS = ["", "abc", "nan", "inf", "1e400", '"x"', "0x10", "1,2"]
+# An input label may also be an expression that does not evaluate on the
+# grid, or a CSV path that names no file.
+_LABELS = _CELLS + ["x9", "sin(", "x1/0", "missing.csv"]
+_ROW_EDITS = {"delete": lambda line: [],
+              "duplicate": lambda line: [line, line],
+              "blank": lambda line: [""],
+              "one cell": lambda line: line.split(",")[:1],
+              "extra cell": lambda line: [line + ",1"]}
+
+
+def _csv_mutations(text, labeled):
+    """(line number, edit, mutated text) for each cell of each line of
+    the CSV `text` set to each value in `_CELLS` (`_LABELS` in the first
+    column when `labeled`), and for each line and each `_ROW_EDITS`."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        edits = [(f"cell {j} = {value!r}",
+                  [",".join(cells[:j] + [value] + cells[j + 1:])])
+                 for j in range(len(cells))
+                 for value in (_LABELS if labeled and j == 0 else _CELLS)]
+        edits += [(name, edit(line)) for name, edit in _ROW_EDITS.items()]
+        for name, new in edits:
+            yield i + 1, name, "\n".join(lines[:i] + new + lines[i + 1:]) + "\n"
+
+
+def test_no_csv_cell_or_row_mutation_ends_in_a_traceback(tmp_path):
+    grid = build_grid(Domain(((0.0, 1.0),)), 8)
+    training = tmp_path / "training.json"
+    training.write_text(json.dumps({
+        "domain": [[0.0, 1.0]], "resolution": 8,
+        "inputs": ["c0.csv", "1+x1", "x1^2"], "y": [0.5, 1.5, 0.25]}))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"domain": [[0.0, 1.0]], "resolution": 8,
+                                    "field_shape": [2]}))
+    fields = tmp_path / "fields.csv"
+    inputs = tmp_path / "c0.csv"
+    loads = {
+        inputs: (False, lambda: load_training_data(str(training))),
+        fields: (True, lambda: load_field_dataset(str(fields),
+                                                  str(manifest)))}
+    base = {inputs: "x1,value\n" + "".join(
+                f"{fmt(x)},{fmt(x * x)}\n" for x in grid.nodes[:, 0]),
+            fields: "input,v1,v2\nx1,0.5,1.0\n1+x1,1.5,2.0\nx1^2,0.25,0.5\n"}
+    offenders = []
+    for path, (labeled, load) in loads.items():
+        for other, text in base.items():
+            other.write_text(text)
+        load()
+        for line, edit, text in _csv_mutations(base[path], labeled):
+            path.write_text(text)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    load()
+            except FigpError:
+                pass
+            except OSError as exc:
+                if not (exc.filename and str(exc.filename) in str(exc)):
+                    offenders.append((path.name, line, edit, repr(exc)))
+            except Exception as exc:
+                offenders.append((path.name, line, edit,
+                                  f"{type(exc).__name__}: {exc}"))
     assert not offenders, (f"{len(offenders)} cases:\n"
                            + "\n".join(map(str, offenders)))

@@ -172,42 +172,6 @@ def test_csv_references_resolve_against_their_file(tmp_path, monkeypatch):
                    test) == predict(model, test)
 
 
-def test_version_1_model_csv_references_resolve_from_the_current_directory(
-        tmp_path, monkeypatch, square_grid):
-    # version 1 wrote relative CSV paths as given, from the current
-    # directory; every model is now written as version 3
-    inputs = [sample_function(e, square_grid) for e in ("1", "x1")]
-    spec = KernelSpec(NONLINEAR, MaternParams(2.5, 0.8), gamma=0.6,
-                      nugget=1e-8)
-    save_model(str(tmp_path / "expr.json"),
-               build_model(spec, inputs, np.array([1.0, 2.0])))
-    assert read_json(str(tmp_path / "expr.json"))["version"] == 3
-
-    grid = build_grid(Domain(((0.0, 1.0),)), 8)
-    data = tmp_path / "data"
-    data.mkdir()
-    _write_input_csvs(data, grid, 2)
-    monkeypatch.chdir(tmp_path)
-    inputs = [load_input_csv(os.path.join("data", f"c{i}.csv"), grid)
-              for i in range(2)]
-    model = build_model(spec, inputs, np.array([1.0, 2.0]))
-    save_model(os.path.join("models", "model.json"), model)
-    blob = read_json(os.path.join("models", "model.json"))
-    assert blob["version"] == 3
-    blob["version"] = 1
-    blob["inputs"] = [os.path.join("data", "c0.csv"),
-                      os.path.join("data", "c1.csv")]
-    write_json(os.path.join("models", "old.json"), blob)
-    with pytest.warns(UserWarning, match="version 1 was loaded unchecked"):
-        loaded = load_model(os.path.join("models", "old.json"))
-    assert predict(loaded, inputs[0]) == predict(model, inputs[0])
-
-    blob["version"] = 4
-    write_json(os.path.join("models", "new.json"), blob)
-    with pytest.raises(FigpError, match="version 4"):
-        load_model(os.path.join("models", "new.json"))
-
-
 def test_kernel_spec_round_trip():
     lin = KernelSpec(LINEAR, MaternParams(2.5, 1.3, (0.7, 1.2)),
                      premap="square", nugget=1e-7)
@@ -345,22 +309,6 @@ def test_changed_csv_input_fails_the_gram_check(tmp_path, monkeypatch,
         load_model("model.json")
 
 
-def test_version_2_model_loads_unchecked_with_a_warning(tmp_path,
-                                                        square_grid):
-    for i, model in enumerate(_linear_and_nonlinear_models(square_grid)):
-        path = str(tmp_path / f"model{i}.json")
-        save_model(path, model)
-        blob = read_json(path)
-        del blob["gram"], blob["payload_sha256"]
-        blob.update(version=2, gram_sha256="0" * 64)
-        write_json(path, blob)
-        with pytest.warns(UserWarning, match="version 2 was loaded unchecked"
-                          "; save it again"):
-            loaded = load_model(path)
-        assert loaded.mu_hat == model.mu_hat
-        np.testing.assert_array_equal(loaded.alpha, model.alpha)
-
-
 def test_emulator_round_trip(tmp_path, square_grid):
     inputs = [sample_function(e, square_grid)
               for e in ("1", "x1", "x2", "x1^2", "x2^2", "x1*x2")]
@@ -416,27 +364,86 @@ def test_hand_edited_emulator_fails_its_payload_check(tmp_path, square_grid,
         load_emulator(path)
 
 
-def test_version_3_emulator_loads_with_one_warning(tmp_path, square_grid):
-    path = str(tmp_path / "emulator.json")
-    em = _two_score_emulator(square_grid)
-    save_emulator(path, em)
+def _version(value):
+    def edit(blob):
+        blob["version"] = value
+        blob["payload_sha256"] = figp.storage._payload_sha256(blob)
+    return edit
+
+
+def _downgrade(blob):
+    # an edited `y` under an older version must not skip the hash check
+    blob["y"][0] += 0.5
+    blob["version"] = 2
+
+
+@pytest.mark.parametrize("kind,edit,shown", [
+    ("model", _version(1), "1"), ("model", _version(2), "2"),
+    ("model", _version(4), "4"), ("model", _version(True), "True"),
+    ("model", _version(3.0), "3.0"), ("model", _version("3"), "'3'"),
+    ("emulator", _version(3), "3"), ("model", _downgrade, "2")],
+    ids=["model-1", "model-2", "model-4", "model-true", "model-3.0",
+         "model-'3'", "emulator-3", "model-edited-y-as-2"])
+def test_only_the_written_version_loads(tmp_path, square_grid, kind, edit,
+                                        shown):
+    path = str(tmp_path / f"{kind}.json")
+    if kind == "model":
+        save_model(path, _linear_and_nonlinear_models(square_grid)[0])
+    else:
+        save_emulator(path, _two_score_emulator(square_grid))
     blob = read_json(path)
-    del blob["payload_sha256"]
-    blob["version"] = 3
+    edit(blob)
     write_json(path, blob)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        loaded = load_emulator(path)
-    assert [str(w.message) for w in caught] == [
-        "emulator file version 3 was loaded without checking its own keys "
-        "(its score models carry their own checks); save it again to write "
-        "a checked version 4"]
-    np.testing.assert_array_equal(loaded.mean_field, em.mean_field)
-    # its score models are still checked
+    written = 3 if kind == "model" else 4
+    with pytest.raises(FigpError) as e:
+        (load_model if kind == "model" else load_emulator)(path)
+    assert str(e.value) == (
+        f"unsupported figp-{kind} file version {shown} (figp reads version "
+        f"{written}): fit it again from its training data")
+
+
+def test_an_emulator_with_an_edited_score_model_fails_its_model_check(
+        tmp_path, square_grid):
+    path = str(tmp_path / "emulator.json")
+    save_emulator(path, _two_score_emulator(square_grid))
+    blob = read_json(path)
     blob["score_models"][1]["y"][0] += 0.5
+    blob["payload_sha256"] = figp.storage._payload_sha256(blob)
     write_json(path, blob)
     with pytest.raises(FigpError, match="model payload check failed"):
         load_emulator(path)
+
+
+@pytest.mark.parametrize("key,value,sizes", [
+    ("mean_field", [], "mean_field holds 0 and each component 2"),
+    ("field_shape", [5], "holds 5 values, but mean_field holds 2"),
+    ("components", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+     "mean_field holds 2 and each component 3")],
+    ids=["mean_field-empty", "field_shape-5", "components-3-wide"])
+def test_an_emulator_whose_sizes_disagree_names_them(tmp_path, square_grid,
+                                                     key, value, sizes):
+    path = str(tmp_path / "emulator.json")
+    save_emulator(path, _two_score_emulator(square_grid))
+    blob = read_json(path)
+    blob[key] = value
+    blob["payload_sha256"] = figp.storage._payload_sha256(blob)
+    write_json(path, blob)
+    with pytest.raises(FigpError, match=sizes):
+        load_emulator(path)
+
+
+def test_a_model_whose_weights_overflow_is_refused(tmp_path, square_grid):
+    path = str(tmp_path / "model.json")
+    save_model(path, _linear_and_nonlinear_models(square_grid)[1])
+    blob = read_json(path)
+    blob["mu_hat"] = 1e308
+    blob["payload_sha256"] = figp.storage._payload_sha256(blob)
+    write_json(path, blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow is not the report
+        with pytest.raises(FigpError, match="build_model: the weights "
+                                            r"K\^-1 \(y - mu\) are not finite"):
+            load_model(path)
 
 
 @pytest.mark.parametrize("text,shown", [

@@ -183,23 +183,19 @@ def _gram_mspe(design, tests, spec: KernelSpec) -> np.ndarray:
 
 def exact_mspe(design: Sequence[FunctionalInput],
                tests: Sequence[FunctionalInput],
-               spec: KernelSpec,
-               eigensystem: Optional[EigenSystem] = None) -> np.ndarray:
+               spec: KernelSpec) -> np.ndarray:
     """Exact zero-mean MSPE at each test input for prior-drawn truths.
 
-    The plain linear kernel takes the series route over `eigensystem`,
-    which must be `nystrom_eig(spec.base, grid)` on the design's grid
-    and is built here when not given; other kernels ignore it.  All
-    inputs must share that grid (GridMismatchError otherwise), and
-    neither `design` nor `tests` may be empty.
+    The plain linear kernel takes the series route over
+    `nystrom_eig(spec.base, grid)`.  All inputs must share one grid
+    (GridMismatchError otherwise), and neither `design` nor `tests` may
+    be empty.
     """
     design = list(design)
     tests = list(tests)
-    _shared_grid("exact_mspe", design=design, tests=tests)
+    grid = _shared_grid("exact_mspe", design=design, tests=tests)
     if spec.family == LINEAR and spec.premap in (None, "identity"):
-        if eigensystem is None:
-            eigensystem = nystrom_eig(spec.base, design[0].grid)
-        return _series_mspe(design, tests, eigensystem)
+        return _series_mspe(design, tests, nystrom_eig(spec.base, grid))
     return _gram_mspe(design, tests, spec)
 
 
@@ -210,15 +206,14 @@ def empirical_mspe(design_builder: Callable[[int], List[FunctionalInput]],
                    replicates: int = 200,
                    seed: int = 0,
                    method: str = "exact",
-                   theoretical_rate: Optional[float] = None,
-                   eigensystem: Optional[EigenSystem] = None) -> DecayCurve:
+                   theoretical_rate: Optional[float] = None) -> DecayCurve:
     """Measure MSPE against design size and fit its log-log slope.
 
     The kernel hyperparameters are taken as fixed and known; nothing is
     refit per size.  `method` "exact" evaluates the posterior variance
-    directly by `exact_mspe`, passing it `eigensystem`; "mc" draws prior
-    realizations jointly at design and test inputs and scores the
-    zero-mean posterior mean against them.
+    directly by `exact_mspe`; "mc" draws prior realizations jointly at
+    design and test inputs and scores the zero-mean posterior mean
+    against them.
     """
     sizes = [int(n) for n in sizes]
     if len(sizes) < 2 or any(n < 2 for n in sizes):
@@ -239,8 +234,7 @@ def empirical_mspe(design_builder: Callable[[int], List[FunctionalInput]],
         except FigpError as exc:
             raise FigpError(f"design construction failed at size {n}: {exc}")
         if method == "exact":
-            per_test = exact_mspe(design, tests, spec,
-                                  eigensystem=eigensystem)
+            per_test = exact_mspe(design, tests, spec)
             mspe_vals.append(float(per_test.mean()))
             se_vals.append(0.0)
         else:

@@ -29,13 +29,10 @@ from .domain import (Domain, FunctionalInput, QuadratureGrid, build_grid,
 from .errors import FigpError
 from .gp import (fit, loocv_error, predict_many, select_family,
                  selection_entry)
-from .kernels import LINEAR, NONLINEAR, KernelSpec, MaternParams
-from .sampling import (EigenSystem, nystrom_eig, sample_paths_gram,
-                       sine_frequency_family)
+from .kernels import LINEAR, NONLINEAR, PREMAPS, KernelSpec, MaternParams
+from .sampling import nystrom_eig, sample_paths_gram, sine_frequency_family
 from .storage import (fmt6, save_decay_curve, save_path_family, write_csv,
                       write_json)
-
-TARGETS = ("table1", "table2", "figure2", "figure3", "mspe_decay")
 
 # The eight training inputs of the scalar benchmark, on the unit square.
 TRAINING_EXPRESSIONS = (
@@ -49,23 +46,17 @@ TRAINING_EXPRESSIONS = (
     "cos(x1+x2)",
 )
 
-# Scalar functionals of the input: plain integral, integral of the
-# square, integral of the sine.
-FUNCTIONALS = ("f1", "f2", "f3")
-_FUNCTIONAL_MAPS = {
-    "f1": lambda v: v,
-    "f2": lambda v: v * v,
-    "f3": np.sin,
-}
+# Scalar functionals of the input: the integral of its premap.
+FUNCTIONALS = {"f1": "identity", "f2": "square", "f3": "sin"}
 
 
 def evaluate_functional(name: str, g: FunctionalInput) -> float:
-    m = _FUNCTIONAL_MAPS[name]
+    m = PREMAPS[FUNCTIONALS[name]]
     return float(np.dot(g.grid.weights, m(g.values)))
 
 
 def _unit_square_grid(grid_res: Optional[int]):
-    return build_grid(Domain(((0.0, 1.0), (0.0, 1.0))), grid_res or 20)
+    return build_grid(Domain(((0.0, 1.0), (0.0, 1.0))), grid_res)
 
 
 def _training_set(grid) -> List[FunctionalInput]:
@@ -196,7 +187,7 @@ def sine_family(grid_res: Optional[int] = None,
                 bounds: Tuple[float, float] = SINE_BOUNDS):
     """The sample-path inputs: (alphas, inputs) for the sine-frequency
     family on the interval `bounds` at `alpha_count` frequencies in [0, 1]."""
-    grid = build_grid(Domain((bounds,)), grid_res or 64)
+    grid = build_grid(Domain((bounds,)), grid_res)
     alphas = np.linspace(0.0, 1.0, alpha_count)
     return alphas, sine_frequency_family(grid, alphas)
 
@@ -237,42 +228,37 @@ MSPE_GRID_RES = 256
 
 def mspe_grid(grid_res: Optional[int] = None) -> QuadratureGrid:
     """The error-decay experiment's grid on the unit interval."""
-    return build_grid(Domain(((0.0, 1.0),)), grid_res or MSPE_GRID_RES)
+    return build_grid(Domain(((0.0, 1.0),)),
+                      MSPE_GRID_RES if grid_res is None else grid_res)
 
 
 def mspe_decay_curve(design: str, grid: QuadratureGrid, seed: int = 42,
                      nu: float = MSPE_NU, theta: float = MSPE_THETA,
                      sizes=MSPE_SIZES, test_points=MSPE_TEST_POINTS,
-                     method: str = "exact", replicates: int = 200,
-                     eigensystem: Optional[EigenSystem] = None) -> DecayCurve:
+                     method: str = "exact",
+                     replicates: int = 200) -> DecayCurve:
     """MSPE decay of the "knot" or "eigen" design on a `mspe_grid`.
 
     The kernel is linear with unit variance; the test inputs are kernel
     translates centered at `test_points`.  The theoretical rate is
-    -2 nu / d for knots and -4 nu / d for eigenfunctions.  One full
-    eigensystem serves the eigenfunction design and every exact MSPE:
-    `eigensystem`, which must be `nystrom_eig` of this kernel on `grid`,
-    or one built here when it is needed and not given.
+    -2 nu / d for knots and -4 nu / d for eigenfunctions.
     """
     domain = grid.domain
     params = MaternParams(nu, 1.0, (theta,))
     pts = np.asarray(test_points, dtype=float)[:, None]
     tests = knot_design(KnotSet(pts, fill_distance(pts, domain)), params,
                         grid)
-    eig = eigensystem
-    if eig is None and (design == "eigen" or method == "exact"):
-        eig = nystrom_eig(params, grid)
     if design == "knot":
         def builder(n):
             return knot_design(lattice_knots(domain, n), params, grid)
         rate = -2.0 * nu / domain.dim
     else:
         def builder(n):
-            return eigenfunction_design(eig, n)
+            return eigenfunction_design(nystrom_eig(params, grid), n)
         rate = -4.0 * nu / domain.dim
     return empirical_mspe(builder, sizes, tests, KernelSpec(LINEAR, params),
                           replicates=replicates, seed=seed, method=method,
-                          theoretical_rate=rate, eigensystem=eig)
+                          theoretical_rate=rate)
 
 
 def reproduce_mspe_decay(out_dir: str, seed: int = 42,
@@ -281,9 +267,8 @@ def reproduce_mspe_decay(out_dir: str, seed: int = 42,
     grid = mspe_grid(grid_res)
     files = []
     report = {"sizes": list(MSPE_SIZES), "nu": MSPE_NU, "theta": MSPE_THETA}
-    eig = nystrom_eig(MaternParams(MSPE_NU, 1.0, (MSPE_THETA,)), grid)
     for name in ("knot", "eigen"):
-        curve = mspe_decay_curve(name, grid, seed=seed, eigensystem=eig)
+        curve = mspe_decay_curve(name, grid, seed=seed)
         path = os.path.join(out_dir, f"mspe_decay_{name}.csv")
         save_decay_curve(path, curve)
         files.append(path)
@@ -294,19 +279,22 @@ def reproduce_mspe_decay(out_dir: str, seed: int = 42,
     return files + [json_path], report
 
 
+_RUNNERS = {
+    "table1": reproduce_table1,
+    "table2": reproduce_table2,
+    "figure2": functools.partial(_figure_paths, "figure2"),
+    "figure3": functools.partial(_figure_paths, "figure3"),
+    "mspe_decay": reproduce_mspe_decay,
+}
+TARGETS = tuple(_RUNNERS)
+
+
 def run_reproduce(target: str, out_dir: str, seed: int = 42,
                   grid_res: Optional[int] = None) -> Tuple[List[str], dict]:
     """Run one reproduction target, returning (written files, report)."""
-    runners = {
-        "table1": reproduce_table1,
-        "table2": reproduce_table2,
-        "figure2": functools.partial(_figure_paths, "figure2"),
-        "figure3": functools.partial(_figure_paths, "figure3"),
-        "mspe_decay": reproduce_mspe_decay,
-    }
-    if target not in runners:
+    if target not in _RUNNERS:
         raise FigpError(
             f"unknown reproduce target {target!r}; choose from {TARGETS}"
         )
     os.makedirs(out_dir, exist_ok=True)
-    return runners[target](out_dir, seed=seed, grid_res=grid_res)
+    return _RUNNERS[target](out_dir, seed=seed, grid_res=grid_res)

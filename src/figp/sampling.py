@@ -12,6 +12,7 @@ orthonormal in the weighted inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,11 +76,21 @@ def nystrom_eig(params: MaternParams, grid: QuadratureGrid,
     Eigenvalues at or below numerical zero (relative 1e-14 of the
     largest) are dropped, so the returned truncation can be smaller
     than requested when the trailing spectrum has underflowed.  With
-    m=None every numerically positive eigenpair is kept.
+    m=None every numerically positive eigenpair is kept.  A repeat call
+    for equal params, an equal grid and the same m returns the last
+    eigensystem again (it is read-only).
     """
     m = grid.n_points if m is None else m
     if not 1 <= m <= grid.n_points:
         raise FigpError(f"truncation m={m} must lie in [1, {grid.n_points}]")
+    return _eigensystem(params, grid, m)
+
+
+# One slot: no caller alternates between two kernels or grids, and an
+# entry holds n_q x m floats (20 MB at 1,600 nodes).
+@lru_cache(maxsize=1)
+def _eigensystem(params: MaternParams, grid: QuadratureGrid,
+                 m: int) -> EigenSystem:
     psi = base_kernel_matrix(grid.nodes, grid.nodes, params)
     sw = np.sqrt(grid.weights)
     B = sw[:, None] * psi * sw[None, :]

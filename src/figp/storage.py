@@ -20,6 +20,7 @@ import numpy as np
 
 from .designs import DecayCurve
 from .domain import (
+    GAUSS_LEGENDRE,
     Domain,
     FunctionalInput,
     QuadratureGrid,
@@ -160,6 +161,18 @@ def _csv_numbers(path: str, line: int, cells) -> list:
         raise FigpError(f"{path!r} line {line}: {exc}") from None
 
 
+def _finite_rows(path: str, rows) -> np.ndarray:
+    """The numbers of `rows`, equal-length (line, numbers) pairs from the
+    CSV file at `path`, as a float array; FigpError naming the file and
+    the line of a value that is not finite."""
+    data = np.array([numbers for _, numbers in rows])
+    finite = np.isfinite(data).all(axis=-1)
+    if not finite.all():
+        raise FigpError(f"{path!r} line {rows[int(finite.argmin())][0]}: "
+                        f"a value is not finite")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # grids and training data
 
@@ -179,7 +192,7 @@ def grid_from_dict(d: dict, what: str = "grid") -> QuadratureGrid:
     domain = Domain(tuple(tuple(b) for b in d["domain"]))
     try:
         return build_grid(domain, d.get("resolution"),
-                          d.get("rule", "gauss-legendre"))
+                          d.get("rule", GAUSS_LEGENDRE))
     except FigpError as exc:
         raise FigpError(f"{what}: {exc}") from None
 
@@ -262,12 +275,13 @@ def load_input_csv(path: str, grid: QuadratureGrid) -> FunctionalInput:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
-        rows = [_csv_numbers(path, reader.line_num, r) for r in reader if r]
-    if any(len(r) != d + 1 for r in rows):
+        rows = [(reader.line_num, _csv_numbers(path, reader.line_num, r))
+                for r in reader if r]
+    if any(len(r) != d + 1 for _, r in rows):
         raise FigpError(
             f"{path!r}: expected {d} coordinate columns plus one value column"
         )
-    data = np.array(rows).reshape(-1, d + 1)
+    data = _finite_rows(path, rows).reshape(-1, d + 1)
     if data.shape[0] != grid.n_points:
         raise FigpError(
             f"{path!r}: {data.shape[0]} rows but the grid has "
@@ -447,10 +461,12 @@ def load_emulator(path: str) -> PCAEmulator:
 # field datasets
 
 def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
-    """Load a field dataset from a CSV (label, v1..vp per row) plus a
-    manifest carrying the grid definition and field shape; FigpError
-    names a manifest key that is not of the kind `_MANIFEST` or `_GRID`
-    gives, or the line of a row whose length differs from the first row's."""
+    """Load a field dataset from a CSV (header input,v1,...,vp, then a
+    label and p values per row) plus a manifest carrying the grid
+    definition and field shape; FigpError names a manifest key that is
+    not of the kind `_MANIFEST` or `_GRID` gives, or the CSV line of a
+    bad header, label or value or of a row shorter or longer than the
+    first."""
     manifest = read_json(manifest_path)
     what = f"manifest {manifest_path!r}"
     _check(manifest, _MANIFEST, what)
@@ -460,21 +476,27 @@ def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
     with open(fields_csv, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            raise FigpError(f"{fields_csv!r} is empty")
+        if not header or header[0] != "input":
+            raise FigpError(f"{fields_csv!r} line 1: the header must start "
+                            f"with 'input', got {','.join(header or [])!r}")
         for row in reader:
             if not row:
                 continue
-            if rows and len(row) != len(rows[0]) + 1:
+            line = reader.line_num
+            where = f"{fields_csv!r} line {line}"
+            if rows and len(row) != len(rows[0][1]) + 1:
                 raise FigpError(
-                    f"{fields_csv!r} line {reader.line_num}: expected "
-                    f"{len(rows[0])} field values as on the first row, "
-                    f"got {len(row) - 1}")
-            inputs.append(input_from_reference(row[0], grid, base_dir))
-            rows.append(_csv_numbers(fields_csv, reader.line_num, row[1:]))
+                    f"{where}: expected {len(rows[0][1])} field values as "
+                    f"on the first row, got {len(row) - 1}")
+            try:
+                inputs.append(input_from_reference(row[0], grid, base_dir))
+            except FigpError as exc:
+                raise FigpError(f"{where}: {exc}") from None
+            rows.append((line, _csv_numbers(fields_csv, line, row[1:])))
     if not inputs:
         raise FigpError(f"{fields_csv!r} has no data rows")
-    return FieldDataset(inputs, rows, manifest["field_shape"])
+    return FieldDataset(inputs, _finite_rows(fields_csv, rows),
+                        manifest["field_shape"])
 
 
 def save_field_dataset(fields_csv: str, manifest_path: str,

@@ -297,6 +297,15 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["sample-paths", "--out", "p.csv"],
+                                  ["mspe-decay", "--out", "m.csv"],
+                                  ["reproduce", "table1", "--out", "out"]])
+def test_a_grid_resolution_of_zero_is_refused(workdir, capsys, argv):
+    _one_error_line(argv + ["--grid-res", "0"], capsys, argv[0],
+                    "resolution must be an integer of at least 2 points")
+    assert [f for _, _, files in os.walk(workdir) for f in files] == []
+
+
 @pytest.mark.parametrize("flag", [["--nugget", "0.5"],
                                   ["--premap", "square"]],
                          ids=["nugget", "premap"])

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.spatial.distance import cdist
 import figp.designs
 import figp.kernels
 import figp.reproduce
+import figp.sampling
 from figp import (Domain, FigpError, GridMismatchError, KernelSpec, LINEAR,
                   MaternParams, NONLINEAR, build_grid, build_model,
                   empirical_mspe, exact_mspe, eigenfunction_design,
@@ -165,18 +167,24 @@ def test_exact_mspe_rejects_empty_input_lists(unit_grid, empty):
         exact_mspe(design, tests, SPEC)
 
 
-def test_exact_mspe_given_eigensystem_is_bitwise_the_same(unit_grid,
-                                                          test_inputs):
+def test_nystrom_eig_returns_its_last_eigensystem_for_an_equal_key(
+        unit_grid, test_inputs):
+    assert isinstance(figp.sampling.nystrom_eig, types.FunctionType)
+    eig = nystrom_eig(PARAMS, unit_grid, m=16)
+    assert nystrom_eig(MaternParams(1.5, 1.0, (8.0,)),
+                       build_grid(UNIT, 64), 16) is eig
+    assert nystrom_eig(MaternParams(2.5, 1.0, (8.0,)), unit_grid,
+                       16) is not eig
     design = knot_design(lattice_knots(UNIT, 8), PARAMS, unit_grid)
-    given = exact_mspe(design, test_inputs, SPEC,
-                       eigensystem=nystrom_eig(PARAMS, unit_grid))
-    np.testing.assert_array_equal(given,
+    after_other = exact_mspe(design, test_inputs, SPEC)
+    figp.sampling._eigensystem.cache_clear()
+    np.testing.assert_array_equal(after_other,
                                   exact_mspe(design, test_inputs, SPEC))
 
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Count eigendecompositions through the name each caller uses."""
+    """Count eigensystem requests through the name each caller uses."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -187,10 +195,29 @@ def eig_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Count eigendecompositions, from an empty eigensystem cache."""
+    figp.sampling._eigensystem.cache_clear()
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 def test_mspe_decay_target_builds_one_eigensystem_for_both_curves(
-        tmp_path, eig_calls):
+        tmp_path, unit_grid, test_inputs, eigh_calls):
     run_reproduce("mspe_decay", str(tmp_path), seed=42)
-    assert len(eig_calls) == 1
+    assert len(eigh_calls) == 1
+    run_reproduce("mspe_decay", str(tmp_path), seed=42)
+    assert len(eigh_calls) == 1
+    empirical_mspe(_knot_builder(unit_grid), (8, 16, 32, 64), test_inputs,
+                   SPEC)
+    assert len(eigh_calls) == 2
 
 
 def test_mc_knot_curve_builds_no_eigensystem(unit_grid, eig_calls):

@@ -7,8 +7,10 @@ must load or raise a FigpError that names the key.  Each cell of an
 input CSV and of a fields CSV is set in turn to each value in `_CELLS`
 (`_LABELS` for a fields CSV's input column), and each of their lines
 goes through each of `_ROW_EDITS`.  Every case must load, raise a
-FigpError, or raise an OSError that names the file it could not open.
-Each failure lists every offender.
+FigpError, or raise an OSError that names the file it could not open;
+a fields CSV's FigpError names the file and a line of it, and a fields
+CSV without its header line must not load.  Each failure lists every
+offender.
 """
 
 import json
@@ -200,13 +202,21 @@ def test_no_csv_cell_or_row_mutation_ends_in_a_traceback(tmp_path):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     load()
-            except FigpError:
-                pass
+            except FigpError as exc:
+                # a fields CSV error names the file and a line of it
+                if labeled and not re.search(
+                        rf"'[^']*{re.escape(path.name)}' line \d+: ",
+                        str(exc)):
+                    offenders.append((path.name, line, edit, f"{exc}"))
             except OSError as exc:
                 if not (exc.filename and str(exc.filename) in str(exc)):
                     offenders.append((path.name, line, edit, repr(exc)))
             except Exception as exc:
                 offenders.append((path.name, line, edit,
                                   f"{type(exc).__name__}: {exc}"))
+            else:
+                # without its header line, a fields CSV must not load
+                if labeled and (line, edit) == (1, "delete"):
+                    offenders.append((path.name, line, edit, "loaded"))
     assert not offenders, (f"{len(offenders)} cases:\n"
                            + "\n".join(map(str, offenders)))

@@ -16,7 +16,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .domain import Domain, FunctionalInput, QuadratureGrid, _freeze
+from .domain import (Domain, FunctionalInput, QuadratureGrid, _freeze,
+                     _shared_grid)
 from .errors import FigpError
 from .gp import build_model, predict_many
 from .kernels import (
@@ -24,7 +25,6 @@ from .kernels import (
     KernelSpec,
     MaternParams,
     _node_distances,
-    _shared_grid,
     base_kernel_matrix,
     gram,
 )

@@ -226,6 +226,23 @@ def _check_same_grid(g1, g2):
         )
 
 
+def _shared_grid(stage: str, **named):
+    """The one grid of the `named` input lists of `stage`, which must
+    all be non-empty (FigpError naming the first empty one) and share it
+    (GridMismatchError).  Inputs that hold the first input's grid object
+    pass unexamined."""
+    for name, given in named.items():
+        if len(given) == 0:
+            raise FigpError(f"{stage} needs at least one input in "
+                            f"`{name}`, which is empty")
+    first, *rest = [g for given in named.values() for g in given]
+    # one input per distinct grid object, compared by value once
+    others = {id(g.grid): g for g in rest if g.grid is not first.grid}
+    for g in others.values():
+        _check_same_grid(first, g)
+    return first.grid
+
+
 def sample_function(expr, grid: QuadratureGrid,
                     label: Optional[str] = None) -> FunctionalInput:
     """Materialize an analytic expression as a FunctionalInput.

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .domain import FunctionalInput, _check_same_grid, _freeze
+from .domain import FunctionalInput, _freeze, _shared_grid
 from .errors import FigpError, FitError
 from .gp import FitConfig, GPModel, fit, predict, select_kernel
 from .kernels import LINEAR, NONLINEAR
@@ -41,8 +41,7 @@ class FieldDataset:
             raise FigpError("field_shape does not match the flattened length")
         if not np.all(np.isfinite(self.fields)):
             raise FigpError("fields contain non-finite values")
-        for g in self.inputs[1:]:
-            _check_same_grid(self.inputs[0], g)
+        _shared_grid("field dataset", inputs=self.inputs)
 
     @property
     def n(self) -> int:
@@ -168,11 +167,11 @@ def predict_field(emulator: PCAEmulator, g: FunctionalInput,
     return mean_field, variance_field
 
 
-def field_mape(predicted, truth, return_excluded: bool = False):
+def field_mape(predicted, truth):
     """Mean absolute percentage error over field entries.
 
     Entries whose |truth| falls below 1e-8 of the largest |truth| are
-    excluded from the mean; the exclusion count is available on request.
+    excluded from the mean.
     """
     predicted = np.asarray(predicted, dtype=float).ravel()
     truth = np.asarray(truth, dtype=float).ravel()
@@ -182,11 +181,7 @@ def field_mape(predicted, truth, return_excluded: bool = False):
     if scale == 0.0:
         raise FigpError("truth field is identically zero; MAPE is undefined")
     mask = np.abs(truth) >= MAPE_EPS_REL * scale
-    excluded = int(np.sum(~mask))
     if not np.any(mask):
         raise FigpError("every truth entry fell below the MAPE epsilon")
-    mape = float(np.mean(np.abs((truth[mask] - predicted[mask]) / truth[mask]))
+    return float(np.mean(np.abs((truth[mask] - predicted[mask]) / truth[mask]))
                  * 100.0)
-    if return_excluded:
-        return mape, excluded
-    return mape

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import FunctionalInput, _freeze
+from .domain import FunctionalInput, _freeze, _shared_grid
 from .errors import FigpError, FitError, GramFactorizationError
 from .kernels import (
     LINEAR,
@@ -25,7 +25,6 @@ from .kernels import (
     KernelSpec,
     MaternParams,
     _GramOperator,
-    _shared_grid,
     gram,
     kernel_matrix_and_diag,
 )
@@ -574,12 +573,11 @@ def select_family(loocv_by_family: dict) -> str:
 
 
 def select_kernel(inputs: Sequence[FunctionalInput], y,
-                  families: Sequence[str] = (LINEAR, NONLINEAR),
                   config: Optional[FitConfig] = None,
                   premap: Optional[str] = None,
                   nugget: Optional[float] = None):
-    """Fit each candidate family and pick the one with the smallest
-    leave-one-out error.
+    """Fit the linear, then the nonlinear family and pick the one with
+    the smallest leave-one-out error.
 
     Returns (best_model, report) where the report lists one
     `selection_entry` per family, tagged with its family and whether it
@@ -588,28 +586,19 @@ def select_kernel(inputs: Sequence[FunctionalInput], y,
     call on that column alone returns; each family fits all columns
     through one `_Likelihood`, as `fit` does.
 
-    The outputs and the family names (known, none twice) are checked
-    before any fit, and a bad one raises FigpError naming it.  A family
-    whose fit raises `FitError` or `GramFactorizationError` is skipped
-    with a warning; when every family fails for a column, the
-    `FitError` names that column (for 2-D `y`).  `premap` applies to
-    the linear family; the nonlinear family is fitted without it.
+    The outputs are checked before any fit, and bad ones raise
+    FigpError naming them.  A family whose fit raises `FitError` or
+    `GramFactorizationError` is skipped with a warning; when every
+    family fails for a column, the `FitError` names that column (for
+    2-D `y`).  `premap` applies to the linear family; the nonlinear
+    family is fitted without it.
     """
-    if len(families) < 1:
-        raise FigpError("select_kernel needs at least one candidate family")
-    for k, family in enumerate(families):
-        if family not in (LINEAR, NONLINEAR):
-            raise FigpError(f"select_kernel: unknown kernel family "
-                            f"{family!r}; known: {LINEAR}, {NONLINEAR}")
-        if family in families[:k]:
-            raise FigpError(f"select_kernel: family {family!r} is listed "
-                            "twice")
     inputs = list(inputs)
     y = _check_outputs("select_kernel", y, len(inputs), columns=True)
     m = 1 if y.ndim == 1 else y.shape[1]
     models = [{} for _ in range(m)]
     reports = [[] for _ in range(m)]
-    for family in families:
+    for family in (LINEAR, NONLINEAR):
         results = _fit_columns(inputs, y, family, config, premap, nugget)
         for j, model in enumerate(results):
             if not isinstance(model, GPModel):

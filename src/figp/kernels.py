@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .domain import FunctionalInput, _check_same_grid, _freeze
+from .domain import FunctionalInput, _freeze, _shared_grid
 from .errors import FigpError, GramFactorizationError
 
 LINEAR = "linear"
@@ -338,23 +338,6 @@ def _values_matrix(inputs: List[FunctionalInput],
     return V
 
 
-def _shared_grid(stage: str, **named):
-    """The one grid of the `named` input lists of `stage`, which must
-    all be non-empty (FigpError naming the first empty one) and share it
-    (GridMismatchError).  Inputs that hold the first input's grid object
-    pass unexamined."""
-    for name, given in named.items():
-        if len(given) == 0:
-            raise FigpError(f"{stage} needs at least one input in "
-                            f"`{name}`, which is empty")
-    first, *rest = [g for given in named.values() for g in given]
-    # one input per distinct grid object, compared by value once
-    others = {id(g.grid): g for g in rest if g.grid is not first.grid}
-    for g in others.values():
-        _check_same_grid(first, g)
-    return first.grid
-
-
 def kernel_matrix(inputs_a: List[FunctionalInput],
                   inputs_b: List[FunctionalInput],
                   spec: KernelSpec) -> np.ndarray:
@@ -432,7 +415,8 @@ class GramFactorization:
     `_PsiTriangle` a linear Gram was built from, held as given, which
     prediction multiplies by.  It is None for the nonlinear kernel and
     for a `_GramOperator`'s Gram, which a fit's search scores and never
-    predicts from.
+    predicts from.  `escalated` records whether the automatic nugget
+    policy went past its first level (`_factorize`); `gram` warns on it.
     """
 
     gram: np.ndarray  # K_n + nugget * I, exactly symmetric
@@ -440,6 +424,7 @@ class GramFactorization:
     log_det: float
     nugget: float  # the nugget actually applied
     triangle: Optional[_PsiTriangle] = None
+    escalated: bool = False
 
     def __post_init__(self):
         _freeze(self, "gram", "chol")
@@ -557,7 +542,7 @@ def gram(inputs: List[FunctionalInput], spec: KernelSpec) -> GramFactorization:
         fact = _factorize(K, spec, triangle)
     else:
         fact = _GramOperator(inputs, grid, NONLINEAR).factorize(spec)
-    if spec.nugget is None and fact.nugget > NUGGET_START * spec.base.sigma2:
+    if fact.escalated:
         warnings.warn(f"nugget escalated to {fact.nugget:.3e} to factorize "
                       "the Gram", stacklevel=2)
     return fact
@@ -566,7 +551,8 @@ def gram(inputs: List[FunctionalInput], spec: KernelSpec) -> GramFactorization:
 def _factorize(K: np.ndarray, spec: KernelSpec,
                triangle: Optional[_PsiTriangle] = None) -> GramFactorization:
     """Factorize the assembled Gram K plus a nugget: the one owner of
-    the nugget policy.  It does not warn; `gram` reports an escalation.
+    the nugget policy.  It does not warn; it records on the result
+    whether the policy escalated, and `gram` reports that.
 
     The matrix is made exactly symmetric by mirroring the upper
     triangle.  A factorization counts as failed when Cholesky raises or
@@ -592,12 +578,13 @@ def _factorize(K: np.ndarray, spec: KernelSpec,
         nuggets = [NUGGET_START * s2]
         while nuggets[-1] < NUGGET_CEIL * s2 * (1 - 1e-12):
             nuggets.append(nuggets[-1] * 10.0)
-    for nug in nuggets:
+    for level, nug in enumerate(nuggets):
         Kn = K + nug * eye
         L = _try_cholesky(Kn)
         if L is not None:
             log_det = float(2.0 * np.sum(np.log(np.diag(L))))
-            return GramFactorization(Kn, L, log_det, float(nug), triangle)
+            return GramFactorization(Kn, L, log_det, float(nug), triangle,
+                                     escalated=level > 0)
     raise GramFactorizationError(
         "Cholesky failed or left a negligible pivot at every nugget level; "
         "the inputs are degenerate (duplicated, or linearly dependent under "

@@ -296,5 +296,4 @@ def run_reproduce(target: str, out_dir: str, seed: int = 42,
         raise FigpError(
             f"unknown reproduce target {target!r}; choose from {TARGETS}"
         )
-    os.makedirs(out_dir, exist_ok=True)
     return _RUNNERS[target](out_dir, seed=seed, grid_res=grid_res)

@@ -17,8 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import (FunctionalInput, QuadratureGrid, _check_same_grid,
-                     _freeze)
+from .domain import FunctionalInput, QuadratureGrid, _freeze, _shared_grid
 from .errors import FigpError
 from .kernels import KernelSpec, MaternParams, base_kernel_matrix, gram
 
@@ -59,11 +58,7 @@ class EigenSystem:
         sqrt(lambda_j) <phi_j, g> over the retained j, where V holds the
         input values.  Every input must live on this eigensystem's grid
         (GridMismatchError otherwise), and there must be at least one."""
-        if len(inputs) == 0:
-            raise FigpError("eigen features need at least one input; "
-                            "`inputs` is empty")
-        for g in inputs:
-            _check_same_grid(self, g)
+        _shared_grid("eigen features", eigensystem=[self], inputs=inputs)
         V = np.column_stack([g.values for g in inputs])
         proj = (self.grid.weights[:, None] * self.eigenfunctions).T
         return np.sqrt(self.eigenvalues)[:, None] * (proj @ V)

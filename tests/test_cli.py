@@ -303,7 +303,7 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv):
 def test_a_grid_resolution_of_zero_is_refused(workdir, capsys, argv):
     _one_error_line(argv + ["--grid-res", "0"], capsys, argv[0],
                     "resolution must be an integer of at least 2 points")
-    assert [f for _, _, files in os.walk(workdir) for f in files] == []
+    assert list(workdir.iterdir()) == []  # no file, and no --out directory
 
 
 @pytest.mark.parametrize("flag", [["--nugget", "0.5"],

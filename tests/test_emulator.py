@@ -6,8 +6,9 @@ import pytest
 
 import figp.gp
 from figp import (FieldDataset, FigpError, FitConfig, GramFactorizationError,
-                  LINEAR, l2_inner, field_mape, fit, fit_emulator, pca_reduce,
-                  predict_field, sample_function, select_kernel)
+                  GridMismatchError, LINEAR, build_grid, l2_inner, field_mape,
+                  fit, fit_emulator, pca_reduce, predict_field,
+                  sample_function, select_kernel)
 
 from figp_testlib import random_poly_inputs
 
@@ -43,6 +44,16 @@ def test_field_dataset_validation(square_grid):
         FieldDataset(ins, bad, (4,))
     ds = FieldDataset(ins, np.arange(12.0).reshape(3, 4), (2, 2))
     assert ds.n == 3 and ds.p == 4 and ds.field_shape == (2, 2)
+
+
+def test_field_dataset_finds_a_mismatch_hidden_among_one_grid(square_grid):
+    inputs = [sample_function("x1", square_grid)] * 20
+    inputs[13] = sample_function("x1", build_grid(square_grid.domain, 21))
+    with pytest.raises(GridMismatchError):
+        FieldDataset(inputs, np.ones((20, 4)), (4,))
+    with pytest.raises(FigpError, match="^field dataset needs at least one "
+                                        "input in `inputs`, which is empty$"):
+        FieldDataset((), np.ones((0, 4)), (4,))
 
 
 def test_pca_threshold_validation(square_grid):
@@ -159,11 +170,9 @@ def test_field_mape_values_and_exclusions():
     pred = np.array([1.1, 1.8, 4.0])
     want = (10.0 + 10.0 + 0.0) / 3.0
     assert math.isclose(field_mape(pred, truth), want, rel_tol=1e-12)
-    truth2 = np.array([1.0, 1e-12, 2.0])
-    mape, excluded = field_mape(np.array([1.0, 5.0, 2.0]), truth2,
-                                return_excluded=True)
-    assert excluded == 1
-    assert mape == 0.0
+    # the near-zero truth entry is excluded, so its 5e12-fold miss is not
+    assert field_mape(np.array([1.0, 5.0, 2.0]),
+                      np.array([1.0, 1e-12, 2.0])) == 0.0
     with pytest.raises(FigpError):
         field_mape(np.zeros(3), np.zeros(3))
     with pytest.raises(FigpError):

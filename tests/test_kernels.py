@@ -1,16 +1,20 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import figp.domain
 import figp.kernels
 from figp import (Domain, FigpError, FunctionalInput, GramFactorizationError,
                   GridMismatchError, KernelSpec, LINEAR, MaternParams,
                   NONLINEAR, apply_pointwise_map, build_grid, gram,
                   kernel_matrix, matern_psi, sample_function)
+from figp.domain import _shared_grid
 from figp.kernels import (PIVOT_TOL, PSI_BLOCK, _node_distances,
-                          _shared_grid, _try_cholesky, base_kernel_matrix,
+                          _try_cholesky, base_kernel_matrix,
                           kernel_matrix_and_diag)
 
 from figp_testlib import (kernel_entry, pairwise_kernel_oracle,
@@ -181,13 +185,13 @@ def test_shared_grid_compares_each_distinct_grid_object_once(square_grid,
     grids = [square_grid] * 12 + twins * 4  # 3 objects, the twins alternating
     inputs = [sample_function("x1", grid) for grid in grids]
     compared = []
-    real = figp.kernels._check_same_grid
+    real = figp.domain._check_same_grid
 
     def counted(g1, g2):
         compared.append(g2.grid)
         return real(g1, g2)
 
-    monkeypatch.setattr(figp.kernels, "_check_same_grid", counted)
+    monkeypatch.setattr(figp.domain, "_check_same_grid", counted)
     assert _shared_grid("test", a=inputs[:5], b=inputs[5:]) is square_grid
     assert len(compared) == 2
     assert {id(g) for g in compared} == {id(t) for t in twins}
@@ -470,3 +474,58 @@ def test_gram_nugget_escalation_warns(square_grid, monkeypatch):
     with pytest.warns(UserWarning, match="escalated"):
         fact = gram(ins, spec)
     assert fact.nugget == pytest.approx(1e-6, rel=1e-9)
+
+
+@pytest.mark.parametrize("nugget", [None, 1e-3])
+@pytest.mark.parametrize("failures", [0, 2])
+def test_factorize_records_an_escalation_past_the_first_level(
+        nugget, failures, monkeypatch):
+    # the first `failures` Cholesky attempts fail; an explicit nugget
+    # gets one attempt, so it either succeeds unescalated or raises
+    real = figp.kernels._try_cholesky
+    calls = {"n": 0}
+
+    def flaky(K):
+        calls["n"] += 1
+        return None if calls["n"] <= failures else real(K)
+
+    monkeypatch.setattr(figp.kernels, "_try_cholesky", flaky)
+    spec = KernelSpec(NONLINEAR, MaternParams(2.5, 2.0), gamma=1.0,
+                      nugget=nugget)
+    K = np.array([[2.0, 0.5], [0.5, 2.0]])
+    if nugget is not None and failures:
+        with pytest.raises(GramFactorizationError):
+            figp.kernels._factorize(K, spec)
+        return
+    fact = figp.kernels._factorize(K, spec)
+    assert fact.escalated == (failures > 0)
+    want = 1e-3 if nugget else 2.0 * figp.kernels.NUGGET_START * 10 ** failures
+    assert fact.nugget == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", [LINEAR, NONLINEAR])
+@pytest.mark.parametrize("escalated", [False, True])
+def test_gram_warns_exactly_when_the_factorization_escalated(
+        family, escalated, square_grid, monkeypatch):
+    # the recorded flag, not the nugget's size, decides: the flag is
+    # flipped on a first-level factorization
+    real = figp.kernels._factorize
+
+    def flagged(K, spec, triangle=None):
+        fact = real(K, spec, triangle)
+        assert not fact.escalated
+        return dataclasses.replace(fact, escalated=escalated)
+
+    monkeypatch.setattr(figp.kernels, "_factorize", flagged)
+    ins = random_poly_inputs(square_grid, 4, np.random.default_rng(29))
+    spec = (KernelSpec(LINEAR, MaternParams(2.5, 1.0, (1.0, 1.0)))
+            if family == LINEAR else
+            KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=1.0))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        fact = gram(ins, spec)
+    assert fact.escalated == escalated
+    assert fact.nugget == figp.kernels.NUGGET_START * spec.base.sigma2
+    assert [str(w.message) for w in record] == (
+        [f"nugget escalated to {fact.nugget:.3e} to factorize the Gram"]
+        if escalated else [])

@@ -68,9 +68,21 @@ def test_features_reject_input_on_another_grid(eigensystem):
         eigensystem.features([sample_function("x1", other)])
 
 
+def test_features_find_a_mismatch_hidden_among_one_grid(eigensystem,
+                                                        interval_grid):
+    inputs = [sample_function("x1", interval_grid)] * 20
+    inputs[13] = sample_function("x1", build_grid(interval_grid.domain, 65))
+    with pytest.raises(GridMismatchError):
+        eigensystem.features(inputs)
+
+
 def test_kl_paths_reject_empty_inputs(eigensystem):
-    with pytest.raises(FigpError, match="`inputs` is empty"):
+    message = ("^eigen features needs at least one input in `inputs`, "
+               "which is empty$")
+    with pytest.raises(FigpError, match=message):
         sample_paths_kl(eigensystem, [], 4, 0)
+    with pytest.raises(FigpError, match=message):
+        eigensystem.features([])
 
 
 def test_eigensystem_rejects_empty_spectrum(interval_grid):

@@ -62,7 +62,6 @@ from .sampling import (
 )
 from .designs import (
     DecayCurve,
-    KnotSet,
     eigenfunction_design,
     empirical_mspe,
     exact_mspe,
@@ -94,7 +93,7 @@ __all__ = [
     "matern_psi",
     "EigenSystem", "PathFamily", "nystrom_eig", "sample_paths_gram",
     "sample_paths_kl", "sine_frequency_family",
-    "DecayCurve", "KnotSet", "eigenfunction_design", "empirical_mspe",
+    "DecayCurve", "eigenfunction_design", "empirical_mspe",
     "exact_mspe", "fill_distance", "knot_design", "lattice_knots",
     "FieldDataset", "PCAEmulator", "field_mape", "fit_emulator",
     "pca_reduce", "predict_field",

@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print a machine-readable JSON report")
 
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=42,
+    seeded.add_argument("--seed", type=_count(0), default=42,
                         help="seed for all randomness (default 42)")
 
     # the others read their grid from the training, model or emulator file
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("nu", "theta", "sigma2", "gamma"):
         p.add_argument(f"--{name}", type=float, default=FIGURE_DEFAULTS[name])
     p.add_argument("--n-paths", type=int, default=PATHS_PER_PANEL)
-    p.add_argument("--alpha-count", type=int, default=ALPHA_COUNT)
+    p.add_argument("--alpha-count", type=_count(1), default=ALPHA_COUNT)
     p.add_argument("--domain-min", type=float, default=SINE_BOUNDS[0])
     p.add_argument("--domain-max", type=float, default=SINE_BOUNDS[1])
     p.set_defaults(func=_cmd_sample_paths)

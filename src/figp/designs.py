@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .domain import (Domain, FunctionalInput, QuadratureGrid, _freeze,
-                     _shared_grid)
+                     _shared_grid, _tensor_points)
 from .errors import FigpError
 from .gp import build_model, predict_many
 from .kernels import (
@@ -31,22 +31,10 @@ from .kernels import (
 from .sampling import EigenSystem, nystrom_eig
 
 
-@dataclass(frozen=True)
-class KnotSet:
-    """Design points in the domain plus their measured fill distance."""
-
-    knots: np.ndarray  # (n, d)
-    fill_distance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "knots", np.atleast_2d(self.knots))
-        _freeze(self, "knots")
-        if not self.fill_distance > 0:
-            raise FigpError("fill distance must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.knots.shape[0]
+def _lattice(domain: Domain, m: int) -> np.ndarray:
+    """The (m^d, d) product lattice of m equispaced points per axis of
+    `domain`, its boundary included."""
+    return _tensor_points([np.linspace(a, b, m) for a, b in domain.bounds])
 
 
 def fill_distance(knots: np.ndarray, domain: Domain) -> float:
@@ -54,36 +42,26 @@ def fill_distance(knots: np.ndarray, domain: Domain) -> float:
     measured against a dense uniform evaluation grid (512 points in one
     dimension, 64 per axis otherwise)."""
     knots = np.atleast_2d(np.asarray(knots, dtype=float))
-    dense_resolution = 512 if domain.dim == 1 else 64
-    axes = [np.linspace(a, b, dense_resolution) for a, b in domain.bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    dense = np.column_stack([m.ravel() for m in mesh])
+    dense = _lattice(domain, 512 if domain.dim == 1 else 64)
     return float(_node_distances(dense, knots).min(axis=1).max())
 
 
-def lattice_knots(domain: Domain, n: int) -> KnotSet:
-    """Quasi-uniform lattice of n knots including the boundary.
+def lattice_knots(domain: Domain, n: int) -> np.ndarray:
+    """Quasi-uniform lattice of n knots including the boundary, as an
+    (n, d) array.
 
-    In one dimension the knots are equispaced.  In d dimensions n must
-    be a d-th power m^d and the lattice is the m-per-axis product grid,
-    whose fill distance is half the lattice spacing by construction.
+    n must be a d-th power m^d and the lattice is the m-per-axis product
+    grid (equispaced knots in one dimension), whose fill distance is
+    half the lattice spacing by construction.
     """
     if n < 2:
         raise FigpError("a lattice needs at least two knots")
     d = domain.dim
-    if d == 1:
-        a, b = domain.bounds[0]
-        pts = np.linspace(a, b, n)[:, None]
-    else:
-        m = round(n ** (1.0 / d))
-        if m ** d != n:
-            raise FigpError(
-                f"lattice size {n} is not a {d}-th power; use m**{d}"
-            )
-        axes = [np.linspace(a, b, m) for a, b in domain.bounds]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([mm.ravel() for mm in mesh])
-    return KnotSet(pts, fill_distance(pts, domain))
+    m = round(n ** (1.0 / d))
+    if m ** d != n:
+        raise FigpError(f"lattice size {n} is not an integer m to the "
+                        f"power {d}; use m**{d} knots")
+    return _lattice(domain, m)
 
 
 def eigenfunction_design(eigensystem: EigenSystem, n: int) -> List[FunctionalInput]:
@@ -101,10 +79,16 @@ def eigenfunction_design(eigensystem: EigenSystem, n: int) -> List[FunctionalInp
     ]
 
 
-def knot_design(knots: KnotSet, params: MaternParams,
+def knot_design(knots: np.ndarray, params: MaternParams,
                 grid: QuadratureGrid) -> List[FunctionalInput]:
-    """Kernel translates g_j = Psi(. , x_j) sampled on the grid."""
-    pts = knots.knots
+    """Kernel translates g_j = Psi(. , x_j) sampled on the grid, one per
+    row x_j of the (n, d) array `knots` (n >= 1, d the grid's
+    dimension)."""
+    pts = np.asarray(knots, dtype=float)
+    d = grid.domain.dim
+    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != d:
+        raise FigpError(f"knots must be an (n, {d}) array with n >= 1, "
+                        f"got shape {pts.shape}")
     if not grid.domain.contains(pts).all():
         raise FigpError("knots fall outside the grid's domain")
     if pts.shape[0] > 1:

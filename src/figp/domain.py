@@ -170,10 +170,16 @@ def build_grid(domain: Domain, resolution: Optional[int] = None,
             axes.append(a + h * (np.arange(resolution) + 0.5))
             wts.append(np.full(resolution, h))
 
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([m.ravel() for m in mesh])
     weights = reduce(np.multiply.outer, wts).ravel()
-    return QuadratureGrid(domain, nodes, weights, rule, resolution)
+    return QuadratureGrid(domain, _tensor_points(axes), weights, rule,
+                          resolution)
+
+
+def _tensor_points(axes) -> np.ndarray:
+    """The product lattice of the 1-d `axes` as an (n, d) array of
+    points, the last axis varying fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 @dataclass(frozen=True, eq=False)

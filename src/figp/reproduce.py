@@ -17,10 +17,8 @@ import numpy as np
 
 from .designs import (
     DecayCurve,
-    KnotSet,
     empirical_mspe,
     eigenfunction_design,
-    fill_distance,
     knot_design,
     lattice_knots,
 )
@@ -187,6 +185,8 @@ def sine_family(grid_res: Optional[int] = None,
                 bounds: Tuple[float, float] = SINE_BOUNDS):
     """The sample-path inputs: (alphas, inputs) for the sine-frequency
     family on the interval `bounds` at `alpha_count` frequencies in [0, 1]."""
+    if alpha_count < 1:
+        raise FigpError(f"alpha_count must be at least 1, got {alpha_count}")
     grid = build_grid(Domain((bounds,)), grid_res)
     alphas = np.linspace(0.0, 1.0, alpha_count)
     return alphas, sine_frequency_family(grid, alphas)
@@ -245,9 +245,8 @@ def mspe_decay_curve(design: str, grid: QuadratureGrid, seed: int = 42,
     """
     domain = grid.domain
     params = MaternParams(nu, 1.0, (theta,))
-    pts = np.asarray(test_points, dtype=float)[:, None]
-    tests = knot_design(KnotSet(pts, fill_distance(pts, domain)), params,
-                        grid)
+    tests = knot_design(np.asarray(test_points, dtype=float)[:, None],
+                        params, grid)
     if design == "knot":
         def builder(n):
             return knot_design(lattice_knots(domain, n), params, grid)

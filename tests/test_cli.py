@@ -259,6 +259,18 @@ def test_a_ragged_fields_csv_names_the_file_and_the_line(workdir, capsys):
                     "first row, got 1")
 
 
+def _refused_usage(argv, capsys, command, flag, cause):
+    """Run the CLI: argparse refuses `flag` with exit 2, a usage line and
+    an error that holds `cause`."""
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: figp {command}"), err
+    assert f"figp {command}: error: argument {flag}: " in err, err
+    assert cause in err, err
+
+
 @pytest.mark.parametrize("argv,flag,cause", [
     (["--sizes", "a,b"], "--sizes", "positive integers, got 'a,b'"),
     (["--sizes="], "--sizes", "positive integers, got ''"),
@@ -271,12 +283,39 @@ def test_a_ragged_fields_csv_names_the_file_and_the_line(workdir, capsys):
          "replicates-1"])
 def test_mspe_decay_rejects_bad_counts_naming_the_flag(workdir, capsys, argv,
                                                        flag, cause):
-    with pytest.raises(SystemExit) as exc:
-        cli_dispatch(["mspe-decay", "--out", "curve.csv"] + argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"figp mspe-decay: error: argument {flag}: " in err and cause in err
+    _refused_usage(["mspe-decay", "--out", "curve.csv"] + argv, capsys,
+                   "mspe-decay", flag, cause)
     assert not (workdir / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-paths"],
+    ["reproduce", "table2"],
+    ["mspe-decay", "--method", "mc"],
+    ["fit", "--anisotropic", "--family", "linear", "--train", "train.json"]],
+    ids=["sample-paths", "reproduce-table2", "mspe-decay-mc",
+         "fit-anisotropic"])
+def test_a_negative_seed_is_refused_naming_the_flag(workdir, train_file,
+                                                    capsys, argv):
+    _refused_usage(argv + ["--seed", "-1", "--out", "out"], capsys, argv[0],
+                   "--seed", "expected an integer of at least 0, got '-1'")
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_sample_paths_refuses_an_alpha_count_below_one(workdir, capsys,
+                                                       count):
+    _refused_usage(["sample-paths", "--alpha-count", count, "--out", "p.csv"],
+                   capsys, "sample-paths", "--alpha-count",
+                   f"expected an integer of at least 1, got '{count}'")
+    assert not (workdir / "p.csv").exists()
+
+
+def test_sample_paths_over_one_frequency(workdir, capsys):
+    assert cli_dispatch(["sample-paths", "--alpha-count", "1",
+                         "--grid-res", "16", "--n-paths", "2",
+                         "--out", "p.csv"]) == 0
+    assert len((workdir / "p.csv").read_text().splitlines()) == 2 + 1
 
 
 @pytest.mark.parametrize("argv", [

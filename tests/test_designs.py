@@ -15,7 +15,7 @@ from figp import (Domain, FigpError, GridMismatchError, KernelSpec, LINEAR,
                   fill_distance, gram, kernel_matrix, knot_design,
                   lattice_knots, matern_psi, nystrom_eig, predict,
                   sample_function)
-from figp.designs import DecayCurve, KnotSet
+from figp.designs import DecayCurve
 from figp.kernels import base_kernel_matrix
 from figp.reproduce import mspe_decay_curve, run_reproduce
 
@@ -34,35 +34,46 @@ def unit_grid():
 @pytest.fixture(scope="module")
 def test_inputs(unit_grid):
     pts = np.array([[0.137], [0.361], [0.589], [0.823]])
-    return knot_design(KnotSet(pts, 0.25), PARAMS, unit_grid)
+    return knot_design(pts, PARAMS, unit_grid)
 
 
 def test_lattice_1d():
-    ks = lattice_knots(UNIT, 5)
-    np.testing.assert_allclose(ks.knots[:, 0], np.linspace(0.0, 1.0, 5))
+    knots = lattice_knots(UNIT, 5)
+    assert knots.shape == (5, 1)
+    np.testing.assert_allclose(knots[:, 0], np.linspace(0.0, 1.0, 5))
     # half the spacing, up to the dense-grid discretization
-    assert 0.12 <= ks.fill_distance <= 0.125 + 1e-12
+    assert 0.12 <= fill_distance(knots, UNIT) <= 0.125 + 1e-12
 
 
 def test_lattice_2d():
     dom = Domain(((0.0, 1.0), (0.0, 1.0)))
-    ks = lattice_knots(dom, 16)
-    assert ks.knots.shape == (16, 2)
-    assert [0.0, 0.0] in ks.knots.tolist() and [1.0, 1.0] in ks.knots.tolist()
+    knots = lattice_knots(dom, 16)
+    assert knots.shape == (16, 2)
+    assert [0.0, 0.0] in knots.tolist() and [1.0, 1.0] in knots.tolist()
     half_diag = math.sqrt(2.0) / 6.0
-    assert 0.2 <= ks.fill_distance <= half_diag + 1e-12
+    assert 0.2 <= fill_distance(knots, dom) <= half_diag + 1e-12
 
 
 def test_lattice_validation():
     with pytest.raises(FigpError):
         lattice_knots(UNIT, 1)
-    with pytest.raises(FigpError, match="power"):
+    with pytest.raises(FigpError, match="power") as exc:
         lattice_knots(Domain(((0.0, 1.0), (0.0, 1.0))), 15)
+    assert "-th" not in str(exc.value)
 
 
-def test_knot_set_validation():
-    with pytest.raises(FigpError):
-        KnotSet(np.array([[0.5]]), 0.0)
+@pytest.mark.parametrize("dim,knots,want", [
+    (2, [[0.5]], "(n, 2) array with n >= 1, got shape (1, 1)"),
+    (1, [0.2, 0.4], "(n, 1) array with n >= 1, got shape (2,)"),
+    (1, np.empty((0, 1)), "(n, 1) array with n >= 1, got shape (0, 1)")],
+    ids=["one-column-on-the-square", "flat-on-the-interval", "no-knots"])
+def test_knot_design_refuses_a_knot_array_of_the_wrong_shape(dim, knots,
+                                                              want):
+    domain = Domain(((0.0, 1.0),) * dim)
+    params = MaternParams(1.5, 1.0, (8.0,) * dim)
+    with pytest.raises(FigpError) as exc:
+        knot_design(np.asarray(knots), params, build_grid(domain, 8))
+    assert want in str(exc.value)
 
 
 def test_fill_distance_single_center_knot():
@@ -71,10 +82,10 @@ def test_fill_distance_single_center_knot():
 
 
 def test_knot_design_values_and_labels(unit_grid):
-    ks = lattice_knots(UNIT, 3)
-    design = knot_design(ks, PARAMS, unit_grid)
+    knots = lattice_knots(UNIT, 3)
+    design = knot_design(knots, PARAMS, unit_grid)
     assert [g.label for g in design] == ["knot(0)", "knot(0.5)", "knot(1)"]
-    want = base_kernel_matrix(unit_grid.nodes, ks.knots, PARAMS)
+    want = base_kernel_matrix(unit_grid.nodes, knots, PARAMS)
     for j, g in enumerate(design):
         np.testing.assert_allclose(g.values, want[:, j], rtol=1e-14)
 
@@ -86,20 +97,19 @@ def test_knot_design_is_bitwise_the_cdist_profile(dim):
     params = MaternParams(1.5, 0.8, (8.0, 3.0)[:dim])
     knots = lattice_knots(domain, 9)
     theta = np.array(params.lengthscales)
-    want = matern_psi(cdist(grid.nodes * theta, knots.knots * theta), params)
+    want = matern_psi(cdist(grid.nodes * theta, knots * theta), params)
     design = knot_design(knots, params, grid)
     assert np.array_equal(np.column_stack([g.values for g in design]), want)
 
 
 def test_knot_design_rejects_outside_domain(unit_grid):
     with pytest.raises(FigpError):
-        knot_design(KnotSet(np.array([[1.5]]), 0.1), PARAMS, unit_grid)
+        knot_design(np.array([[1.5]]), PARAMS, unit_grid)
 
 
 def test_knot_design_warns_on_coincident_knots(unit_grid):
-    ks = KnotSet(np.array([[0.3], [0.3]]), 0.3)
     with pytest.warns(UserWarning, match="coincident"):
-        knot_design(ks, PARAMS, unit_grid)
+        knot_design(np.array([[0.3], [0.3]]), PARAMS, unit_grid)
 
 
 def test_eigenfunction_design_diagonalizes_linear_kernel(unit_grid):
@@ -137,7 +147,7 @@ def test_exact_mspe_monotone_under_nesting(unit_grid, test_inputs):
     assert np.all(large <= small + 1e-8)
     # appending one knot to a knot design can only help either
     base = knot_design(lattice_knots(UNIT, 8), PARAMS, unit_grid)
-    extra = knot_design(KnotSet(np.array([[0.45]]), 0.1), PARAMS, unit_grid)
+    extra = knot_design(np.array([[0.45]]), PARAMS, unit_grid)
     assert np.all(exact_mspe(base + extra, test_inputs, SPEC)
                   <= exact_mspe(base, test_inputs, SPEC) + 1e-6)
 

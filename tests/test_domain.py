@@ -6,7 +6,7 @@ import pytest
 import figp.domain
 from figp import (NONLINEAR, DecayCurve, Domain, EigenSystem, ExpressionError,
                   FieldDataset, FigpError, FunctionalInput, GPModel,
-                  GramFactorization, GridMismatchError, KernelSpec, KnotSet,
+                  GramFactorization, GridMismatchError, KernelSpec,
                   MaternParams, PathFamily, PCAEmulator, QuadratureGrid,
                   apply_pointwise_map, build_grid, build_model, fit, l2_inner,
                   l2_norm, sample_function)
@@ -217,8 +217,6 @@ def _record_cases():
             dict(y=np.array([1.0, 2.0, 0.5]), alpha=np.ones(3))),
         "GramFactorization": (GramFactorization, dict(log_det=0.5, nugget=0.0),
                               dict(gram=K, chol=np.linalg.cholesky(K))),
-        "KnotSet": (KnotSet, dict(fill_distance=0.25),
-                    dict(knots=np.array([[0.25], [0.75]]))),
         "DecayCurve": (DecayCurve, dict(slope=-2.0, slope_se=0.1,
                                         replicates=0, method="exact"),
                        dict(sizes=np.array([2, 4]), mspe=np.array([0.5, 0.1]),

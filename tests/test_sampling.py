@@ -7,6 +7,7 @@ from figp import (Domain, FigpError, FunctionalInput, GridMismatchError,
                   KernelSpec, LINEAR, MaternParams, build_grid, gram,
                   nystrom_eig, sample_function, sample_paths_gram,
                   sample_paths_kl, sine_frequency_family)
+from figp.reproduce import sine_family
 from figp.sampling import EigenSystem
 
 
@@ -101,6 +102,13 @@ def test_sine_family_labels_and_values(interval_grid):
 def test_sine_family_rejects_2d(square_grid):
     with pytest.raises(FigpError):
         sine_frequency_family(square_grid, [1.0])
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_reproduce_sine_family_refuses_fewer_than_one_alpha(count):
+    with pytest.raises(FigpError, match=f"alpha_count must be at least 1, "
+                                        f"got {count}"):
+        sine_family(16, count)
 
 
 def test_gram_paths_deterministic(interval_grid):

@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="quadrature points per dimension")
 
     fitting = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    fitting.add_argument("--multistarts", type=int, default=8,
+    fitting.add_argument("--multistarts", type=_count(1), default=8,
                          help="L-BFGS-B starts for --anisotropic fits; a "
                               "one-parameter fit is a deterministic scan "
                               "and ignores it (default 8)")
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=LINEAR, choices=[LINEAR, NONLINEAR])
     for name in ("nu", "theta", "sigma2", "gamma"):
         p.add_argument(f"--{name}", type=float, default=FIGURE_DEFAULTS[name])
-    p.add_argument("--n-paths", type=int, default=PATHS_PER_PANEL)
+    p.add_argument("--n-paths", type=_count(1), default=PATHS_PER_PANEL)
     p.add_argument("--alpha-count", type=_count(1), default=ALPHA_COUNT)
     p.add_argument("--domain-min", type=float, default=SINE_BOUNDS[0])
     p.add_argument("--domain-max", type=float, default=SINE_BOUNDS[1])

@@ -202,6 +202,9 @@ def empirical_mspe(design_builder: Callable[[int], List[FunctionalInput]],
     sizes = [int(n) for n in sizes]
     if len(sizes) < 2 or any(n < 2 for n in sizes):
         raise FigpError("need at least two sizes, each of at least 2")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise FigpError(f"design sizes must be strictly increasing, "
+                        f"got {sizes}")
     tests = list(test_functions)
     if not tests:
         raise FigpError("need at least one test function")

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ExpressionError, FigpError, GridMismatchError
-from .expressions import evaluate_expression, parse_expression, print_expression
+from .expressions import evaluate_expression, parse_expression
 
 GAUSS_LEGENDRE = "gauss-legendre"
 UNIFORM_MIDPOINT = "midpoint"
@@ -249,27 +249,18 @@ def _shared_grid(stage: str, **named):
     return first.grid
 
 
-def sample_function(expr, grid: QuadratureGrid,
-                    label: Optional[str] = None) -> FunctionalInput:
-    """Materialize an analytic expression as a FunctionalInput.
-
-    `expr` is either an expression string or a parsed AST.  Evaluation
-    must be finite at every node.
-    """
-    if isinstance(expr, str):
-        text = expr
-        ast = parse_expression(expr)
-    else:
-        ast = expr
-        text = print_expression(ast)
-    values = evaluate_expression(ast, grid.nodes)
+def sample_function(expr: str, grid: QuadratureGrid) -> FunctionalInput:
+    """Materialize the expression text `expr` as a FunctionalInput
+    labeled `expr`, the text that rebuilds it.  Evaluation must be
+    finite at every node."""
+    values = evaluate_expression(parse_expression(expr), grid.nodes)
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ExpressionError(
-            f"expression {text!r} is non-finite at node {bad} "
+            f"expression {expr!r} is non-finite at node {bad} "
             f"{tuple(grid.nodes[bad])}"
         )
-    return FunctionalInput(grid, values, label=label if label is not None else text)
+    return FunctionalInput(grid, values, label=expr)
 
 
 def l2_inner(g1: FunctionalInput, g2: FunctionalInput) -> float:

@@ -3,11 +3,10 @@
 An expression is an operand followed by binary operators and their
 operands; an operand is a number, ``FUNC(expr)``, a variable,
 ``(expr)`` or ``-operand``.  How operators bind is stated once, in
-``_BINARY`` and ``_NEG``, and read by both the parser and the printer:
-``^`` binds tightest and is right-associative, its left operand is an
-atom and its right one may carry a unary minus, so ``-x1^2`` is
-``-(x1^2)`` and ``2^-3^2`` is ``2^(-(3^2))``; ``* /`` then ``+ -`` are
-left-associative.
+``_BINARY`` and ``_NEG``: ``^`` binds tightest and is right-associative,
+its left operand is an atom and its right one may carry a unary minus,
+so ``-x1^2`` is ``-(x1^2)`` and ``2^-3^2`` is ``2^(-(3^2))``; ``* /``
+then ``+ -`` are left-associative.
 
 Variables are ``x1 .. xd``; the supported functions are sin, cos, exp,
 sqrt and abs.  Parsing is deterministic and errors report the byte
@@ -92,12 +91,11 @@ def _tokenize(text):
     return tokens
 
 
-# Each binary operator's precedence, and the least precedence its left
-# and right operands may have without parentheses; a unary minus and
-# its operand sit at _NEG, and atoms at _ATOM, above everything.
-_BINARY = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3),
-           "^": (4, 5, 3)}
-_NEG, _ATOM = 3, 5
+# Each binary operator's precedence, and the least precedence its
+# right operand may have without parentheses; a unary minus and its
+# operand sit at _NEG.
+_BINARY = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (4, 3)}
+_NEG = 3
 
 
 class _Parser:
@@ -141,7 +139,7 @@ class _Parser:
             if kind != "op" or val not in _BINARY or _BINARY[val][0] < least:
                 return node
             self.advance()
-            node = BinOp(val, node, self.expr(_BINARY[val][2]))
+            node = BinOp(val, node, self.expr(_BINARY[val][1]))
 
     def atom(self):
         kind, val, off = self.advance()
@@ -168,8 +166,12 @@ class _Parser:
 
 def parse_expression(text: str) -> Expression:
     """Parse ``text`` into an AST, raising ExpressionError with a byte
-    offset on malformed input or on nesting too deep to parse."""
-    if not isinstance(text, str) or text.strip() == "":
+    offset on malformed input or on nesting too deep to parse, and
+    naming the type of a value that is not text."""
+    if not isinstance(text, str):
+        raise ExpressionError(f"an expression must be text, got "
+                              f"{type(text).__name__}")
+    if text.strip() == "":
         raise ExpressionError("empty expression", offset=0)
     parser = _Parser(text)
     try:
@@ -177,36 +179,6 @@ def parse_expression(text: str) -> Expression:
     except RecursionError:
         raise ExpressionError("expression nested too deeply",
                               offset=parser.peek()[2]) from None
-
-
-def _operand(node, least):
-    """`node` printed as an operand of precedence `least` or more."""
-    if isinstance(node, BinOp):
-        prec = _BINARY[node.op][0]
-    else:
-        prec = _NEG if isinstance(node, Neg) else _ATOM
-    text = print_expression(node)
-    return text if prec >= least else f"({text})"
-
-
-def print_expression(node: Expression) -> str:
-    """Render an AST so that parse(print(ast)) == ast."""
-    if isinstance(node, Num):
-        v = node.value
-        if v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Call):
-        return f"{node.func}({print_expression(node.arg)})"
-    if isinstance(node, Neg):
-        return f"-{_operand(node.arg, _NEG)}"
-    if isinstance(node, BinOp):
-        _, left, right = _BINARY[node.op]
-        return (f"{_operand(node.left, left)}{node.op}"
-                f"{_operand(node.right, right)}")
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def evaluate_expression(node: Expression, points: np.ndarray) -> np.ndarray:

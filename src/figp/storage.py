@@ -42,6 +42,10 @@ EMULATOR_VERSION = 4
 # Saved and rebuilt Gram invariants may differ by GRAM_RTOL * n * max
 # diag; another BLAS or product order moves them by about 1e-15 of that.
 GRAM_RTOL = 1e-10
+# A saved input's reference must rebuild its values to within
+# REBUILD_RTOL of their largest magnitude: an expression evaluates to
+# the same values again, and a CSV file reads back the numbers it holds.
+REBUILD_RTOL = 1e-12
 
 
 def fmt(v: float) -> str:
@@ -234,15 +238,41 @@ def input_from_reference(ref, grid: QuadratureGrid,
 def input_to_reference(g: FunctionalInput, base_dir: str):
     """The serialized form of a labeled input: its expression string,
     or its CSV path made relative to `base_dir`, the directory of the
-    file being written."""
+    file being written.  FigpError naming the input unless
+    `input_from_reference`, as the load runs it, rebuilds the input's
+    values from that form to within REBUILD_RTOL of their largest
+    magnitude."""
     if g.label is None:
         raise FigpError(
             "only labeled inputs (expression strings or CSV paths) can be "
             "serialized"
         )
-    if g.label.endswith(".csv"):
-        return _relative_csv(g.label, base_dir)
-    return g.label
+    ref = (_relative_csv(g.label, base_dir) if g.label.endswith(".csv")
+           else g.label)
+    try:
+        rebuilt = input_from_reference(ref, g.grid, base_dir)
+    except (FigpError, OSError) as exc:
+        raise FigpError(f"input {g.label!r} cannot be saved: {exc}") from None
+    off = float(np.max(np.abs(rebuilt.values - g.values)))
+    tol = REBUILD_RTOL * float(np.max(np.abs(g.values)))
+    if not off <= tol:
+        raise FigpError(f"input {g.label!r} cannot be saved: its label "
+                        f"rebuilds values {off:.3g} off (tolerance {tol:.3g})")
+    return ref
+
+
+def _inputs_from_references(refs, grid: QuadratureGrid, base_dir: str,
+                            what: str) -> list:
+    """The inputs that `refs`, the 'inputs' of `what`, name; FigpError
+    naming `what`, the entry and its reference if one does not resolve."""
+    inputs = []
+    for i, ref in enumerate(refs):
+        try:
+            inputs.append(input_from_reference(ref, grid, base_dir))
+        except FigpError as exc:
+            raise FigpError(
+                f"{what} 'inputs' entry {i} ({ref!r}): {exc}") from None
+    return inputs
 
 
 def load_training_data(path: str):
@@ -250,8 +280,8 @@ def load_training_data(path: str):
     d, what = read_json(path), f"training data {path!r}"
     _check(d, _TRAINING, what)
     grid = grid_from_dict(d, what)
-    base_dir = os.path.dirname(path)
-    inputs = [input_from_reference(ref, grid, base_dir) for ref in d["inputs"]]
+    inputs = _inputs_from_references(d["inputs"], grid, os.path.dirname(path),
+                                     what)
     y = np.asarray(d["y"], dtype=float)
     if y.size != len(inputs):
         raise FigpError(f"{what} 'y' length does not match 'inputs'")
@@ -408,7 +438,7 @@ def model_from_dict(d: dict, base_dir: str) -> GPModel:
     _check(d, _MODEL, "model")
     spec = kernel_spec_from_dict(d["kernel"])
     grid = grid_from_dict(d["grid"], "model grid")
-    inputs = [input_from_reference(ref, grid, base_dir) for ref in d["inputs"]]
+    inputs = _inputs_from_references(d["inputs"], grid, base_dir, "model")
     model = replace(build_model(spec, inputs, d["y"], mu=d["mu_hat"]),
                     log_likelihood=float(d.get("log_likelihood", "nan")))
     _check_gram(d["gram"], model, d["inputs"])
@@ -501,13 +531,14 @@ def load_field_dataset(fields_csv: str, manifest_path: str) -> FieldDataset:
 
 def save_field_dataset(fields_csv: str, manifest_path: str,
                        dataset: FieldDataset) -> None:
+    base_dir = os.path.dirname(fields_csv)
+    refs = [input_to_reference(g, base_dir) for g in dataset.inputs]
     manifest = dict(grid_to_dict(dataset.inputs[0].grid))
     manifest["field_shape"] = list(dataset.field_shape)
     write_json(manifest_path, manifest)
     write_csv(fields_csv, ["input"] + [f"v{j + 1}" for j in range(dataset.p)],
-              ([input_to_reference(g, os.path.dirname(fields_csv))]
-               + [fmt(v) for v in row]
-               for g, row in zip(dataset.inputs, dataset.fields)))
+              ([ref] + [fmt(v) for v in row]
+               for ref, row in zip(refs, dataset.fields)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,55 @@ def test_sample_paths_refuses_an_alpha_count_below_one(workdir, capsys,
                    capsys, "sample-paths", "--alpha-count",
                    f"expected an integer of at least 1, got '{count}'")
     assert not (workdir / "p.csv").exists()
+
+
+@pytest.mark.parametrize("argv,flag,count", [
+    (["sample-paths"], "--n-paths", "0"),
+    (["sample-paths"], "--n-paths", "-2"),
+    (["fit", "--family", "linear", "--train", "train.json"], "--multistarts",
+     "0"),
+    (["select-kernel", "--train", "train.json"], "--multistarts", "0"),
+    (["emulate", "fit", "--fields", "f.csv", "--manifest", "m.json"],
+     "--multistarts", "-1")],
+    ids=["n-paths-0", "n-paths-negative", "fit", "select-kernel",
+         "emulate-fit"])
+def test_a_path_or_start_count_below_one_is_refused_naming_the_flag(
+        workdir, train_file, capsys, argv, flag, count):
+    command = " ".join(argv[:2] if argv[0] == "emulate" else argv[:1])
+    _refused_usage(argv + [flag, count, "--out", "out"], capsys, command,
+                   flag, f"expected an integer of at least 1, got '{count}'")
+    assert not (workdir / "out").exists()
+
+
+def test_mspe_decay_refuses_unordered_sizes_before_any_design(workdir,
+                                                              capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _one_error_line(["mspe-decay", "--design", "eigen", "--sizes", "8,8",
+                         "--grid-res", "64", "--out", "d.csv"], capsys,
+                        "mspe-decay", "design sizes must be strictly "
+                        "increasing, got [8, 8]")
+    assert not (workdir / "d.csv").exists()
+
+
+def test_a_bad_input_reference_names_its_file_and_entry(workdir, train_file,
+                                                        capsys):
+    blob = json.loads(train_file.read_text())
+    blob["inputs"][1] = "sin("
+    (workdir / "bad.json").write_text(json.dumps(blob))
+    _one_error_line(["fit", "--train", "bad.json", "--family", "linear"],
+                    capsys, "fit", "training data 'bad.json' 'inputs' entry 1 "
+                    "('sin('): unexpected end of expression (at offset 4)")
+    assert cli_dispatch(["fit", "--train", str(train_file), "--family",
+                         "nonlinear", "--out", "model.json"]) == 0
+    blob = json.loads((workdir / "model.json").read_text())
+    blob["inputs"][0] = "knot(0.5)"
+    blob["payload_sha256"] = _payload_sha256(blob)
+    (workdir / "model.json").write_text(json.dumps(blob))
+    capsys.readouterr()
+    _one_error_line(["predict", "--model", "model.json", "--input", "x1"],
+                    capsys, "predict", "model 'inputs' entry 0 ('knot(0.5)'): "
+                    "unknown identifier 'knot' (at offset 0)")
 
 
 def test_sample_paths_over_one_frequency(workdir, capsys):

@@ -1,5 +1,6 @@
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,18 @@ def test_empirical_mspe_validation(unit_grid, test_inputs):
         empirical_mspe(build, (4, 8), [], SPEC)
     with pytest.raises(FigpError):
         empirical_mspe(build, (4, 8), test_inputs, SPEC, method="bootstrap")
+
+
+@pytest.mark.parametrize("sizes", [(8, 8), (64, 8), (4, 16, 8)])
+def test_empirical_mspe_checks_the_size_order_before_building(
+        test_inputs, sizes):
+    built = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FigpError, match=r"^design sizes must be strictly "
+                                            r"increasing, got \["):
+            empirical_mspe(built.append, sizes, test_inputs, SPEC)
+    assert built == []
 
 
 @pytest.mark.parametrize("replicates", [0, 1])

@@ -187,8 +187,6 @@ def test_mixed_grid_arithmetic_rejected(square_grid):
 def test_sample_function_labels(square_grid):
     g = sample_function("1+x1*x2", square_grid)
     assert g.label == "1+x1*x2"
-    h = sample_function("x1", square_grid, label="ramp")
-    assert h.label == "ramp"
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

@@ -1,11 +1,7 @@
-import math
-import random
-
 import numpy as np
 import pytest
 
 from figp import ExpressionError, evaluate_expression, parse_expression
-from figp import print_expression
 from figp.expressions import BinOp, Call, Neg, Num, Var
 
 
@@ -67,49 +63,6 @@ def test_whitespace_insensitive():
     assert parse_expression(" 1 + x1 ") == parse_expression("1+x1")
 
 
-ROUND_TRIP_SAMPLES = [
-    "1+x1*x2",
-    "1+0.5*sin(2*x1)+0.5*x2",
-    "-(x1+1)",
-    "2-(3-4)",
-    "(2^3)^2",
-    "x1^2^3",
-    "1/(1+x1)",
-    "exp(-(x1^2+x2^2))",
-    "abs(x1-0.5)",
-    "2*-3",
-]
-
-
-@pytest.mark.parametrize("text", ROUND_TRIP_SAMPLES)
-def test_print_parse_round_trip(text):
-    e = parse_expression(text)
-    assert parse_expression(print_expression(e)) == e
-
-
-def _random_ast(rnd, depth):
-    if depth == 0 or rnd.random() < 0.3:
-        if rnd.random() < 0.5:
-            # printer only round-trips non-negative literals; negation is Neg
-            return Num(float(rnd.choice([0.0, 1.0, 2.0, 0.5, 3.25, 10.0])))
-        return Var(rnd.randint(1, 2))
-    kind = rnd.choice(["bin", "bin", "neg", "call"])
-    if kind == "bin":
-        return BinOp(rnd.choice(["+", "-", "*", "/", "^"]),
-                     _random_ast(rnd, depth - 1), _random_ast(rnd, depth - 1))
-    if kind == "neg":
-        return Neg(_random_ast(rnd, depth - 1))
-    return Call(rnd.choice(["sin", "cos", "exp", "sqrt", "abs"]),
-                _random_ast(rnd, depth - 1))
-
-
-def test_round_trip_random_asts():
-    rnd = random.Random(1234)
-    for _ in range(1000):
-        tree = _random_ast(rnd, 4)
-        assert parse_expression(print_expression(tree)) == tree
-
-
 @pytest.mark.parametrize("bad,offset", [
     ("", 0),
     ("   ", 0),
@@ -157,38 +110,42 @@ def _pow(a, b):
     return BinOp("^", a, b)
 
 
-# (source, parsed AST, printed AST); the expected values are those of the
-# four-method recursive-descent parser and the printer this one replaced
+# (source, parsed AST); the expected trees are those of the four-method
+# recursive-descent parser this one replaced
 BINDING_CASES = [
-    ("-x1^2", Neg(_pow(Var(1), Num(2.0))), "-x1^2"),
-    ("2^-3^2", _pow(Num(2.0), Neg(_pow(Num(3.0), Num(2.0)))), "2^-3^2"),
-    ("2*-x1^2", BinOp("*", Num(2.0), Neg(_pow(Var(1), Num(2.0)))),
-     "2*-x1^2"),
-    ("x1^x2^x3", _pow(Var(1), _pow(Var(2), Var(3))), "x1^x2^x3"),
-    ("8/2/2", BinOp("/", BinOp("/", Num(8.0), Num(2.0)), Num(2.0)), "8/2/2"),
-    ("1-2+3", BinOp("+", BinOp("-", Num(1.0), Num(2.0)), Num(3.0)), "1-2+3"),
-    ("--x1", Neg(Neg(Var(1))), "--x1"),
-    ("-(x1)^2", Neg(_pow(Var(1), Num(2.0))), "-x1^2"),
-    ("(x1)^2^3", _pow(Var(1), _pow(Num(2.0), Num(3.0))), "x1^2^3"),
-    ("(-x1)^2", _pow(Neg(Var(1)), Num(2.0)), "(-x1)^2"),
-    ("(x1^2)^3", _pow(_pow(Var(1), Num(2.0)), Num(3.0)), "(x1^2)^3"),
-    ("-x1*x2", BinOp("*", Neg(Var(1)), Var(2)), "-x1*x2"),
-    ("-(x1+x2)*x3", BinOp("*", Neg(BinOp("+", Var(1), Var(2))), Var(3)),
-     "-(x1+x2)*x3"),
-    ("x1-(x2-x3)", BinOp("-", Var(1), BinOp("-", Var(2), Var(3))),
-     "x1-(x2-x3)"),
-    ("x1/(x2*x3)", BinOp("/", Var(1), BinOp("*", Var(2), Var(3))),
-     "x1/(x2*x3)"),
-    ("sin(-x1)^-2", _pow(Call("sin", Neg(Var(1))), Neg(Num(2.0))),
-     "sin(-x1)^-2"),
+    ("-x1^2", Neg(_pow(Var(1), Num(2.0)))),
+    ("2^-3^2", _pow(Num(2.0), Neg(_pow(Num(3.0), Num(2.0))))),
+    ("2*-x1^2", BinOp("*", Num(2.0), Neg(_pow(Var(1), Num(2.0))))),
+    ("x1^x2^x3", _pow(Var(1), _pow(Var(2), Var(3)))),
+    ("8/2/2", BinOp("/", BinOp("/", Num(8.0), Num(2.0)), Num(2.0))),
+    ("1-2+3", BinOp("+", BinOp("-", Num(1.0), Num(2.0)), Num(3.0))),
+    ("--x1", Neg(Neg(Var(1)))),
+    ("-(x1)^2", Neg(_pow(Var(1), Num(2.0)))),
+    ("(x1)^2^3", _pow(Var(1), _pow(Num(2.0), Num(3.0)))),
+    ("(-x1)^2", _pow(Neg(Var(1)), Num(2.0))),
+    ("(x1^2)^3", _pow(_pow(Var(1), Num(2.0)), Num(3.0))),
+    ("-x1*x2", BinOp("*", Neg(Var(1)), Var(2))),
+    ("-(x1+x2)*x3", BinOp("*", Neg(BinOp("+", Var(1), Var(2))), Var(3))),
+    ("x1-(x2-x3)", BinOp("-", Var(1), BinOp("-", Var(2), Var(3)))),
+    ("x1/(x2*x3)", BinOp("/", Var(1), BinOp("*", Var(2), Var(3)))),
+    ("sin(-x1)^-2", _pow(Call("sin", Neg(Var(1))), Neg(Num(2.0)))),
 ]
 
 
-@pytest.mark.parametrize("text,tree,printed", BINDING_CASES,
+@pytest.mark.parametrize("text,tree", BINDING_CASES,
                          ids=[case[0] for case in BINDING_CASES])
-def test_operator_binding_is_pinned(text, tree, printed):
+def test_operator_binding_is_pinned(text, tree):
     assert parse_expression(text) == tree
-    assert print_expression(tree) == printed
+
+
+@pytest.mark.parametrize("value,kind", [(3, "int"), (None, "NoneType"),
+                                        (Var(1), "Var")],
+                         ids=["int", "None", "ast"])
+def test_an_expression_that_is_not_text_is_refused_naming_its_type(value,
+                                                                   kind):
+    with pytest.raises(ExpressionError,
+                       match=f"^an expression must be text, got {kind}$"):
+        parse_expression(value)
 
 
 def test_a_300_deep_parenthesized_input_parses():

@@ -12,8 +12,9 @@ import pytest
 import figp.gp
 from figp import (Domain, FieldDataset, FigpError, FunctionalInput,
                   KernelSpec, LINEAR, MaternParams, NONLINEAR, PCAEmulator,
-                  build_grid, build_model, fit, fit_emulator, FitConfig,
-                  predict, predict_field, predict_many, sample_function)
+                  build_grid, build_model, eigenfunction_design, fit,
+                  fit_emulator, FitConfig, knot_design, nystrom_eig, predict,
+                  predict_field, predict_many, sample_function)
 from figp.domain import UNIFORM_MIDPOINT
 from figp.sampling import PathFamily, sample_paths_gram, sine_frequency_family
 from figp.designs import DecayCurve
@@ -589,3 +590,128 @@ def test_a_resolution_too_large_to_index_names_the_file(tmp_path,
     assert str(e.value).startswith(
         f"training data {str(path)!r}: resolution must give at most ")
     assert str(e.value).endswith(f"got {float(resolution)!r}^1")
+
+
+_LINE = build_grid(Domain(((0.0, 1.0),)), 16)
+_TRANSLATES = MaternParams(1.5, 1.0, (0.3,))
+
+
+def _unrebuildable(kind):
+    """Three inputs whose first label does not rebuild it, that label,
+    and what the rebuild reports."""
+    if kind == "knot":
+        return (knot_design(np.array([[0.2], [0.5], [0.8]]), _TRANSLATES,
+                            _LINE), "knot(0.2)", "unknown identifier 'knot'")
+    if kind == "eigen":
+        return (eigenfunction_design(nystrom_eig(_TRANSLATES, _LINE), 3),
+                "eigenfunction_1", "unknown identifier 'eigenfunction_1'")
+    # the label rounds 1/3 to six digits
+    return (sine_frequency_family(_LINE, [1 / 3, 1.0, 2.0]),
+            "sin(0.333333*x1)", "its label rebuilds values")
+
+
+def _save(kind, directory, inputs):
+    y = np.array([0.5, -0.25, 1.0])
+    model = build_model(KernelSpec(NONLINEAR, MaternParams(2.5, 1.0),
+                                   gamma=1.0), inputs, y)
+    if kind == "model":
+        save_model(str(directory / "model.json"), model)
+    elif kind == "training":
+        save_training_data(str(directory / "train.json"), _LINE, inputs, y)
+    elif kind == "emulator":
+        save_emulator(str(directory / "emulator.json"),
+                      PCAEmulator(np.zeros(1), np.ones((1, 1)), (model,),
+                                  np.ones(1), (1,)))
+    else:
+        save_field_dataset(str(directory / "fields.csv"),
+                           str(directory / "fields.manifest.json"),
+                           FieldDataset(inputs, y[:, None], (1,)))
+
+
+@pytest.mark.parametrize("saver", ["model", "training", "emulator",
+                                   "fields"])
+@pytest.mark.parametrize("design", ["knot", "eigen", "sine"])
+def test_a_save_refuses_an_input_its_label_does_not_rebuild(tmp_path, saver,
+                                                            design):
+    inputs, label, cause = _unrebuildable(design)
+    with pytest.raises(FigpError) as e:
+        _save(saver, tmp_path / "out", inputs)
+    assert str(e.value).startswith(f"input {label!r} cannot be saved: ")
+    assert cause in str(e.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scale,saves", [(1 + 1e-13, True),
+                                         (1 + 1e-11, False)])
+def test_the_rebuild_tolerance_is_relative_to_the_largest_value(
+        tmp_path, scale, saves):
+    x1 = sample_function("2+x1", _LINE)
+    inputs = [FunctionalInput(_LINE, scale * x1.values, label="2+x1"),
+              sample_function("x1^2", _LINE), sample_function("1", _LINE)]
+    if saves:
+        _save("training", tmp_path, inputs)
+        assert load_training_data(str(tmp_path / "train.json"))[1][0].label \
+            == "2+x1"
+    else:
+        with pytest.raises(FigpError, match="^input '2\\+x1' cannot be "
+                                            "saved: its label rebuilds"):
+            _save("training", tmp_path, inputs)
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_a_csv_input_changed_since_it_was_read_is_not_saved(tmp_path,
+                                                            monkeypatch):
+    _write_input_csvs(tmp_path, _LINE, 3)
+    monkeypatch.chdir(tmp_path)
+    inputs = [load_input_csv(f"c{i}.csv", _LINE) for i in range(3)]
+    (tmp_path / "c1.csv").unlink()
+    with pytest.raises(FigpError, match="^input 'c1.csv' cannot be saved: "
+                                        ".*No such file"):
+        _save("model", tmp_path / "out", inputs)
+    assert not (tmp_path / "out").exists()
+
+
+def test_expression_and_csv_inputs_save_and_load_from_another_directory(
+        tmp_path, monkeypatch):
+    (tmp_path / "data").mkdir()
+    _write_input_csvs(tmp_path / "data", _LINE, 2)
+    monkeypatch.chdir(tmp_path)
+    inputs = [load_input_csv(os.path.join("data", "c0.csv"), _LINE),
+              sample_function("1+x1^2", _LINE),
+              load_input_csv(os.path.join("data", "c1.csv"), _LINE)]
+    _save("model", tmp_path / "out", inputs)
+    _save("training", tmp_path / "out", inputs)
+    up = os.path.join("..", "data")
+    assert read_json(os.path.join("out", "model.json"))["inputs"] == [
+        os.path.join(up, "c0.csv"), "1+x1^2", os.path.join(up, "c1.csv")]
+
+    monkeypatch.chdir(tmp_path / "data")
+    model = load_model(os.path.join("..", "out", "model.json"))
+    _, again, _ = load_training_data(os.path.join("..", "out", "train.json"))
+    for a, b, c in zip(model.inputs, again, inputs):
+        np.testing.assert_array_equal(a.values, c.values)
+        np.testing.assert_array_equal(b.values, c.values)
+
+
+def test_a_bad_training_reference_names_the_file_and_the_entry(tmp_path):
+    path = str(tmp_path / "train.json")
+    write_json(path, {"domain": [[0, 1]], "inputs": ["x1", "sin(", "x1^2"],
+                      "y": [0.5, 1.5, 0.25]})
+    with pytest.raises(FigpError) as e:
+        load_training_data(path)
+    assert str(e.value) == (f"training data {path!r} 'inputs' entry 1 "
+                            "('sin('): unexpected end of expression "
+                            "(at offset 4)")
+
+
+def test_a_bad_model_reference_names_the_entry(tmp_path, square_grid):
+    path = str(tmp_path / "model.json")
+    save_model(path, _linear_and_nonlinear_models(square_grid)[0])
+    blob = read_json(path)
+    blob["inputs"][2] = "knot(0.5)"
+    blob["payload_sha256"] = figp.storage._payload_sha256(blob)
+    write_json(path, blob)
+    with pytest.raises(FigpError) as e:
+        load_model(path)
+    assert str(e.value) == ("model 'inputs' entry 2 ('knot(0.5)'): "
+                            "unknown identifier 'knot' (at offset 0)")

@@ -25,7 +25,7 @@ from .errors import (
     GramFactorizationError,
     GridMismatchError,
 )
-from .expressions import evaluate_expression, parse_expression
+from .expressions import evaluate_expression
 from .gp import (
     FitConfig,
     GPModel,
@@ -81,7 +81,7 @@ __all__ = [
     "build_grid", "l2_inner", "l2_norm", "sample_function",
     "FigpError", "ExpressionError", "FitError", "GramFactorizationError",
     "GridMismatchError",
-    "evaluate_expression", "parse_expression",
+    "evaluate_expression",
     "FitConfig", "GPModel", "build_model", "fit", "log_marginal_likelihood",
     "loocv_error", "predict", "predict_many", "select_kernel",
     "LINEAR", "NONLINEAR", "GramFactorization", "KernelSpec", "MaternParams",

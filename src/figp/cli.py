@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .domain import sample_function
 from .emulator import fit_emulator, predict_field
 from .errors import FigpError
@@ -144,9 +142,8 @@ def _cmd_sample_paths(args) -> int:
 def _cmd_mspe_decay(args) -> int:
     curve = mspe_decay_curve(args.design, mspe_grid(args.grid_res),
                              seed=args.seed, nu=args.nu, theta=args.theta,
-                             sizes=args.sizes,
-                             test_points=np.linspace(0.1, 0.9, args.n_tests),
-                             method=args.method, replicates=args.replicates)
+                             sizes=args.sizes, method=args.method,
+                             replicates=args.replicates)
     out = args.out or f"mspe_{args.design}.csv"
     storage.save_decay_curve(out, curve)
     report = {
@@ -322,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=MSPE_NU)
     p.add_argument("--theta", type=float, default=MSPE_THETA)
     p.add_argument("--sizes", type=_sizes, default=list(MSPE_SIZES))
-    p.add_argument("--n-tests", type=_count(1), default=4)
     p.add_argument("--method", default="exact", choices=["exact", "mc"])
     # the Monte Carlo standard error needs two replicates
     p.add_argument("--replicates", type=_count(2), default=200)

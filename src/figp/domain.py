@@ -18,7 +18,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ExpressionError, FigpError, GridMismatchError
-from .expressions import evaluate_expression, parse_expression
+from .expressions import evaluate_expression
 
 GAUSS_LEGENDRE = "gauss-legendre"
 UNIFORM_MIDPOINT = "midpoint"
@@ -253,7 +253,7 @@ def sample_function(expr: str, grid: QuadratureGrid) -> FunctionalInput:
     """Materialize the expression text `expr` as a FunctionalInput
     labeled `expr`, the text that rebuilds it.  Evaluation must be
     finite at every node."""
-    values = evaluate_expression(parse_expression(expr), grid.nodes)
+    values = evaluate_expression(expr, grid.nodes)
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ExpressionError(

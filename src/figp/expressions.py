@@ -9,15 +9,15 @@ so ``-x1^2`` is ``-(x1^2)`` and ``2^-3^2`` is ``2^(-(3^2))``; ``* /``
 then ``+ -`` are left-associative.
 
 Variables are ``x1 .. xd``; the supported functions are sin, cos, exp,
-sqrt and abs.  Parsing is deterministic and errors report the byte
-offset into the source text.
+sqrt and abs.  An expression is evaluated at a set of points as it is
+parsed, so no tree is built, and errors report the byte offset into the
+source text.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -32,37 +32,6 @@ FUNCTIONS = {
 }
 
 _VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based, so Var(2) is x2
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expression"
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expression"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Expression"
-    right: "Expression"
-
-
-Expression = Union[Num, Var, Call, Neg, BinOp]
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
@@ -91,16 +60,31 @@ def _tokenize(text):
     return tokens
 
 
-# Each binary operator's precedence, and the least precedence its
-# right operand may have without parentheses; a unary minus and its
-# operand sit at _NEG.
-_BINARY = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (4, 3)}
+def _divide(a, b):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a / b
+
+
+def _power(a, b):
+    with np.errstate(invalid="ignore"):
+        return np.power(a, b)
+
+
+# Each binary operator's precedence, the least precedence its right
+# operand may have without parentheses, and its operation; a unary
+# minus and its operand sit at _NEG.
+_BINARY = {"+": (1, 2, operator.add), "-": (1, 2, operator.sub),
+           "*": (2, 3, operator.mul), "/": (2, 3, _divide),
+           "^": (4, 3, _power)}
 _NEG = 3
 
 
 class _Parser:
-    def __init__(self, text):
-        self.text = text
+    """Evaluates the expression `text` at the rows of `points` as it
+    parses it: each method returns the values of what it consumed."""
+
+    def __init__(self, text, points):
+        self.points = points
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -119,105 +103,78 @@ class _Parser:
         self.advance()
 
     def parse(self):
-        node = self.expr()
+        values = self.expr()
         kind, val, off = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected token {val!r}", offset=off)
-        return node
+        return values
 
     def expr(self, least=1):
         """An operand, then each binary operator of precedence `least` or
-        more with its right operand: precedence climbing on _BINARY."""
+        more with its right operand: precedence climbing on _BINARY.  A
+        chain of left-associative operators is a loop, not a recursion."""
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            node = Neg(self.expr(_NEG))
+            values = -self.expr(_NEG)
         else:
-            node = self.atom()
+            values = self.atom()
         while True:
             kind, val, _ = self.peek()
             if kind != "op" or val not in _BINARY or _BINARY[val][0] < least:
-                return node
+                return values
             self.advance()
-            node = BinOp(val, node, self.expr(_BINARY[val][1]))
+            _, right, apply = _BINARY[val]
+            values = apply(values, self.expr(right))
 
     def atom(self):
         kind, val, off = self.advance()
         if kind == "num":
-            return Num(float(val))
+            return np.full(self.points.shape[0], float(val))
         if kind == "ident":
             if val in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return Call(val, arg)
+                return FUNCTIONS[val](arg)
             m = _VAR_RE.match(val)
-            if m:
-                return Var(int(m.group(1)))
-            raise ExpressionError(f"unknown identifier {val!r}", offset=off)
+            if m is None:
+                raise ExpressionError(f"unknown identifier {val!r}",
+                                      offset=off)
+            index, d = int(m.group(1)), self.points.shape[1]
+            if index > d:
+                raise ExpressionError(f"undefined variable {val} (domain "
+                                      f"has {d} dimension(s))", offset=off)
+            return self.points[:, index - 1].copy()
         if kind == "op" and val == "(":
-            node = self.expr()
+            values = self.expr()
             self.expect_op(")")
-            return node
+            return values
         if kind == "end":
             raise ExpressionError("unexpected end of expression", offset=off)
         raise ExpressionError(f"unexpected token {val!r}", offset=off)
 
 
-def parse_expression(text: str) -> Expression:
-    """Parse ``text`` into an AST, raising ExpressionError with a byte
-    offset on malformed input or on nesting too deep to parse, and
-    naming the type of a value that is not text."""
+def evaluate_expression(text: str, points: np.ndarray) -> np.ndarray:
+    """Evaluate the expression `text` at each row of `points` (shape
+    (n, d)).
+
+    Raises ExpressionError naming the type of a value that is not text,
+    and with a byte offset on malformed input, on a variable beyond
+    x_d or on nesting too deep to parse.  Non-finite values are
+    returned as-is; callers decide whether to reject them.
+    """
     if not isinstance(text, str):
         raise ExpressionError(f"an expression must be text, got "
                               f"{type(text).__name__}")
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ExpressionError("points must be a 2-d array")
     if text.strip() == "":
         raise ExpressionError("empty expression", offset=0)
-    parser = _Parser(text)
+    parser = _Parser(text, points)
     try:
         return parser.parse()
     except RecursionError:
         raise ExpressionError("expression nested too deeply",
                               offset=parser.peek()[2]) from None
-
-
-def evaluate_expression(node: Expression, points: np.ndarray) -> np.ndarray:
-    """Evaluate the AST at each row of ``points`` (shape (n, d)).
-
-    Raises ExpressionError if a variable index exceeds d.  Non-finite
-    values are returned as-is; callers decide whether to reject them.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ExpressionError("points must be a 2-d array")
-    d = points.shape[1]
-
-    def ev(n):
-        if isinstance(n, Num):
-            return np.full(points.shape[0], n.value)
-        if isinstance(n, Var):
-            if n.index > d:
-                raise ExpressionError(
-                    f"undefined variable x{n.index} (domain has {d} dimension(s))"
-                )
-            return points[:, n.index - 1].copy()
-        if isinstance(n, Call):
-            return FUNCTIONS[n.func](ev(n.arg))
-        if isinstance(n, Neg):
-            return -ev(n.arg)
-        if isinstance(n, BinOp):
-            a, b = ev(n.left), ev(n.right)
-            if n.op == "+":
-                return a + b
-            if n.op == "-":
-                return a - b
-            if n.op == "*":
-                return a * b
-            if n.op == "/":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return a / b
-            with np.errstate(invalid="ignore"):
-                return np.power(a, b)
-        raise TypeError(f"not an expression node: {n!r}")
-
-    return ev(node)

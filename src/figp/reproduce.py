@@ -234,19 +234,17 @@ def mspe_grid(grid_res: Optional[int] = None) -> QuadratureGrid:
 
 def mspe_decay_curve(design: str, grid: QuadratureGrid, seed: int = 42,
                      nu: float = MSPE_NU, theta: float = MSPE_THETA,
-                     sizes=MSPE_SIZES, test_points=MSPE_TEST_POINTS,
-                     method: str = "exact",
+                     sizes=MSPE_SIZES, method: str = "exact",
                      replicates: int = 200) -> DecayCurve:
     """MSPE decay of the "knot" or "eigen" design on a `mspe_grid`.
 
     The kernel is linear with unit variance; the test inputs are kernel
-    translates centered at `test_points`.  The theoretical rate is
+    translates centered at `MSPE_TEST_POINTS`.  The theoretical rate is
     -2 nu / d for knots and -4 nu / d for eigenfunctions.
     """
     domain = grid.domain
     params = MaternParams(nu, 1.0, (theta,))
-    tests = knot_design(np.asarray(test_points, dtype=float)[:, None],
-                        params, grid)
+    tests = knot_design(np.array(MSPE_TEST_POINTS)[:, None], params, grid)
     if design == "knot":
         def builder(n):
             return knot_design(lattice_knots(domain, n), params, grid)

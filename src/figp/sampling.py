@@ -185,12 +185,14 @@ def _spec_params(spec: KernelSpec, seed) -> dict:
 
 
 def sine_frequency_family(grid: QuadratureGrid, alphas) -> List[FunctionalInput]:
-    """The sin(alpha x) family on a 1-d grid, one input per frequency."""
+    """The sin(alpha x) family on a 1-d grid, one input per frequency,
+    labeled with the shortest digits of alpha that rebuild it."""
     if grid.domain.dim != 1:
         raise FigpError("the sine frequency family is one-dimensional")
     alphas = np.asarray(alphas, dtype=float)
     x = grid.nodes[:, 0]
     return [
-        FunctionalInput(grid, np.sin(a * x), label=f"sin({a:g}*x1)")
+        FunctionalInput(grid, np.sin(a * x), label="sin(%s*x1)"
+                        % np.format_float_positional(a, trim="-"))
         for a in alphas
     ]

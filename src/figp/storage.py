@@ -476,15 +476,20 @@ def save_emulator(path: str, emulator: PCAEmulator) -> None:
 
 def load_emulator(path: str) -> PCAEmulator:
     """Load an emulator file, checking its own payload hash and each
-    score model as `model_from_dict` does."""
+    score model as `model_from_dict` does; FigpError names the file and
+    the score model (1-based, as `fit_emulator` names components)."""
     d = read_json(path)
     _check_payload(d, EMULATOR_FORMAT, EMULATOR_VERSION)
     _check(d, _EMULATOR, "emulator")
-    return PCAEmulator(
-        d["mean_field"], d["components"],
-        tuple(model_from_dict(md, os.path.dirname(path))
-              for md in d["score_models"]),
-        d["explained_variance_ratio"], d["field_shape"])
+    models = []
+    for j, md in enumerate(d["score_models"], start=1):
+        try:
+            models.append(model_from_dict(md, os.path.dirname(path)))
+        except FigpError as exc:
+            raise FigpError(f"emulator {path!r} score model {j}: "
+                            f"{exc}") from None
+    return PCAEmulator(d["mean_field"], d["components"], tuple(models),
+                       d["explained_variance_ratio"], d["field_shape"])
 
 
 # ---------------------------------------------------------------------------

@@ -275,13 +275,11 @@ def _refused_usage(argv, capsys, command, flag, cause):
 @pytest.mark.parametrize("argv,flag,cause", [
     (["--sizes", "a,b"], "--sizes", "positive integers, got 'a,b'"),
     (["--sizes="], "--sizes", "positive integers, got ''"),
-    (["--n-tests", "0"], "--n-tests", "at least 1, got '0'"),
     (["--method", "mc", "--replicates", "0"], "--replicates",
      "at least 2, got '0'"),
     (["--method", "mc", "--replicates", "1"], "--replicates",
      "at least 2, got '1'")],
-    ids=["sizes-letters", "sizes-empty", "n-tests-0", "replicates-0",
-         "replicates-1"])
+    ids=["sizes-letters", "sizes-empty", "replicates-0", "replicates-1"])
 def test_mspe_decay_rejects_bad_counts_naming_the_flag(workdir, capsys, argv,
                                                        flag, cause):
     _refused_usage(["mspe-decay", "--out", "curve.csv"] + argv, capsys,
@@ -478,13 +476,43 @@ def test_sample_paths_nonlinear_family(workdir, capsys):
 
 
 def test_sample_paths_defaults_match_reproduce_figure2(workdir, capsys):
-    # the CLI defaults are figure2's theta = 1 panel, drawn by the same code
+    # the CLI defaults are figure2's theta = 1 and nu = 2.5 panels, drawn
+    # by the same code
     assert cli_dispatch(["sample-paths", "--seed", "42",
                          "--out", "paths.csv"]) == 0
     assert cli_dispatch(["reproduce", "figure2", "--seed", "42",
                          "--out", "fig2"]) == 0
-    assert ((workdir / "paths.csv").read_bytes()
-            == (workdir / "fig2" / "figure2_theta-1.csv").read_bytes())
+    for panel in ("theta-1", "nu-2.5"):
+        assert ((workdir / "paths.csv").read_bytes()
+                == (workdir / "fig2" / f"figure2_{panel}.csv").read_bytes())
+
+
+def test_mspe_decay_defaults_match_reproduce(workdir, capsys):
+    # one experiment: the CLI scores the test translates reproduce scores
+    assert cli_dispatch(["reproduce", "mspe_decay", "--seed", "42",
+                         "--out", "repro"]) == 0
+    for design in ("knot", "eigen"):
+        assert cli_dispatch(["mspe-decay", "--design", design,
+                             "--out", f"{design}.csv"]) == 0
+        assert ((workdir / f"{design}.csv").read_bytes() == (
+            workdir / "repro" / f"mspe_decay_{design}.csv").read_bytes())
+
+
+def test_a_3000_term_sum_fits_and_predicts(workdir, capsys):
+    # a long sum is evaluated in a loop, not one stack frame per term
+    long_sum = "+".join(["x1"] * 3000)
+    (workdir / "train.json").write_text(json.dumps({
+        "domain": [[0, 1]], "resolution": 8,
+        "inputs": ["1", long_sum, "x1^2", "sin(x1)"],
+        "y": [0.5, 1.5, 0.25, 1.0]}))
+    assert cli_dispatch(["fit", "--train", "train.json", "--family",
+                         "linear", "--out", "model.json"]) == 0
+    assert load_model("model.json").inputs[1].label == long_sum
+    capsys.readouterr()
+    assert cli_dispatch(["predict", "--model", "model.json", "--input",
+                         long_sum, "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["predictions"][0]
+    assert row["mean"] == pytest.approx(1.5, abs=1e-6)
 
 
 def test_mspe_decay_command(workdir, capsys):

@@ -12,10 +12,8 @@ from .domain import (
     Domain,
     FunctionalInput,
     QuadratureGrid,
-    apply_pointwise_map,
     build_grid,
     l2_inner,
-    l2_norm,
     sample_function,
 )
 from .errors import (
@@ -61,7 +59,6 @@ from .designs import (
     eigenfunction_design,
     empirical_mspe,
     exact_mspe,
-    fill_distance,
     knot_design,
     lattice_knots,
 )
@@ -77,8 +74,8 @@ from .emulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Domain", "FunctionalInput", "QuadratureGrid", "apply_pointwise_map",
-    "build_grid", "l2_inner", "l2_norm", "sample_function",
+    "Domain", "FunctionalInput", "QuadratureGrid", "build_grid",
+    "l2_inner", "sample_function",
     "FigpError", "ExpressionError", "FitError", "GramFactorizationError",
     "GridMismatchError",
     "evaluate_expression",
@@ -90,7 +87,7 @@ __all__ = [
     "EigenSystem", "PathFamily", "nystrom_eig", "sample_paths_gram",
     "sample_paths_kl", "sine_frequency_family",
     "DecayCurve", "eigenfunction_design", "empirical_mspe",
-    "exact_mspe", "fill_distance", "knot_design", "lattice_knots",
+    "exact_mspe", "knot_design", "lattice_knots",
     "FieldDataset", "PCAEmulator", "field_mape", "fit_emulator",
     "pca_reduce", "predict_field",
 ]

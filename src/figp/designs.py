@@ -31,28 +31,12 @@ from .kernels import (
 from .sampling import EigenSystem, nystrom_eig
 
 
-def _lattice(domain: Domain, m: int) -> np.ndarray:
-    """The (m^d, d) product lattice of m equispaced points per axis of
-    `domain`, its boundary included."""
-    return _tensor_points([np.linspace(a, b, m) for a, b in domain.bounds])
-
-
-def fill_distance(knots: np.ndarray, domain: Domain) -> float:
-    """Largest distance from any domain point to its nearest knot,
-    measured against a dense uniform evaluation grid (512 points in one
-    dimension, 64 per axis otherwise)."""
-    knots = np.atleast_2d(np.asarray(knots, dtype=float))
-    dense = _lattice(domain, 512 if domain.dim == 1 else 64)
-    return float(_node_distances(dense, knots).min(axis=1).max())
-
-
 def lattice_knots(domain: Domain, n: int) -> np.ndarray:
     """Quasi-uniform lattice of n knots including the boundary, as an
     (n, d) array.
 
     n must be a d-th power m^d and the lattice is the m-per-axis product
-    grid (equispaced knots in one dimension), whose fill distance is
-    half the lattice spacing by construction.
+    grid of equispaced points, the boundary included.
     """
     if n < 2:
         raise FigpError("a lattice needs at least two knots")
@@ -61,7 +45,7 @@ def lattice_knots(domain: Domain, n: int) -> np.ndarray:
     if m ** d != n:
         raise FigpError(f"lattice size {n} is not an integer m to the "
                         f"power {d}; use m**{d} knots")
-    return _lattice(domain, m)
+    return _tensor_points([np.linspace(a, b, m) for a, b in domain.bounds])
 
 
 def eigenfunction_design(eigensystem: EigenSystem, n: int) -> List[FunctionalInput]:

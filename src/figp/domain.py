@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -267,19 +267,3 @@ def l2_inner(g1: FunctionalInput, g2: FunctionalInput) -> float:
     """Quadrature approximation of the L2 inner product over the domain."""
     _check_same_grid(g1, g2)
     return float(np.dot(g1.grid.weights, g1.values * g2.values))
-
-
-def l2_norm(g: FunctionalInput) -> float:
-    # round-off can push <g,g> a hair below zero for tiny g
-    return math.sqrt(max(l2_inner(g, g), 0.0))
-
-
-def apply_pointwise_map(g: FunctionalInput, map_fn: Callable,
-                        label: Optional[str] = None) -> FunctionalInput:
-    """Apply a scalar map M to g pointwise, returning M(g) on the same grid."""
-    values = np.asarray(map_fn(g.values), dtype=float)
-    if values.shape != g.values.shape:
-        raise FigpError("pointwise map changed the value shape")
-    if not np.all(np.isfinite(values)):
-        raise FigpError("pointwise map produced non-finite values")
-    return FunctionalInput(g.grid, values, label=label)

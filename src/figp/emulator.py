@@ -143,28 +143,21 @@ def fit_emulator(dataset: FieldDataset, threshold: float = 0.999,
                        dataset.field_shape)
 
 
-def predict_field(emulator: PCAEmulator, g: FunctionalInput,
-                  return_cov_factors: bool = False):
+def predict_field(emulator: PCAEmulator, g: FunctionalInput):
     """Predictive mean and variance fields at a new input.
 
     The mean adds each score's posterior mean times its component to
     the training mean field.  The variance combines the per-score
     posterior variances through the squared components, which ignores
     cross-pixel covariance; `predict_many` clamps each score variance at
-    zero, so the combination needs no clamp of its own.  Pass
-    `return_cov_factors` to also get the factors F (k x p, rows
-    sqrt(var_l) u_l) with full covariance F^T F.
+    zero, so the combination needs no clamp of its own.
     """
     means = np.empty(emulator.k)
     variances = np.empty(emulator.k)
     for l, model in enumerate(emulator.score_models):
         means[l], variances[l] = predict(model, g)
     mean_field = emulator.mean_field + means @ emulator.components
-    variance_field = variances @ (emulator.components ** 2)
-    if return_cov_factors:
-        factors = np.sqrt(variances)[:, None] * emulator.components
-        return mean_field, variance_field, factors
-    return mean_field, variance_field
+    return mean_field, variances @ (emulator.components ** 2)
 
 
 def field_mape(predicted, truth):

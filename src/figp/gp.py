@@ -26,7 +26,7 @@ from .kernels import (
     MaternParams,
     _GramOperator,
     gram,
-    kernel_matrix_and_diag,
+    kernel_matrix,
 )
 
 LOG_THETA_BOUNDS = (-3.0, 3.0)
@@ -523,8 +523,7 @@ def predict_many(model: GPModel, inputs: Sequence[FunctionalInput]):
     _shared_grid("predict_many", inputs=inputs, training=list(model.inputs))
     triangle = model.factorization.triangle
     K_cross, kgg = (triangle.cross_and_diag(inputs) if triangle else
-                    kernel_matrix_and_diag(list(model.inputs), inputs,
-                                           model.spec))
+                    kernel_matrix(list(model.inputs), inputs, model.spec))
     means = model.mu_hat + K_cross.T @ model.alpha
     V = model.factorization.whiten(K_cross)
     quad = np.einsum("ij,ij->j", V, V)

@@ -340,15 +340,7 @@ def _values_matrix(inputs: List[FunctionalInput],
 
 def kernel_matrix(inputs_a: List[FunctionalInput],
                   inputs_b: List[FunctionalInput],
-                  spec: KernelSpec) -> np.ndarray:
-    """Cross-kernel matrix K[i, j] = K(a_i, b_j), without any nugget:
-    the first result of `kernel_matrix_and_diag`."""
-    return kernel_matrix_and_diag(inputs_a, inputs_b, spec)[0]
-
-
-def kernel_matrix_and_diag(inputs_a: List[FunctionalInput],
-                           inputs_b: List[FunctionalInput],
-                           spec: KernelSpec):
+                  spec: KernelSpec) -> Tuple[np.ndarray, np.ndarray]:
     """The cross-kernel matrix K[i, j] = K(a_i, b_j) and the prior
     variances K(b, b) of `inputs_b`, both without any nugget.
 
@@ -410,7 +402,7 @@ class GramFactorization:
     """Cholesky factorization of the training Gram plus nugget.
 
     `chol` is the lower factor L from `np.linalg.cholesky`; `whiten`
-    is L^-1 b (`_whiten`) and `solve` K^-1 b (`_chol_solve`).  `gram`
+    is L^-1 b (`_whiten`) and `solve_refined` K^-1 b.  `gram`
     and `chol` are read-only copies of the arrays given.  `triangle` is the
     `_PsiTriangle` a linear Gram was built from, held as given, which
     prediction multiplies by.  It is None for the nonlinear kernel and
@@ -429,15 +421,8 @@ class GramFactorization:
     def __post_init__(self):
         _freeze(self, "gram", "chol")
 
-    @property
-    def n(self) -> int:
-        return self.gram.shape[0]
-
     def whiten(self, b: np.ndarray) -> np.ndarray:
         return _whiten(self.chol, b)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return _chol_solve(self.chol, b)
 
     def solve_refined(self, b: np.ndarray) -> np.ndarray:
         """Solve with one round of mixed-precision iterative refinement.
@@ -491,6 +476,9 @@ class _GramOperator:
         self._memo = {}
         if family == NONLINEAR:
             self._dist = _l2_distances(inputs, inputs, grid.weights)
+            # an input is at distance 0 from itself, where the norms'
+            # round-off leaves up to 3e-8
+            np.fill_diagonal(self._dist, 0.0)
             return
         self._B = _values_matrix(inputs, premap) * grid.weights[:, None]
         nodes = grid.nodes

@@ -68,7 +68,7 @@ def full_profile_scan(objective, lo, hi):
 
 def kernel_entry(g1, g2, spec):
     """K(g1, g2) through the library's kernel_matrix on one-element lists."""
-    return float(kernel_matrix([g1], [g2], spec)[0, 0])
+    return float(kernel_matrix([g1], [g2], spec)[0][0, 0])
 
 
 def pairwise_kernel_oracle(g1, g2, spec):

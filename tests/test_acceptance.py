@@ -92,7 +92,7 @@ def test_criterion_04_kernels_strictly_positive_definite(square_grid):
     for trial in range(50):
         inputs = random_poly_inputs(square_grid, 5, rng)
         for family, spec in specs.items():
-            K = kernel_matrix(inputs, inputs, spec)
+            K = kernel_matrix(inputs, inputs, spec)[0]
             smallest = np.linalg.eigvalsh(0.5 * (K + K.T)).min()
             assert smallest > 0.0, f"trial {trial} {family}: {smallest}"
     assert time.perf_counter() - start < 30.0
@@ -227,8 +227,9 @@ def test_criterion_09_pca_emulator(square_grid):
     assert np.max(np.abs(recon - dataset.fields)) <= 1e-8
 
     g = sample_function(EMULATOR_TESTS[0], square_grid)
-    _, var, factors = predict_field(emulator, g, return_cov_factors=True)
-    gap = np.max(np.abs(np.einsum("lp,lp->p", factors, factors) - var))
+    _, var = predict_field(emulator, g)
+    score_var = np.array([predict(m, g)[1] for m in emulator.score_models])
+    gap = np.max(np.abs(score_var @ emulator.components ** 2 - var))
     assert gap <= 1e-10
     assert time.perf_counter() - start < 60.0
 

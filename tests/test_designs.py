@@ -13,7 +13,7 @@ import figp.sampling
 from figp import (Domain, FigpError, GridMismatchError, KernelSpec, LINEAR,
                   MaternParams, NONLINEAR, build_grid, build_model,
                   empirical_mspe, exact_mspe, eigenfunction_design,
-                  fill_distance, gram, kernel_matrix, knot_design,
+                  gram, kernel_matrix, knot_design,
                   lattice_knots, matern_psi, nystrom_eig, predict,
                   sample_function)
 from figp.designs import DecayCurve
@@ -42,17 +42,15 @@ def test_lattice_1d():
     knots = lattice_knots(UNIT, 5)
     assert knots.shape == (5, 1)
     np.testing.assert_allclose(knots[:, 0], np.linspace(0.0, 1.0, 5))
-    # half the spacing, up to the dense-grid discretization
-    assert 0.12 <= fill_distance(knots, UNIT) <= 0.125 + 1e-12
 
 
 def test_lattice_2d():
     dom = Domain(((0.0, 1.0), (0.0, 1.0)))
     knots = lattice_knots(dom, 16)
     assert knots.shape == (16, 2)
-    assert [0.0, 0.0] in knots.tolist() and [1.0, 1.0] in knots.tolist()
-    half_diag = math.sqrt(2.0) / 6.0
-    assert 0.2 <= fill_distance(knots, dom) <= half_diag + 1e-12
+    axis = np.linspace(0.0, 1.0, 4)
+    np.testing.assert_array_equal(knots,
+                                  [[a, b] for a in axis for b in axis])
 
 
 def test_lattice_validation():
@@ -75,11 +73,6 @@ def test_knot_design_refuses_a_knot_array_of_the_wrong_shape(dim, knots,
     with pytest.raises(FigpError) as exc:
         knot_design(np.asarray(knots), params, build_grid(domain, 8))
     assert want in str(exc.value)
-
-
-def test_fill_distance_single_center_knot():
-    fd = fill_distance(np.array([[0.5]]), UNIT)
-    assert math.isclose(fd, 0.5, rel_tol=1e-12)
 
 
 def test_knot_design_values_and_labels(unit_grid):
@@ -117,7 +110,7 @@ def test_eigenfunction_design_diagonalizes_linear_kernel(unit_grid):
     eig = nystrom_eig(PARAMS, unit_grid, m=16)
     design = eigenfunction_design(eig, 6)
     assert design[0].label == "eigenfunction_1"
-    K = kernel_matrix(design, design, SPEC)
+    K = kernel_matrix(design, design, SPEC)[0]
     np.testing.assert_allclose(K, np.diag(eig.eigenvalues[:6]),
                                atol=1e-10 * eig.eigenvalues[0])
 
@@ -277,8 +270,8 @@ def test_mc_posterior_mean_is_the_solve_routes(unit_grid, test_inputs):
     rng = np.random.default_rng(seed)
     for n, mspe, se in zip(sizes, curve.mspe, curve.se):
         fact = gram(build(n) + test_inputs, SPEC)
-        paths = rng.standard_normal((replicates, fact.n)) @ fact.chol.T
         K = fact.gram
+        paths = rng.standard_normal((replicates, K.shape[0])) @ fact.chol.T
         preds = paths[:, :n] @ np.linalg.solve(K[:n, :n], K[:n, n:])
         per_rep = np.mean((preds - paths[:, n:]) ** 2, axis=1)
         assert math.isclose(mspe, per_rep.mean(), rel_tol=1e-9)

@@ -8,8 +8,7 @@ from figp import (NONLINEAR, DecayCurve, Domain, EigenSystem, ExpressionError,
                   FieldDataset, FigpError, FunctionalInput, GPModel,
                   GramFactorization, GridMismatchError, KernelSpec,
                   MaternParams, PathFamily, PCAEmulator, QuadratureGrid,
-                  apply_pointwise_map, build_grid, build_model, fit, l2_inner,
-                  l2_norm, sample_function)
+                  build_grid, build_model, fit, l2_inner, sample_function)
 from figp.domain import GAUSS_LEGENDRE, UNIFORM_MIDPOINT
 
 from figp_testlib import random_poly_inputs
@@ -121,12 +120,11 @@ def test_l2_oracles(square_grid):
     x2 = sample_function("x2", square_grid)
     assert math.isclose(l2_inner(x1, x1), 1.0 / 3.0, rel_tol=1e-12)
     assert math.isclose(l2_inner(x1, x2), 0.25, rel_tol=1e-12)
-    assert math.isclose(l2_norm(x1), 1.0 / math.sqrt(3.0), rel_tol=1e-12)
 
 
 def test_l2_oracle_interval(interval_grid):
     s = sample_function("sin(x1)", interval_grid)
-    assert math.isclose(l2_norm(s), math.sqrt(math.pi), rel_tol=1e-12)
+    assert math.isclose(l2_inner(s, s), math.pi, rel_tol=1e-12)
 
 
 def test_integrals_stable_under_resolution_doubling():
@@ -139,30 +137,6 @@ def test_integrals_stable_under_resolution_doubling():
         for name in FUNCTIONALS:
             assert abs(evaluate_functional(name, a)
                        - evaluate_functional(name, b)) < 1e-10
-
-
-def test_pointwise_map_oracle(square_grid):
-    # int int sin(x1 + x2) over the unit square
-    g = sample_function("x1+x2", square_grid)
-    mapped = apply_pointwise_map(g, np.sin)
-    one = sample_function("1", square_grid)
-    want = 2.0 * math.sin(1.0) - math.sin(2.0)
-    assert math.isclose(l2_inner(mapped, one), want, rel_tol=1e-12)
-
-
-def test_pointwise_map_variants(square_grid):
-    g = sample_function("x1-0.5", square_grid)
-    np.testing.assert_allclose(apply_pointwise_map(g, np.square).values,
-                               g.values ** 2)
-    np.testing.assert_allclose(apply_pointwise_map(g, np.abs).values,
-                               np.abs(g.values))
-    labeled = apply_pointwise_map(g, np.exp, label="exp_of_g")
-    np.testing.assert_allclose(labeled.values, np.exp(g.values))
-    assert labeled.label == "exp_of_g"
-    with pytest.raises(FigpError):
-        apply_pointwise_map(g, lambda v: v[:3])
-    with pytest.raises(FigpError):
-        apply_pointwise_map(g, lambda v: v * np.inf)
 
 
 def test_functional_input_arithmetic(square_grid):

@@ -7,7 +7,7 @@ import pytest
 import figp.gp
 from figp import (FieldDataset, FigpError, FitConfig, GramFactorizationError,
                   GridMismatchError, LINEAR, build_grid, l2_inner, field_mape,
-                  fit, fit_emulator, pca_reduce, predict_field,
+                  fit, fit_emulator, pca_reduce, predict, predict_field,
                   sample_function, select_kernel)
 
 from figp_testlib import random_poly_inputs
@@ -153,9 +153,11 @@ def test_predict_field_structure_and_cov_factors(square_grid):
     em = fit_emulator(ds, threshold=1.0, family=LINEAR, config=cfg)
     rng = np.random.default_rng(6)
     g = random_poly_inputs(square_grid, 1, rng)[0]
-    mean, var, factors = predict_field(em, g, return_cov_factors=True)
-    assert factors.shape == (em.k, ds.p)
-    # the diagonal of the full covariance is the variance field
+    mean, var = predict_field(em, g)
+    # the variance field is the diagonal of the full covariance F^T F,
+    # whose factors F have rows sqrt(var_l) u_l
+    score_var = np.array([predict(m, g)[1] for m in em.score_models])
+    factors = np.sqrt(score_var)[:, None] * em.components
     np.testing.assert_allclose(np.einsum("lp,lp->p", factors, factors), var,
                                rtol=1e-12, atol=1e-300)
     # the predictive mean moves away from the training mean only within

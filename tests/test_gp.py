@@ -21,7 +21,7 @@ from figp.gp import (_FAILED, LOG_GAMMA_BOUNDS, LOG_THETA_BOUNDS,
                      SCAN_XATOL, GPModel, _Likelihood, _bounded_brent,
                      _profile, _profile_scan, select_family)
 from figp.kernels import GramFactorization, _GramOperator
-from figp.reproduce import TRAINING_EXPRESSIONS
+from figp.reproduce import TRAINING_EXPRESSIONS, evaluate_functional
 
 from figp_testlib import brute_loocv, count_psi_triangles, \
     full_profile_scan, random_poly_inputs, scan_grid
@@ -46,7 +46,7 @@ def test_profiled_likelihood_matches_direct(square_grid):
     spec = KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=1.0,
                       nugget=1e-8)
     y = np.array([0.3, -1.1])
-    K = kernel_matrix([x1, x2], [x1, x2], spec) + 1e-8 * np.eye(2)
+    K = kernel_matrix([x1, x2], [x1, x2], spec)[0] + 1e-8 * np.eye(2)
     _, _, want = _direct_profile(K, y)
     got = log_marginal_likelihood(spec, [x1, x2], y)
     assert math.isclose(got, want, rel_tol=1e-10)
@@ -96,7 +96,7 @@ def test_build_model_profiled_mean(square_grid):
     spec = KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=0.6,
                       nugget=1e-8)
     model = build_model(spec, ins, y)
-    K = kernel_matrix(ins, ins, spec) + 1e-8 * np.eye(6)
+    K = kernel_matrix(ins, ins, spec)[0] + 1e-8 * np.eye(6)
     mu, _, _ = _direct_profile(K, y)
     assert math.isclose(model.mu_hat, mu, rel_tol=1e-9)
     # explicit mean is taken as-is
@@ -476,6 +476,27 @@ def test_nonlinear_search_gram_is_bitwise_the_model_gram(nugget, bench_inputs,
     assert (got.log_det, got.nugget) == (want.log_det, want.nugget)
 
 
+@pytest.mark.parametrize("nu", [0.5, 2.5, 50.0])
+def test_nonlinear_search_gram_diagonal_is_exactly_sigma2(nu, bench_inputs,
+                                                          bench_outputs):
+    # an input's L2 distance to itself is 0, not the up to 3e-8 that the
+    # norms' round-off leaves, so the diagonal before any nugget is sigma2
+    spec = KernelSpec(NONLINEAR, MaternParams(nu, 1.3), gamma=0.5, nugget=0.0)
+    fact = _Likelihood(bench_inputs, NONLINEAR)(spec, bench_outputs["f2"])[3]
+    assert np.array_equal(fact.gram.diagonal(), np.full(8, 1.3))
+
+
+def test_a_nu_50_nonlinear_fit_on_the_table2_inputs_succeeds():
+    # a round-off self-distance made the nu = 50 profile 0 on the
+    # diagonal, and every point of the scan failed
+    grid = build_grid(Domain(((0.0, 1.0), (0.0, 1.0))), 8)
+    inputs = [sample_function(e, grid) for e in TRAINING_EXPRESSIONS]
+    y = np.array([evaluate_functional("f2", g) for g in inputs])
+    model = fit(inputs, y, NONLINEAR, config=FitConfig(nu=50.0))
+    assert math.isclose(model.spec.gamma, 0.4916, rel_tol=1e-3)
+    assert math.isclose(loocv_error(model), 0.01775, rel_tol=1e-3)
+
+
 def test_isotropic_linear_fit_builds_psi_once(bench_inputs, bench_outputs,
                                               monkeypatch):
     # the search profiles hoisted node distances block by block and only
@@ -777,7 +798,7 @@ def test_loocv_two_point_hand_case(square_grid):
     dummy = [sample_function("x1", square_grid),
              sample_function("x2", square_grid)]
     spec = KernelSpec(LINEAR, MaternParams(2.5, 1.0, (1.0, 1.0)))
-    model = GPModel(spec, dummy, y, 0.0, fact, fact.solve(y))
+    model = GPModel(spec, dummy, y, 0.0, fact, fact.solve_refined(y))
     assert math.isclose(loocv_error(model), (1.0 + rho) ** 2, rel_tol=1e-12)
 
 
@@ -810,7 +831,7 @@ def test_variance_clamp_rejects_inconsistent_factorization(square_grid):
     f = good.factorization
     # a factorization of 0.25 K makes the posterior variance wildly negative
     bad = GramFactorization(0.25 * f.gram, 0.5 * f.chol, f.log_det, f.nugget)
-    broken = GPModel(spec, ins, good.y, 0.0, bad, bad.solve(good.y))
+    broken = GPModel(spec, ins, good.y, 0.0, bad, bad.solve_refined(good.y))
     with pytest.raises(FigpError):
         predict(broken, ins[0])
 

@@ -10,12 +10,11 @@ import figp.domain
 import figp.kernels
 from figp import (Domain, FigpError, FunctionalInput, GramFactorizationError,
                   GridMismatchError, KernelSpec, LINEAR, MaternParams,
-                  NONLINEAR, apply_pointwise_map, build_grid, gram,
-                  kernel_matrix, matern_psi, sample_function)
+                  NONLINEAR, build_grid, gram, kernel_matrix, l2_inner,
+                  matern_psi, sample_function)
 from figp.domain import _shared_grid
-from figp.kernels import (PIVOT_TOL, PSI_BLOCK, _node_distances,
-                          _try_cholesky, base_kernel_matrix,
-                          kernel_matrix_and_diag)
+from figp.kernels import (PIVOT_TOL, PSI_BLOCK, _chol_solve, _node_distances,
+                          _try_cholesky, base_kernel_matrix)
 
 from figp_testlib import (kernel_entry, pairwise_kernel_oracle,
                           random_poly_inputs)
@@ -145,7 +144,7 @@ def test_try_cholesky_rejects_exactly_rank_deficient_grams(square_grid):
     # doubling makes exactly: rank 1 of 2 and rank 2 of 3
     spec = KernelSpec(LINEAR, MaternParams(2.5, 1.0, (1.0, 1.0)))
     inputs = [sample_function(e, square_grid) for e in ("x1", "x2")]
-    G = kernel_matrix(inputs, inputs, spec)
+    G = kernel_matrix(inputs, inputs, spec)[0]
     G = np.triu(G) + np.triu(G, 1).T
     eps = np.finfo(float).eps
     for K in (G[:1, :1], G):
@@ -292,13 +291,12 @@ def test_nonlinear_kernel_translation_invariant(square_grid):
 
 def test_nonlinear_kernel_radial(square_grid):
     # pairs at equal L2 distance get equal kernel values
-    from figp import l2_norm
     spec = KernelSpec(NONLINEAR, MaternParams(1.5, 2.0), gamma=1.1)
     x1 = sample_function("x1", square_grid)
     x2 = sample_function("x2", square_grid)
     base = sample_function("1+x1*x2", square_grid)
     v = 0.35 * x1
-    w = (l2_norm(v) / l2_norm(x2)) * x2
+    w = math.sqrt(l2_inner(v, v) / l2_inner(x2, x2)) * x2
     assert math.isclose(kernel_entry(base, base + v, spec),
                         kernel_entry(base, base + w, spec),
                         rel_tol=1e-12)
@@ -313,7 +311,7 @@ def test_kernel_matrix_matches_pairwise_values(square_grid, spec):
     rng = np.random.default_rng(11)
     ga = random_poly_inputs(square_grid, 4, rng)
     gb = random_poly_inputs(square_grid, 3, rng)
-    K = kernel_matrix(ga, gb, spec)
+    K = kernel_matrix(ga, gb, spec)[0]
     assert K.shape == (4, 3)
     for i in range(4):
         for j in range(3):
@@ -327,8 +325,8 @@ def test_linear_premap_equals_mapped_inputs(square_grid):
     rng = np.random.default_rng(13)
     g1, g2 = random_poly_inputs(square_grid, 2, rng)
     direct = kernel_entry(g1, g2, KernelSpec(LINEAR, p, premap="square"))
-    mapped = kernel_entry(apply_pointwise_map(g1, np.square),
-                          apply_pointwise_map(g2, np.square),
+    mapped = kernel_entry(FunctionalInput(square_grid, g1.values ** 2),
+                          FunctionalInput(square_grid, g2.values ** 2),
                           KernelSpec(LINEAR, p))
     assert math.isclose(direct, mapped, rel_tol=1e-12)
 
@@ -341,8 +339,8 @@ def test_linear_premap_equals_mapped_inputs(square_grid):
 def test_kernel_diag_matches_kernel_matrix_diagonal(square_grid, spec):
     rng = np.random.default_rng(12)
     ins = random_poly_inputs(square_grid, 6, rng)
-    diag = figp.kernels.kernel_matrix_and_diag(ins[:1], ins, spec)[1]
-    np.testing.assert_allclose(diag, np.diag(kernel_matrix(ins, ins, spec)),
+    diag = kernel_matrix(ins[:1], ins, spec)[1]
+    np.testing.assert_allclose(diag, np.diag(kernel_matrix(ins, ins, spec)[0]),
                                rtol=1e-12)
 
 
@@ -354,11 +352,11 @@ def test_linear_gram_triangle_is_bitwise_the_prediction_cross_matrix(
     ins = random_poly_inputs(square_grid, 5, np.random.default_rng(14))
     fact = gram(ins, spec)
     for cross in (fact.triangle.cross_and_diag(ins)[0],
-                  kernel_matrix_and_diag(ins, ins, spec)[0]):
+                  kernel_matrix(ins, ins, spec)[0]):
         assert np.triu(fact.gram).tobytes() == np.triu(cross).tobytes()
 
 
-@pytest.mark.parametrize("call", [kernel_matrix, kernel_matrix_and_diag])
+@pytest.mark.parametrize("call", [kernel_matrix])
 @pytest.mark.parametrize("empty", ["inputs_a", "inputs_b"])
 @pytest.mark.parametrize("spec", [
     KernelSpec(LINEAR, MaternParams(2.5, 1.0, (1.0, 1.0))),
@@ -380,7 +378,7 @@ def test_kernels_strictly_pd_without_nugget(square_grid, spec):
     rng = np.random.default_rng(17)
     for _ in range(10):
         ins = random_poly_inputs(square_grid, 5, rng)
-        K = kernel_matrix(ins, ins, spec)
+        K = kernel_matrix(ins, ins, spec)[0]
         assert np.linalg.eigvalsh(0.5 * (K + K.T)).min() > 0.0
 
 
@@ -389,7 +387,7 @@ def test_gram_factorization_reconstructs(square_grid):
     rng = np.random.default_rng(19)
     ins = random_poly_inputs(square_grid, 6, rng)
     fact = gram(ins, spec)
-    K = kernel_matrix(ins, ins, spec) + fact.nugget * np.eye(6)
+    K = kernel_matrix(ins, ins, spec)[0] + fact.nugget * np.eye(6)
     np.testing.assert_allclose(fact.gram, K, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(fact.chol @ fact.chol.T, fact.gram,
                                rtol=1e-10, atol=1e-12)
@@ -397,7 +395,8 @@ def test_gram_factorization_reconstructs(square_grid):
     assert sign > 0 and math.isclose(fact.log_det, logdet, rel_tol=1e-10,
                                      abs_tol=1e-10)
     b = rng.standard_normal(6)
-    np.testing.assert_allclose(fact.solve(b), np.linalg.solve(fact.gram, b),
+    np.testing.assert_allclose(fact.solve_refined(b),
+                               np.linalg.solve(fact.gram, b),
                                rtol=1e-8, atol=1e-10)
 
 
@@ -407,7 +406,7 @@ def test_solve_refined_does_not_degrade(square_grid):
     ins = random_poly_inputs(square_grid, 8, rng)
     fact = gram(ins, spec)
     b = rng.standard_normal(8)
-    r0 = np.linalg.norm(b - fact.gram @ fact.solve(b))
+    r0 = np.linalg.norm(b - fact.gram @ _chol_solve(fact.chol, b))
     r1 = np.linalg.norm(b - fact.gram @ fact.solve_refined(b))
     assert r1 <= r0 + 1e-14
 

@@ -251,7 +251,8 @@ def test_model_loads_after_its_rebuilt_gram_moves_by_round_off(
 
     def perturbed(inputs, spec):
         fact = real(inputs, spec)
-        r = rng.uniform(-1.0, 1.0, (fact.n, fact.n))
+        n = fact.gram.shape[0]
+        r = rng.uniform(-1.0, 1.0, (n, n))
         K = fact.gram * (1.0 + 1e-14 * (r + r.T) / 2.0)
         L = np.linalg.cholesky(K)
         return replace(fact, gram=K, chol=L,

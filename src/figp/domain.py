@@ -100,6 +100,24 @@ class QuadratureGrid:
             raise FigpError("quadrature weights do not sum to the volume")
         if not self.domain.contains(self.nodes).all():
             raise FigpError("quadrature nodes fall outside the domain")
+        # the linear kernel folds this lattice by its axis reflections: the
+        # nodes to 64 eps of the larger bound (the rules built here keep
+        # 1.05 eps), the weights exactly
+        res, d = self.resolution, self.domain.dim
+        axes = [self.nodes[:res ** (d - k):res ** (d - k - 1), k]
+                for k in range(d)]
+        if not np.array_equal(self.nodes, _tensor_points(axes)):
+            raise FigpError("quadrature nodes are not the lexicographic "
+                            f"lattice of {res} points per axis")
+        w = self.weights.reshape((res,) * d)
+        for k, ((a, b), x) in enumerate(zip(self.domain.bounds, axes)):
+            if np.abs(x + x[::-1] - (a + b)).max() > 64 * np.finfo(
+                    float).eps * max(abs(a), abs(b)):
+                raise FigpError("quadrature nodes are not symmetric about "
+                                f"the domain's centre on axis {k + 1}")
+            if not np.array_equal(np.flip(w, k), w):
+                raise FigpError("quadrature weights are not symmetric "
+                                f"about the domain's centre on axis {k + 1}")
 
     @property
     def n_points(self) -> int:

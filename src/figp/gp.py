@@ -513,7 +513,7 @@ def predict_many(model: GPModel, inputs: Sequence[FunctionalInput]):
     `inputs` must be non-empty (FigpError) and share the training grid
     (GridMismatchError otherwise).  The kernel quantities are formed
     once for the whole batch, for a linear model built by `build_model`
-    from the triangle of Psi its Gram kept.  The variances' quadratic
+    from the folded Psi its Gram kept.  The variances' quadratic
     terms k^T K^-1 k are the column sums of V^2, V = L^-1 K_cross: one
     forward substitution for the batch.
     A slightly negative variance is clamped to zero; one more negative

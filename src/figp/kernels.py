@@ -1,11 +1,18 @@
 """Matern base kernel and the two functional covariance kernels.
 
 The linear functional kernel integrates g1(x) g2(x') against a Matern
-base kernel on the domain, which makes it bilinear in its arguments and
-positive semi-definite (strictly positive definite on linearly
-independent inputs).  The nonlinear functional kernel applies the
-Matern radial profile to the scaled L2 distance between inputs and is
-strictly positive definite on distinct inputs.
+base kernel Psi on the domain, which makes it bilinear in its arguments
+and positive semi-definite (strictly positive definite on linearly
+independent inputs).  On the grid it is A^T Psi B for the weighted
+values A and B, and profiling and multiplying Psi is most of a linear
+fit's time.  Each axis reflection of the grid's symmetric lattice keeps
+|theta * (s - t)|, so Psi commutes with all 2^d of them and is exactly
+block-diagonal in their orthonormal parity basis (Cantoni & Butler 1976):
+A^T Psi B = sum_e A_e^T S_e B_e on one orthant's nodes (`_Fold`), which
+profiles n_q^2 / 2^(d+1) entries of Psi, not n_q^2 / 2.  The nonlinear
+functional kernel applies the Matern radial profile to the scaled L2
+distance between inputs and is strictly positive definite on distinct
+inputs.
 """
 
 from __future__ import annotations
@@ -169,20 +176,22 @@ def _matern_profile(z: np.ndarray, params: MaternParams) -> np.ndarray:
     return out
 
 
-# Elements per row block of Psi's upper triangle: 32,768 doubles are
-# 256 KiB per temporary.  Of 8 K, 16 K, 32 K and 64 K elements, 16-32 K was
-# fastest at n_q = 400 and 1600 and 64 K took twice as long at n_q = 400.
-PSI_BLOCK = 32768
+# Elements per row block of folded Psi over all its 2^d parities (128 KiB
+# per temporary).  Of 8 K to 128 K, 16 K gave the fastest d = 2 likelihood
+# evaluation on one BLAS thread of a 2-vCPU VM: 0.30 ms (0.37 at 32 K) at
+# n_q = 400 and 2.7 ms (2.6-2.9 at 32 K, 3.7 at 128 K) at n_q = 1600.
+PSI_BLOCK = 16384
 
 
 def _squared_differences(a: np.ndarray, b: np.ndarray):
-    """Yield (a_k - b_k)^2 for every pair of rows of `a` and `b`, one
-    dimension k at a time, each in a fresh array."""
-    for x, y in zip(a.T, b.T):
+    """Yield (a_k - b_k)^2 for every pair of rows of `a` and of each
+    stack of rows in `b`, one dimension k at a time, each in a fresh
+    array of shape b.shape[:-2] + (len(a), b.shape[-2])."""
+    for k in range(a.shape[-1]):
         # contiguous copies: on strided columns the outer difference
         # took 1.8 times as long (81 x 400 block)
-        sq = np.subtract.outer(np.ascontiguousarray(x),
-                               np.ascontiguousarray(y))
+        sq = (np.ascontiguousarray(a[:, k])[:, None]
+              - np.ascontiguousarray(b[..., k])[..., None, :])
         sq *= sq
         yield sq
 
@@ -217,17 +226,62 @@ def base_kernel_matrix(points_a, points_b, params: MaternParams) -> np.ndarray:
     return _matern_profile(z, params)
 
 
-def _packed(n_q: int, depth: int, fill):
-    """The blocks (i0, fill(i0, i1)) of about PSI_BLOCK elements that
-    cover the rows of an n_q x n_q upper triangle, row i from column i
-    on, `depth` layers deep: read-only views of one buffer they are
-    copied to as they come (separate arrays raised fit_fine's peak RSS
-    from 93.5 to 96.1 MB)."""
+def _parities(X: np.ndarray) -> np.ndarray:
+    """The C-contiguous X's 2^d layers mixed by sign in place, layer e into
+    sum_s (-1)^popcount(e & s) X[s]: pair sums and differences bit by bit."""
+    for k in range(len(X).bit_length() - 1):
+        Y = X.reshape(2 ** k, 2, -1)
+        Y[:, 0], Y[:, 1] = Y[:, 0] + Y[:, 1], Y[:, 0] - Y[:, 1]
+    return X
+
+
+class _Fold:
+    """`grid`'s lattice folded by its axis reflections R_s onto the orthant
+    nodes o, multi-indices below h = ceil(res / 2) in lexicographic order:
+    `idx` and `points` hold R_s o, one row per s (axis 0 the leading bit)."""
+
+    def __init__(self, grid):
+        res, d = grid.resolution, grid.nodes.shape[1]
+        multi = np.indices(((res + 1) // 2,) * d).reshape(d, 1, -1)
+        self.idx = np.ravel_multi_index(tuple(np.where(np.indices(
+            (2,) * d).reshape(d, -1, 1), res - 1 - multi, multi)), (res,) * d)
+        self.points = grid.nodes[self.idx]
+        # o's weight, which QuadratureGrid checks is every R_s o's, times
+        # 2^-c for c coordinates at an odd resolution's centre and 2^-d/2,
+        # which makes the sign mixing orthonormal
+        c = np.sum(2 * multi[:, 0] == res - 1, axis=0)
+        self._scale = (grid.weights[self.idx[0]] * 0.5 ** (c + d / 2))[:, None]
+
+    def __call__(self, V: np.ndarray) -> np.ndarray:
+        """The parity components (2^d, h^d, m) of the weighted values V w:
+        A_e[o] = 2^-(c + d/2) w_o sum_s (-1)^popcount(e & s) V[R_s o]."""
+        A = _parities(V[self.idx])
+        A *= self._scale
+        return A
+
+    def geometry(self, i0: int, i1: int, anisotropic: bool) -> np.ndarray:
+        """The geometry of rows i0..i1-1 of the parity blocks' upper
+        triangles: the distances from o[i0:i1] to R_s o[i0:] for each s,
+        or with `anisotropic` their squared differences, dimension first."""
+        o, p = self.points[0, i0:i1], self.points[:, i0:]
+        if anisotropic:
+            return np.stack(list(_squared_differences(o, p)))
+        return _node_distances(o, p)
+
+
+def _packed(fold: _Fold, depth: int, fill):
+    """The blocks (i0, fill(i0, i1)) of about PSI_BLOCK elements over all
+    parities, `depth` deep each, that cover the rows of `fold`'s upper
+    triangles, row i from column i on: read-only views of one buffer they
+    are copied to as they come (separate arrays raised fit_fine's peak RSS)."""
+    layers, n = fold.idx.shape
     ends = [0]
-    while ends[-1] < n_q:
-        ends.append(min(n_q, ends[-1] + max(1, PSI_BLOCK // (n_q - ends[-1]))))
+    while ends[-1] < n:
+        ends.append(min(n, ends[-1] + max(
+            1, PSI_BLOCK // (layers * (n - ends[-1])))))
     blocks = list(zip(ends, ends[1:]))
-    store = np.empty(depth * sum((i1 - i0) * (n_q - i0) for i0, i1 in blocks))
+    store = np.empty(layers * depth * sum((i1 - i0) * (n - i0)
+                                          for i0, i1 in blocks))
     packed, end = [], 0
     for i0, i1 in blocks:
         x = fill(i0, i1)
@@ -239,16 +293,6 @@ def _packed(n_q: int, depth: int, fill):
     return packed
 
 
-def _block_geometry(nodes: np.ndarray, i0: int, i1: int,
-                    anisotropic: bool) -> np.ndarray:
-    """The geometry of the row block I = i0..i1-1 of Psi's upper
-    triangle: the distances from nodes[I] to nodes[i0:], or with
-    `anisotropic` their squared differences per dimension, stacked."""
-    if anisotropic:
-        return np.stack(list(_squared_differences(nodes[i0:i1], nodes[i0:])))
-    return _node_distances(nodes[i0:i1], nodes[i0:])
-
-
 # Weights on the leading r x r corner of a row block of the triangle: 1/2
 # on the diagonal, 0 below.  A block of r rows has at least r columns and
 # at most PSI_BLOCK elements, so r <= sqrt(PSI_BLOCK).
@@ -258,69 +302,66 @@ _HALF_UPPER.setflags(write=False)
 
 
 def _profile_block(g: np.ndarray, params: MaternParams) -> np.ndarray:
-    """The row block P_I = Psi[I, i0:] from its geometry `g`, with the
-    diagonal halved and the lower part zeroed, so Psi = U + U^T for the
-    stacked blocks U.  Equal lengthscales scale the distances, bitwise
-    the same from either geometry."""
+    """Rows of the parity blocks S_e = sum_s (-1)^popcount(e & s) M_s,
+    M_s[i, j] = Psi(o_i, R_s o_j), from their geometry `g`, halved on the
+    diagonal and zeroed below, so S_e = U_e + U_e^T.  Equal lengthscales
+    scale the distances, bitwise the same from either geometry."""
     theta = params.lengthscales
     scale = 2.0 * math.sqrt(params.nu)
     if len(set(theta)) > 1:
         z = np.sqrt(sum(t * t * sq for t, sq in zip(theta, g)))
         z *= scale
     else:
-        z = (np.sqrt(sum(g)) if g.ndim == 3 else g) * (theta[0] * scale)
-    P = _matern_profile(z, params)
-    r = P.shape[0]
-    P[:, :r] *= _HALF_UPPER[:r, :r]
-    return P
+        z = (np.sqrt(sum(g)) if g.ndim == 4 else g) * (theta[0] * scale)
+    S = _parities(_matern_profile(z, params))
+    r = S.shape[1]
+    S[:, :, :r] *= _HALF_UPPER[:r, :r]
+    return S
 
 
 def _times(blocks, X: np.ndarray) -> np.ndarray:
-    """U X for Psi's upper triangle U given as its profiled row blocks
-    (i0, P_I): the block products P_I X[i0:], stacked."""
+    """U_e X_e for every parity e, the U_e given as their row blocks
+    (i0, P_I) stacked by parity: the block products P_I X[:, i0:]."""
     UX = np.empty_like(X)
     for i0, P in blocks:
-        UX[i0:i0 + P.shape[0]] = P @ X[i0:]
+        UX[:, i0:i0 + P.shape[1]] = P @ X[:, i0:]
     return UX
 
 
-def _gram_from(A: np.ndarray, UA: np.ndarray) -> np.ndarray:
-    """The linear Gram A^T Psi A = G + G^T, G = A^T (U A)."""
-    G = A.T @ UA
-    return G + G.T
+def _half_product(A: np.ndarray, UB: np.ndarray) -> np.ndarray:
+    """H = sum_e A_e^T (U_e B_e) for folded A and B, so that
+    A^T Psi B = H + (B^T U A)^T in the nodes' own values."""
+    return A.reshape(-1, A.shape[2]).T @ UB.reshape(-1, UB.shape[2])
 
 
 class _PsiTriangle:
-    """The linear kernel of training inputs through Psi's profiled upper
-    triangle U on the grid nodes: U's row blocks in one read-only buffer
-    of about n_q^2 / 2 floats, the weighted premapped values A and U A.
+    """The linear kernel of training inputs through Psi folded by the
+    grid's reflections (`_Fold`): the upper triangles U_e of its parity
+    blocks in one read-only buffer of about n_q^2 / 2^(d+1) floats, the
+    folded weighted premapped values A and U A.
 
-    The Gram is G + G^T, G = A^T (U A).  Against the weighted premapped
-    values B of other inputs the cross matrix is A^T (U B) + (B^T (U A))^T,
-    bitwise the Gram at B = A, and the prior variances 2 colsum(B * U B).
-    """
+    The Gram is H + H^T, H = `_half_product`(A, U A).  Against the folded
+    values B of other inputs the cross matrix is H(A, U B) + H(B, U A)^T,
+    bitwise the Gram at B = A, and the prior variances are
+    2 colsum(B * U B) over parities and nodes."""
 
     def __init__(self, inputs: List[FunctionalInput], spec: KernelSpec,
                  grid):
-        nodes = grid.nodes
-        _check_lengthscales(spec.base, nodes.shape[1])
+        _check_lengthscales(spec.base, grid.nodes.shape[1])
         anisotropic = len(set(spec.base.lengthscales)) > 1
-        self._weights, self._premap = grid.weights[:, None], spec.premap
-        self.A = self.weighted(inputs)
-        self.blocks = _packed(nodes.shape[0], 1, lambda i0, i1: _profile_block(
-            _block_geometry(nodes, i0, i1, anisotropic), spec.base))
+        self._fold, self._premap = _Fold(grid), spec.premap
+        self.A = self._fold(_values_matrix(inputs, self._premap))
+        self.blocks = _packed(self._fold, 1, lambda i0, i1: _profile_block(
+            self._fold.geometry(i0, i1, anisotropic), spec.base))
         self.UA = _times(self.blocks, self.A)
         for kept in (self.A, self.UA):
             kept.setflags(write=False)
 
-    def weighted(self, inputs: List[FunctionalInput]) -> np.ndarray:
-        return _values_matrix(inputs, self._premap) * self._weights
-
     def cross_and_diag(self, inputs_b: List[FunctionalInput]):
-        B = self.weighted(inputs_b)
+        B = self._fold(_values_matrix(inputs_b, self._premap))
         UB = _times(self.blocks, B)
-        return (self.A.T @ UB + (B.T @ self.UA).T,
-                2.0 * np.einsum("ij,ij->j", B, UB))
+        return (_half_product(self.A, UB) + _half_product(B, self.UA).T,
+                2.0 * np.einsum("eij,eij->j", B, UB))
 
 
 def _values_matrix(inputs: List[FunctionalInput],
@@ -345,8 +386,8 @@ def kernel_matrix(inputs_a: List[FunctionalInput],
     variances K(b, b) of `inputs_b`, both without any nugget.
 
     Both lists must be non-empty and share one grid (FigpError and
-    GridMismatchError otherwise).  The linear kernel goes through Psi's
-    upper triangle on the grid nodes (`_PsiTriangle`), the one product
+    GridMismatchError otherwise).  The linear kernel goes through Psi
+    folded by the grid's reflections (`_PsiTriangle`), the one product
     that `gram` and prediction use too, so a model Gram's upper triangle
     is bitwise the cross matrix prediction takes at the training inputs.
     The nonlinear kernel applies the Matern profile to the scaled L2
@@ -460,10 +501,10 @@ def _try_cholesky(K: np.ndarray) -> Optional[np.ndarray]:
 class _GramOperator:
     """The Gram of one list of inputs on their `grid` as a function of
     the kernel's parameters, with what those do not change computed
-    once: for the linear kernel the weighted premapped values B and, in
-    one buffer, the geometry of Psi's upper triangle on the nodes (the
-    distances, or squared differences per dimension when anisotropic),
-    summed by `_PsiTriangle`'s product, so bitwise `gram`'s at the same
+    once: for the linear kernel the folded weighted premapped values B
+    and, in one buffer, the geometry of the parity blocks' upper
+    triangles on the orthant nodes (`_Fold.geometry`), profiled and
+    multiplied as `_PsiTriangle` does, so bitwise `gram`'s at the same
     spec; for the nonlinear kernel the n x n L2 distances, the one place
     that kernel's Gram of a list of inputs is formed.  `factorize` keeps
     each distinct spec's factorization or failure message for as long
@@ -480,12 +521,11 @@ class _GramOperator:
             # round-off leaves up to 3e-8
             np.fill_diagonal(self._dist, 0.0)
             return
-        self._B = _values_matrix(inputs, premap) * grid.weights[:, None]
-        nodes = grid.nodes
-        n_q, self._dim = nodes.shape
+        fold, self._dim = _Fold(grid), grid.nodes.shape[1]
+        self._B = fold(_values_matrix(inputs, premap))
         self._geometry = _packed(
-            n_q, self._dim if anisotropic else 1,
-            lambda i0, i1: _block_geometry(nodes, i0, i1, anisotropic))
+            fold, self._dim if anisotropic else 1,
+            lambda i0, i1: fold.geometry(i0, i1, anisotropic))
 
     def factorize(self, spec: KernelSpec) -> GramFactorization:
         if spec not in self._memo:
@@ -507,9 +547,10 @@ class _GramOperator:
                 K = matern_psi(spec.gamma * self._dist, spec.base)
             else:
                 _check_lengthscales(spec.base, self._dim)
-                UB = _times(((i0, _profile_block(g, spec.base))
-                             for i0, g in self._geometry), self._B)
-                K = _gram_from(self._B, UB)
+                H = _half_product(self._B, _times(
+                    ((i0, _profile_block(g, spec.base))
+                     for i0, g in self._geometry), self._B))
+                K = H + H.T
             return _factorize(K, spec)
 
 
@@ -517,17 +558,17 @@ def gram(inputs: List[FunctionalInput], spec: KernelSpec) -> GramFactorization:
     """Assemble the model Gram matrix and factorize it (`_factorize`);
     the one place that warns, once, when the automatic nugget escalated.
 
-    The linear one is G + G^T with G = (W A)^T (U W A), from Psi's
-    profiled upper triangle U (`_PsiTriangle`), which the factorization
-    keeps for prediction; the nonlinear one is `_GramOperator`'s.  A
-    search's operator sums the same product and never warns.
+    The linear one is H + H^T, H = `_half_product`(A, U A) from Psi's
+    parity blocks (`_PsiTriangle`), which the factorization keeps for
+    prediction; the nonlinear one is `_GramOperator`'s.  A search's
+    operator sums the same product and never warns.
     """
     grid = _shared_grid("gram", inputs=inputs)
     if spec.family == LINEAR:
         with np.errstate(invalid="ignore"):  # a NaN fails in _factorize
             triangle = _PsiTriangle(inputs, spec, grid)
-            K = _gram_from(triangle.A, triangle.UA)
-        fact = _factorize(K, spec, triangle)
+            H = _half_product(triangle.A, triangle.UA)
+        fact = _factorize(H + H.T, spec, triangle)
     else:
         fact = _GramOperator(inputs, grid, NONLINEAR).factorize(spec)
     if fact.escalated:

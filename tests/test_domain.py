@@ -32,6 +32,27 @@ def test_grid_shapes_and_weights(square_grid):
     assert math.isclose(square_grid.weights.sum(), 1.0, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("broken,error", [
+    ("one node", "not the lexicographic lattice of 4 points"),
+    ("one axis", "nodes are not symmetric about the domain's centre on "
+                 "axis 2"),
+    ("weights", "weights are not symmetric about the domain's centre on "
+                "axis 2"),
+])
+def test_a_grid_off_the_symmetric_lattice_is_refused(broken, error):
+    # the linear kernel folds every grid by its axis reflections
+    grid = build_grid(Domain(((0.0, 1.0), (0.0, 2.0))), 4, UNIFORM_MIDPOINT)
+    nodes, weights = grid.nodes.copy(), grid.weights.copy()
+    if broken == "one node":
+        nodes[5, 0] += 1e-9
+    elif broken == "one axis":
+        nodes[::4, 1] += 1e-9  # the lattice holds, its symmetry does not
+    else:
+        weights.reshape(4, 4)[:, :2] *= [1.1, 0.9]
+    with pytest.raises(FigpError, match=error):
+        QuadratureGrid(grid.domain, nodes, weights, grid.rule, 4)
+
+
 def test_grid_resolution_floor():
     with pytest.raises(FigpError):
         build_grid(Domain(((0.0, 1.0),)), 1)

@@ -520,8 +520,8 @@ def test_isotropic_linear_fit_builds_psi_once(bench_inputs, bench_outputs,
 def test_fit_frees_its_likelihood_before_the_model_build(bench_inputs,
                                                        bench_outputs,
                                                        monkeypatch):
-    # the hoisted node distances are half a Psi; holding them while the
-    # model profiles its triangle of Psi would raise the fit's peak memory
+    # the hoisted node distances are as large as the folded Psi; holding
+    # them while the model profiles its own would raise the peak memory
     real = figp.gp.build_model
     live = []
 
@@ -738,18 +738,32 @@ def test_linear_gram_keeps_its_psi_read_only(square_grid):
     ins = random_poly_inputs(square_grid, 4, rng)
     spec = KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.9, 1.4)))
     triangle = gram(ins, spec).triangle
-    # Psi from the scaled squared differences, as the triangle forms it,
-    # with the diagonal halved and the lower part zeroed
+    # Psi from the scaled squared differences, as the triangle forms it
     nodes = square_grid.nodes
     r = np.sqrt(sum(t * t * np.subtract.outer(x, x) ** 2
                     for t, x in zip(spec.base.lengthscales, nodes.T)))
     psi = matern_psi(r, spec.base)
-    want = np.triu(psi, 1) + np.diag(0.5 * np.diag(psi))
+    # M_s[i, j] = Psi(o_i, R_s o_j) over the orthant nodes o, the first
+    # 10 x 10 of the 20 x 20 lattice, where R_s reflects axis k when
+    # s_k = 1; the parity blocks S_e pair sums and differences over s_1,
+    # then over s_2, with each diagonal halved and the lower part zeroed
+    lattice = np.arange(400).reshape(20, 20)
+    orthant = lattice[:10, :10].ravel()
+    M = {(s1, s2): psi[np.ix_(orthant, lattice[::1 - 2 * s1, ::1 - 2 * s2]
+                              [:10, :10].ravel())]
+         for s1 in (0, 1) for s2 in (0, 1)}
+    over_s1 = {(e1, s2): M[0, s2] + (-1.0) ** e1 * M[1, s2]
+               for e1 in (0, 1) for s2 in (0, 1)}
+    S = [over_s1[e1, 0] + (-1.0) ** e2 * over_s1[e1, 1]
+         for e1 in (0, 1) for e2 in (0, 1)]
+    want = np.stack([np.triu(s, 1) + np.diag(0.5 * np.diag(s)) for s in S])
     got = np.zeros_like(want)
     for i0, P in triangle.blocks:
-        got[i0:i0 + P.shape[0], i0:] = P
+        got[:, i0:i0 + P.shape[1], i0:] = P
         assert not P.flags.writeable
-    assert got.tobytes() == want.tobytes()
+    # a negative entry zeroed below the diagonal is -0.0
+    assert not np.tril(got, -1).any()
+    assert np.triu(got).tobytes() == want.tobytes()
     assert not (triangle.A.flags.writeable or triangle.UA.flags.writeable)
     nonlinear = KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=0.5)
     assert gram(ins, nonlinear).triangle is None

@@ -12,7 +12,7 @@ from figp import (Domain, FigpError, FunctionalInput, GramFactorizationError,
                   GridMismatchError, KernelSpec, LINEAR, MaternParams,
                   NONLINEAR, build_grid, gram, kernel_matrix, l2_inner,
                   matern_psi, sample_function)
-from figp.domain import _shared_grid
+from figp.domain import GAUSS_LEGENDRE, UNIFORM_MIDPOINT, _shared_grid
 from figp.kernels import (PIVOT_TOL, PSI_BLOCK, _chol_solve, _node_distances,
                           _try_cholesky, base_kernel_matrix)
 
@@ -356,6 +356,30 @@ def test_linear_gram_triangle_is_bitwise_the_prediction_cross_matrix(
         assert np.triu(fact.gram).tobytes() == np.triu(cross).tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("res", [2, 5, 8])
+@pytest.mark.parametrize("rule", [GAUSS_LEGENDRE, UNIFORM_MIDPOINT])
+@pytest.mark.parametrize("theta", [(0.8, 0.8, 0.8), (0.4, 1.3, 2.2)],
+                         ids=["isotropic", "anisotropic"])
+def test_folded_linear_kernel_is_the_dense_quadrature(dim, res, rule, theta):
+    # W^T Psi W with Psi the whole base-kernel matrix on the nodes
+    grid = build_grid(Domain(((0.0, 1.0), (-1.0, 2.0), (0.5, 0.75))[:dim]),
+                      res, rule)
+    rng = np.random.default_rng(res * 10 + dim)
+    n = min(4, grid.n_points)
+    W = rng.uniform(0.5, 1.5, size=(grid.n_points, 2 * n))
+    ins = [FunctionalInput(grid, w) for w in W.T]
+    spec = KernelSpec(LINEAR, MaternParams(2.5, 1.3, theta[:dim]), nugget=0.0)
+    W *= grid.weights[:, None]
+    want = W.T @ base_kernel_matrix(grid.nodes, grid.nodes, spec.base) @ W
+    scale = np.abs(want).max()
+    K, variances = kernel_matrix(ins[:n], ins[n:], spec)
+    assert np.abs(K - want[:n, n:]).max() <= 1e-13 * scale
+    assert np.abs(variances - np.diag(want)[n:]).max() <= 1e-13 * scale
+    assert np.abs(gram(ins[:n], spec).gram - want[:n, :n]).max() <= \
+        1e-13 * scale
+
+
 @pytest.mark.parametrize("call", [kernel_matrix])
 @pytest.mark.parametrize("empty", ["inputs_a", "inputs_b"])
 @pytest.mark.parametrize("spec", [
@@ -406,8 +430,11 @@ def test_solve_refined_does_not_degrade(square_grid):
     ins = random_poly_inputs(square_grid, 8, rng)
     fact = gram(ins, spec)
     b = rng.standard_normal(8)
-    r0 = np.linalg.norm(b - fact.gram @ _chol_solve(fact.chol, b))
-    r1 = np.linalg.norm(b - fact.gram @ fact.solve_refined(b))
+    # both residuals sit near the float64 floor, so they are measured in
+    # the precision the refinement's own residual uses
+    K = fact.gram.astype(np.longdouble)
+    r0 = np.linalg.norm(b - K @ _chol_solve(fact.chol, b))
+    r1 = np.linalg.norm(b - K @ fact.solve_refined(b))
     assert r1 <= r0 + 1e-14
 
 

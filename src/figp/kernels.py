@@ -9,14 +9,17 @@ fit's time.  Each axis reflection of the grid's symmetric lattice keeps
 |theta * (s - t)|, so Psi commutes with all 2^d of them and is exactly
 block-diagonal in their orthonormal parity basis (Cantoni & Butler 1976):
 A^T Psi B = sum_e A_e^T S_e B_e on one orthant's nodes (`_Fold`), which
-profiles n_q^2 / 2^(d+1) entries of Psi, not n_q^2 / 2.  The nonlinear
-functional kernel applies the Matern radial profile to the scaled L2
-distance between inputs and is strictly positive definite on distinct
-inputs.
+profiles n_q^2 / 2^(d+1) entries of Psi, not n_q^2 / 2, at about eight
+passes over memory each: the scaled distance, the Matern form in Horner
+form, and one Hadamard product that mixes the S_e (`_parities`).  The
+nonlinear functional kernel applies the Matern radial profile to the
+scaled L2 distance between inputs and is strictly positive definite on
+distinct inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -128,58 +131,60 @@ def matern_psi(r, params: MaternParams):
     through the modified Bessel function of the second kind.  Returns
     sigma2 at r = 0.  Accepts scalars or arrays; a scalar gives a float.
 
-    The closed forms are evaluated in place in two or three buffers, in
-    the same operation order as s2 * (1 + z + z*z/3) * exp(-z) with
-    temporaries, so the values are bitwise those of that expression.
+    The closed forms are evaluated in Horner form on zn = -2 sqrt(nu) r,
+    in place in one or two buffers, so the values are bitwise those of
+    ((zn * (1/3) - 1)*zn + 1) * exp(zn) * s2 with temporaries (and its
+    siblings), within a few ulps of s2 * (1 + z + z*z/3) * exp(-z).
     `r` itself is never written.
     """
     r = np.asarray(r, dtype=float)
     # fmin skips NaN, so a NaN distance is let through as np.any(r < 0) did
     if np.fmin.reduce(r, axis=None, initial=np.inf) < 0:
         raise FigpError("distances must be non-negative")
-    z = np.atleast_1d(r * (2.0 * math.sqrt(params.nu)))  # a fresh buffer
-    out = _matern_profile(z, params)
+    zn = np.atleast_1d(r * (-2.0 * math.sqrt(params.nu)))  # a fresh buffer
+    out = _matern_profile(zn, params)
     if r.ndim == 0:
         return float(out[0])
     return out
 
 
-def _matern_profile(z: np.ndarray, params: MaternParams) -> np.ndarray:
-    """The Matern profile at the scaled distances z = 2 sqrt(nu) r >= 0,
-    which the caller owns: the closed forms overwrite z."""
+def _matern_profile(zn: np.ndarray, params: MaternParams) -> np.ndarray:
+    """The Matern profile at the negated scaled distances
+    zn = -2 sqrt(nu) r <= 0, which the caller owns: the closed forms
+    overwrite zn.  A unit sigma2 is not multiplied in."""
     nu, s2 = params.nu, params.sigma2
     if abs(nu - 0.5) < 1e-12:
-        out = np.exp(np.negative(z, out=z), out=z)
-        out *= s2
+        out = np.exp(zn, out=zn)
     elif abs(nu - 1.5) < 1e-12:
-        out = np.add(z, 1.0)
-        out *= s2
-        out *= np.exp(np.negative(z, out=z), out=z)
+        out = np.subtract(1.0, zn)
+        out *= np.exp(zn, out=zn)
     elif abs(nu - 2.5) < 1e-12:
-        t = np.multiply(z, z)
-        t /= 3.0
-        out = np.add(z, 1.0)
-        out += t
-        out *= s2
-        out *= np.exp(np.negative(z, out=z), out=z)
+        out = np.multiply(zn, 1.0 / 3.0)  # zn / 3 took ~20 % longer
+        out -= 1.0
+        out *= zn
+        out += 1.0
+        out *= np.exp(zn, out=zn)
     else:
         # imported here, so only nu outside {1/2, 3/2, 5/2} loads SciPy
         from scipy.special import gamma as gamma_fn, kv
 
-        zero = z == 0
-        zz = np.where(zero, 1.0, z)
+        zero = zn == 0
+        zz = np.where(zero, 1.0, -zn)
         with np.errstate(invalid="ignore", over="ignore"):
             out = s2 * (2.0 ** (1.0 - nu) / gamma_fn(nu)) * zz ** nu * kv(nu, zz)
         out = np.where(zero, s2, out)
         # kv underflows to 0 for large z, which is the correct limit
-        out = np.where(np.isfinite(out), out, 0.0)
+        return np.where(np.isfinite(out), out, 0.0)
+    if s2 != 1.0:
+        out *= s2
     return out
 
 
 # Elements per row block of folded Psi over all its 2^d parities (128 KiB
-# per temporary).  Of 8 K to 128 K, 16 K gave the fastest d = 2 likelihood
-# evaluation on one BLAS thread of a 2-vCPU VM: 0.30 ms (0.37 at 32 K) at
-# n_q = 400 and 2.7 ms (2.6-2.9 at 32 K, 3.7 at 128 K) at n_q = 1600.
+# per temporary).  Of 8 K to 64 K, 16 K gave the fastest d = 2 round of 12
+# search Grams and 3 model triangles at n_q = 1600 on one BLAS thread of a
+# 2-vCPU VM: medians of 41-44 ms, against 43-47 at 32 K, 46-52 at 8 K and
+# 50-52 at 64 K; at n_q = 400, 8 K was faster (5.7 against 6.6 ms).
 PSI_BLOCK = 16384
 
 
@@ -221,18 +226,26 @@ def base_kernel_matrix(points_a, points_b, params: MaternParams) -> np.ndarray:
     _check_lengthscales(params, a.shape[1])
     _check_lengthscales(params, b.shape[1])
     theta = np.asarray(params.lengthscales, dtype=float)
-    z = _node_distances(a * theta, b * theta)  # norms: never negative
-    z *= 2.0 * math.sqrt(params.nu)
-    return _matern_profile(z, params)
+    zn = _node_distances(a * theta, b * theta)  # norms: never negative
+    zn *= -2.0 * math.sqrt(params.nu)
+    return _matern_profile(zn, params)
+
+
+@functools.lru_cache(maxsize=None)
+def _sylvester(order: int) -> np.ndarray:
+    """The Sylvester-Hadamard matrix H[e, s] = (-1)^popcount(e & s) of
+    `order` = 2^d, read-only."""
+    H = np.array([[(-1.0) ** bin(e & s).count("1") for s in range(order)]
+                  for e in range(order)])
+    H.setflags(write=False)
+    return H
 
 
 def _parities(X: np.ndarray) -> np.ndarray:
-    """The C-contiguous X's 2^d layers mixed by sign in place, layer e into
-    sum_s (-1)^popcount(e & s) X[s]: pair sums and differences bit by bit."""
-    for k in range(len(X).bit_length() - 1):
-        Y = X.reshape(2 ** k, 2, -1)
-        Y[:, 0], Y[:, 1] = Y[:, 0] + Y[:, 1], Y[:, 0] - Y[:, 1]
-    return X
+    """X's 2^d layers mixed by sign, layer e into
+    sum_s (-1)^popcount(e & s) X[s]: one product with the Sylvester-Hadamard
+    matrix, the Walsh-Hadamard transform over the reflection group."""
+    return (_sylvester(len(X)) @ X.reshape(len(X), -1)).reshape(X.shape)
 
 
 class _Fold:
@@ -307,13 +320,13 @@ def _profile_block(g: np.ndarray, params: MaternParams) -> np.ndarray:
     diagonal and zeroed below, so S_e = U_e + U_e^T.  Equal lengthscales
     scale the distances, bitwise the same from either geometry."""
     theta = params.lengthscales
-    scale = 2.0 * math.sqrt(params.nu)
+    scale = -2.0 * math.sqrt(params.nu)
     if len(set(theta)) > 1:
-        z = np.sqrt(sum(t * t * sq for t, sq in zip(theta, g)))
-        z *= scale
+        zn = np.sqrt(sum(t * t * sq for t, sq in zip(theta, g)))
+        zn *= scale
     else:
-        z = (np.sqrt(sum(g)) if g.ndim == 4 else g) * (theta[0] * scale)
-    S = _parities(_matern_profile(z, params))
+        zn = (np.sqrt(sum(g)) if g.ndim == 4 else g) * (theta[0] * scale)
+    S = _parities(_matern_profile(zn, params))
     r = S.shape[1]
     S[:, :, :r] *= _HALF_UPPER[:r, :r]
     return S

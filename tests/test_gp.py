@@ -442,22 +442,41 @@ def test_fit_profile_is_bitwise_the_refit_profile(name, family, anisotropic,
         (mu, s2, ll)
 
 
-@pytest.mark.parametrize("spec,anisotropic", [
-    (KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.6, 0.6))), False),
-    (KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.3, 1.7))), True),
+# (domain, resolution, expressions) of inputs on a lattice other than the
+# table2 square: a line, whose fold mixes 2 parities, and a box at an odd
+# resolution, whose fold mixes 8 and halves the weights of centre nodes
+_LINE = (((0.0, 2.0),), 16, ("1", "x1", "x1^2", "sin(3*x1)", "exp(-x1)"))
+_ODD_BOX = (((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)), 5,
+            ("x1+x2", "x3^2", "1+x1*x3", "sin(x2)", "cos(x1)", "x1*x2*x3"))
+
+
+@pytest.mark.parametrize("spec,anisotropic,lattice", [
+    (KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.6, 0.6))), False, None),
+    (KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.3, 1.7))), True, None),
     (KernelSpec(LINEAR, MaternParams(1.5, 1.0, (2.0, 2.0)), premap="square"),
-     False),
+     False, None),
     (KernelSpec(LINEAR, MaternParams(0.5, 1.0, (0.05, 0.05)), nugget=1e-6),
-     False),
-], ids=["isotropic", "anisotropic", "square", "nugget"])
+     False, None),
+    (KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.8,))), False, _LINE),
+    (KernelSpec(LINEAR, MaternParams(2.5, 1.0, (0.7, 0.7, 0.7))), False,
+     _ODD_BOX),
+    (KernelSpec(LINEAR, MaternParams(1.5, 1.0, (0.5, 1.2, 2.0))), True,
+     _ODD_BOX),
+], ids=["isotropic", "anisotropic", "square", "nugget", "line", "odd-box",
+        "odd-box-anisotropic"])
 def test_search_gram_is_the_model_gram_up_to_round_off(spec, anisotropic,
-                                                       bench_inputs,
+                                                       lattice, bench_inputs,
                                                        bench_outputs):
     # both sum the Gram by one product on Psi's upper triangle
-    y = bench_outputs["f2"]
-    likelihood = _Likelihood(bench_inputs, LINEAR, spec.premap, anisotropic)
+    inputs, y = bench_inputs, bench_outputs["f2"]
+    if lattice is not None:
+        domain, resolution, exprs = lattice
+        grid = build_grid(Domain(domain), resolution)
+        inputs = [sample_function(e, grid) for e in exprs]
+        y = np.array([grid.weights @ g.values for g in inputs])
+    likelihood = _Likelihood(inputs, LINEAR, spec.premap, anisotropic)
     got = likelihood(spec, y)[3]
-    want = gram(bench_inputs, spec)
+    want = gram(inputs, spec)
     assert got.gram.tobytes() == want.gram.tobytes()
     assert got.chol.tobytes() == want.chol.tobytes()
     assert (got.log_det, got.nugget) == (want.log_det, want.nugget)
@@ -745,17 +764,17 @@ def test_linear_gram_keeps_its_psi_read_only(square_grid):
     psi = matern_psi(r, spec.base)
     # M_s[i, j] = Psi(o_i, R_s o_j) over the orthant nodes o, the first
     # 10 x 10 of the 20 x 20 lattice, where R_s reflects axis k when
-    # s_k = 1; the parity blocks S_e pair sums and differences over s_1,
-    # then over s_2, with each diagonal halved and the lower part zeroed
+    # s_k = 1; the parity blocks S_e mix them by the Sylvester matrix,
+    # S_e = sum_s (-1)^popcount(e & s) M_s, with each diagonal halved and
+    # the lower part zeroed
     lattice = np.arange(400).reshape(20, 20)
     orthant = lattice[:10, :10].ravel()
-    M = {(s1, s2): psi[np.ix_(orthant, lattice[::1 - 2 * s1, ::1 - 2 * s2]
-                              [:10, :10].ravel())]
-         for s1 in (0, 1) for s2 in (0, 1)}
-    over_s1 = {(e1, s2): M[0, s2] + (-1.0) ** e1 * M[1, s2]
-               for e1 in (0, 1) for s2 in (0, 1)}
-    S = [over_s1[e1, 0] + (-1.0) ** e2 * over_s1[e1, 1]
-         for e1 in (0, 1) for e2 in (0, 1)]
+    M = np.stack([psi[np.ix_(orthant, lattice[::1 - 2 * s1, ::1 - 2 * s2]
+                             [:10, :10].ravel())]
+                  for s1 in (0, 1) for s2 in (0, 1)])
+    sylvester = np.array([[(-1.0) ** bin(e & s).count("1") for s in range(4)]
+                          for e in range(4)])
+    S = np.einsum("es,sij->eij", sylvester, M)
     want = np.stack([np.triu(s, 1) + np.diag(0.5 * np.diag(s)) for s in S])
     got = np.zeros_like(want)
     for i0, P in triangle.blocks:
@@ -763,7 +782,9 @@ def test_linear_gram_keeps_its_psi_read_only(square_grid):
         assert not P.flags.writeable
     # a negative entry zeroed below the diagonal is -0.0
     assert not np.tril(got, -1).any()
-    assert np.triu(got).tobytes() == want.tobytes()
+    # the mix's summation order is round-off: each S_e sums four M_s
+    np.testing.assert_allclose(np.triu(got), want, rtol=0,
+                               atol=4 * np.finfo(float).eps * np.abs(M).max())
     assert not (triangle.A.flags.writeable or triangle.UA.flags.writeable)
     nonlinear = KernelSpec(NONLINEAR, MaternParams(2.5, 1.0), gamma=0.5)
     assert gram(ins, nonlinear).triangle is None

@@ -79,8 +79,10 @@ class QuadratureGrid:
     """Tensor-product quadrature nodes and weights over a Domain.
 
     Two grids compare equal when they share the domain, rule and
-    resolution; node construction is deterministic so that metadata
-    pins the arrays.
+    resolution.  That metadata pins the arrays: nodes and weights other
+    than the rule's, value for value as `build_grid` makes them, are
+    refused, so grid-keyed caches (`kernels._fold`,
+    `sampling._eigensystem`) cannot mix two grids.
     """
 
     domain: Domain
@@ -118,6 +120,12 @@ class QuadratureGrid:
             if not np.array_equal(np.flip(w, k), w):
                 raise FigpError("quadrature weights are not symmetric "
                                 f"about the domain's centre on axis {k + 1}")
+        rule_axes, rule_weights = _rule(self.domain, res, self.rule)
+        if not (all(map(np.array_equal, axes, rule_axes))
+                and np.array_equal(self.weights, rule_weights)):
+            raise FigpError(f"quadrature nodes or weights are not the "
+                            f"{self.rule} rule's at resolution {res}; "
+                            "build the grid with build_grid")
 
     @property
     def n_points(self) -> int:
@@ -174,9 +182,16 @@ def build_grid(domain: Domain, resolution: Optional[int] = None,
     if resolution is None:
         resolution = DEFAULT_RESOLUTION.get(domain.dim, 16)
     resolution = _check_resolution(resolution, domain.dim)
+    axes, weights = _rule(domain, resolution, rule)
+    return QuadratureGrid(domain, _tensor_points(axes), weights, rule,
+                          resolution)
+
+
+def _rule(domain: Domain, resolution: int, rule: str):
+    """The 1-d nodes of `rule` on each of `domain`'s intervals and the
+    product weights of the grid they span."""
     if rule not in _RULES:
         raise FigpError(f"unknown quadrature rule {rule!r}; use one of {_RULES}")
-
     axes, wts = [], []
     for a, b in domain.bounds:
         if rule == GAUSS_LEGENDRE:
@@ -187,10 +202,7 @@ def build_grid(domain: Domain, resolution: Optional[int] = None,
             h = (b - a) / resolution
             axes.append(a + h * (np.arange(resolution) + 0.5))
             wts.append(np.full(resolution, h))
-
-    weights = reduce(np.multiply.outer, wts).ravel()
-    return QuadratureGrid(domain, _tensor_points(axes), weights, rule,
-                          resolution)
+    return axes, reduce(np.multiply.outer, wts).ravel()
 
 
 def _tensor_points(axes) -> np.ndarray:

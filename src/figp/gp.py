@@ -475,7 +475,7 @@ def _fit_columns(inputs: Sequence[FunctionalInput], y: np.ndarray,
         return kept["x"], kept["profile"], failure
 
     searches = [search(y_col) for y_col in columns]
-    del likelihood  # frees the geometry and memo before the model's triangle
+    del likelihood  # frees the memo only: the grid's fold keeps the geometry
     results = []
     for j, (y_col, (x, profile, failure)) in enumerate(zip(columns,
                                                            searches)):

@@ -12,6 +12,8 @@ A^T Psi B = sum_e A_e^T S_e B_e on one orthant's nodes (`_Fold`), which
 profiles n_q^2 / 2^(d+1) entries of Psi, not n_q^2 / 2, at about eight
 passes over memory each: the scaled distance, the Matern form in Horner
 form, and one Hadamard product that mixes the S_e (`_parities`).  The
+node distances those entries are profiled from depend on the grid alone,
+so each grid's fold builds them once (`_fold`) for every Psi on it.  The
 nonlinear functional kernel applies the Matern radial profile to the
 scaled L2 distance between inputs and is strictly positive definite on
 distinct inputs.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
@@ -251,7 +254,8 @@ def _parities(X: np.ndarray) -> np.ndarray:
 class _Fold:
     """`grid`'s lattice folded by its axis reflections R_s onto the orthant
     nodes o, multi-indices below h = ceil(res / 2) in lexicographic order:
-    `idx` and `points` hold R_s o, one row per s (axis 0 the leading bit)."""
+    `idx` and `points` hold R_s o, one row per s (axis 0 the leading bit).
+    One per grid (`_fold`), so it also keeps the grid's `geometry`."""
 
     def __init__(self, grid):
         res, d = grid.resolution, grid.nodes.shape[1]
@@ -264,6 +268,17 @@ class _Fold:
         # which makes the sign mixing orthonormal
         c = np.sum(2 * multi[:, 0] == res - 1, axis=0)
         self._scale = (grid.weights[self.idx[0]] * 0.5 ** (c + d / 2))[:, None]
+        for shared in (self.idx, self.points, self._scale):
+            shared.setflags(write=False)
+        # the triangles' row blocks (i0, i1), of about PSI_BLOCK elements
+        # over all parities each
+        layers, n = self.idx.shape
+        ends = [0]
+        while ends[-1] < n:
+            ends.append(min(n, ends[-1] + max(
+                1, PSI_BLOCK // (layers * (n - ends[-1])))))
+        self.rows = list(zip(ends, ends[1:]))
+        self._geometry = {}
 
     def __call__(self, V: np.ndarray) -> np.ndarray:
         """The parity components (2^d, h^d, m) of the weighted values V w:
@@ -272,7 +287,18 @@ class _Fold:
         A *= self._scale
         return A
 
-    def geometry(self, i0: int, i1: int, anisotropic: bool) -> np.ndarray:
+    def geometry(self, anisotropic: bool):
+        """The geometry of the parity blocks' upper triangles as read-only
+        row blocks (i0, g) (`_packed`, `_row_geometry`), of either kind
+        built on first use and kept for as long as the fold lives."""
+        if anisotropic not in self._geometry:
+            self._geometry[anisotropic] = _packed(
+                self, self.points.shape[2] if anisotropic else 1,
+                ((i0, self._row_geometry(i0, i1, anisotropic))
+                 for i0, i1 in self.rows), mapped=True)
+        return self._geometry[anisotropic]
+
+    def _row_geometry(self, i0: int, i1: int, anisotropic: bool) -> np.ndarray:
         """The geometry of rows i0..i1-1 of the parity blocks' upper
         triangles: the distances from o[i0:i1] to R_s o[i0:] for each s,
         or with `anisotropic` their squared differences, dimension first."""
@@ -282,22 +308,32 @@ class _Fold:
         return _node_distances(o, p)
 
 
-def _packed(fold: _Fold, depth: int, fill):
-    """The blocks (i0, fill(i0, i1)) of about PSI_BLOCK elements over all
-    parities, `depth` deep each, that cover the rows of `fold`'s upper
-    triangles, row i from column i on: read-only views of one buffer they
-    are copied to as they come (separate arrays raised fit_fine's peak RSS)."""
+# One slot: a fit, its model's loads and each reproduce target fold one
+# grid, and of the 1-d grids of 64 and 256 nodes that figure2, figure3 and
+# mspe_decay alternate, only figure2's is folded (one build a process with
+# one slot or two).  The slot keeps its grid's geometry for the life of the
+# process: n_q^2 / 2^(d+1) floats of distances (338,784, 2.7 MB, at 1,600
+# nodes in 2-d), as much as one model's blocks of Psi, and d times that
+# once an anisotropic fit has asked for squared differences.
+@functools.lru_cache(maxsize=1)
+def _fold(grid) -> _Fold:
+    return _Fold(grid)
+
+
+def _packed(fold: _Fold, depth: int, blocks, mapped: bool = False):
+    """The `blocks` (i0, x), `depth` deep each, that cover `fold.rows` of
+    its upper triangles, row i from column i on: read-only views of one
+    buffer they are copied to as they come (separate arrays raised
+    fit_fine's peak RSS).  A `mapped` buffer, one kept for the life of
+    the process, gets its own anonymous memory map: in the heap, the
+    Grams' temporaries fragmented around it, and over 400 fit_fine
+    passes peak RSS rose 4.0 MB, against 2.6 MB when mapped."""
     layers, n = fold.idx.shape
-    ends = [0]
-    while ends[-1] < n:
-        ends.append(min(n, ends[-1] + max(
-            1, PSI_BLOCK // (layers * (n - ends[-1])))))
-    blocks = list(zip(ends, ends[1:]))
-    store = np.empty(layers * depth * sum((i1 - i0) * (n - i0)
-                                          for i0, i1 in blocks))
+    size = layers * depth * sum((i1 - i0) * (n - i0) for i0, i1 in fold.rows)
+    store = (np.frombuffer(mmap.mmap(-1, 8 * size)) if mapped
+             else np.empty(size))
     packed, end = [], 0
-    for i0, i1 in blocks:
-        x = fill(i0, i1)
+    for i0, x in blocks:
         view = store[end:end + x.size].reshape(x.shape)
         view[...] = x
         view.setflags(write=False)
@@ -350,8 +386,9 @@ def _half_product(A: np.ndarray, UB: np.ndarray) -> np.ndarray:
 class _PsiTriangle:
     """The linear kernel of training inputs through Psi folded by the
     grid's reflections (`_Fold`): the upper triangles U_e of its parity
-    blocks in one read-only buffer of about n_q^2 / 2^(d+1) floats, the
-    folded weighted premapped values A and U A.
+    blocks, profiled from the grid's shared geometry into one read-only
+    buffer of about n_q^2 / 2^(d+1) floats, the folded weighted
+    premapped values A and U A.
 
     The Gram is H + H^T, H = `_half_product`(A, U A).  Against the folded
     values B of other inputs the cross matrix is H(A, U B) + H(B, U A)^T,
@@ -361,11 +398,11 @@ class _PsiTriangle:
     def __init__(self, inputs: List[FunctionalInput], spec: KernelSpec,
                  grid):
         _check_lengthscales(spec.base, grid.nodes.shape[1])
-        anisotropic = len(set(spec.base.lengthscales)) > 1
-        self._fold, self._premap = _Fold(grid), spec.premap
+        self._fold, self._premap = _fold(grid), spec.premap
         self.A = self._fold(_values_matrix(inputs, self._premap))
-        self.blocks = _packed(self._fold, 1, lambda i0, i1: _profile_block(
-            self._fold.geometry(i0, i1, anisotropic), spec.base))
+        geometry = self._fold.geometry(len(set(spec.base.lengthscales)) > 1)
+        self.blocks = _packed(self._fold, 1, (
+            (i0, _profile_block(g, spec.base)) for i0, g in geometry))
         self.UA = _times(self.blocks, self.A)
         for kept in (self.A, self.UA):
             kept.setflags(write=False)
@@ -514,9 +551,9 @@ def _try_cholesky(K: np.ndarray) -> Optional[np.ndarray]:
 class _GramOperator:
     """The Gram of one list of inputs on their `grid` as a function of
     the kernel's parameters, with what those do not change computed
-    once: for the linear kernel the folded weighted premapped values B
-    and, in one buffer, the geometry of the parity blocks' upper
-    triangles on the orthant nodes (`_Fold.geometry`), profiled and
+    once: for the linear kernel the folded weighted premapped values B,
+    and the geometry of the parity blocks' upper triangles on the orthant
+    nodes, which the grid's fold holds (`_Fold.geometry`), profiled and
     multiplied as `_PsiTriangle` does, so bitwise `gram`'s at the same
     spec; for the nonlinear kernel the n x n L2 distances, the one place
     that kernel's Gram of a list of inputs is formed.  `factorize` keeps
@@ -534,11 +571,9 @@ class _GramOperator:
             # round-off leaves up to 3e-8
             np.fill_diagonal(self._dist, 0.0)
             return
-        fold, self._dim = _Fold(grid), grid.nodes.shape[1]
+        fold, self._dim = _fold(grid), grid.nodes.shape[1]
         self._B = fold(_values_matrix(inputs, premap))
-        self._geometry = _packed(
-            fold, self._dim if anisotropic else 1,
-            lambda i0, i1: fold.geometry(i0, i1, anisotropic))
+        self._geometry = fold.geometry(anisotropic)
 
     def factorize(self, spec: KernelSpec) -> GramFactorization:
         if spec not in self._memo:

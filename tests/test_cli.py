@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import figp
+import figp.cli
+import figp.kernels
 from figp import Domain, FieldDataset, build_grid, l2_inner, loocv_error
 from figp import sample_function
 from figp.reproduce import TRAINING_EXPRESSIONS, evaluate_functional
@@ -415,6 +417,27 @@ def test_select_kernel_json_deterministic(workdir, train_file, capsys):
     report = json.loads(first)
     assert report["selected"] in ("linear", "nonlinear")
     assert len(report["table"]) == 2
+
+
+def test_a_warm_select_kernel_is_bitwise_the_cold_one(workdir, capsys):
+    # the second run in one process reads the first run's folded geometry
+    grid = build_grid(Domain(((0.0, 1.0), (0.0, 1.0))), 20)
+    inputs = [sample_function(e, grid) for e in TRAINING_EXPRESSIONS]
+    one = sample_function("1", grid)
+    save_training_data("train.json", grid, inputs,
+                       np.array([l2_inner(g, one) for g in inputs]))
+    figp.kernels._fold.cache_clear()
+    runs = []
+    for _ in range(2):
+        assert figp.cli.main(["select-kernel", "--train", "train.json",
+                              "--out", "model.json", "--json"]) == 0
+        report = capsys.readouterr().out
+        model = (workdir / "model.json").read_bytes()
+        assert figp.cli.main(["predict", "--model", "model.json", "--json",
+                              "--input", "x1*x2+x1^2"]) == 0
+        runs.append((report, model, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert figp.kernels._fold.cache_info().misses == 1
 
 
 def test_select_kernel_with_a_premap_selects_the_linear_model(workdir,

@@ -53,6 +53,23 @@ def test_a_grid_off_the_symmetric_lattice_is_refused(broken, error):
         QuadratureGrid(grid.domain, nodes, weights, grid.rule, 4)
 
 
+@pytest.mark.parametrize("off", ["nodes", "weights"])
+def test_a_grid_whose_arrays_are_not_its_rules_is_refused(off):
+    # grids compare equal, and grid-keyed caches hit, on their metadata
+    # alone, so the metadata must pin the arrays
+    unit = Domain(((0.0, 1.0),))
+    legendre = build_grid(unit, 4)
+    mid = build_grid(unit, 4, UNIFORM_MIDPOINT)
+    nodes = (mid if off == "nodes" else legendre).nodes
+    weights = (mid if off == "weights" else legendre).weights
+    with pytest.raises(FigpError, match="quadrature nodes or weights are not "
+                       "the gauss-legendre rule's at resolution 4; build the "
+                       "grid with build_grid"):
+        QuadratureGrid(unit, nodes, weights, GAUSS_LEGENDRE, 4)
+    assert QuadratureGrid(unit, legendre.nodes, legendre.weights,
+                          GAUSS_LEGENDRE, 4) == legendre
+
+
 def test_grid_resolution_floor():
     with pytest.raises(FigpError):
         build_grid(Domain(((0.0, 1.0),)), 1)

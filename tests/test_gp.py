@@ -22,6 +22,7 @@ from figp.gp import (_FAILED, LOG_GAMMA_BOUNDS, LOG_THETA_BOUNDS,
                      _profile, _profile_scan, select_family)
 from figp.kernels import GramFactorization, _GramOperator
 from figp.reproduce import TRAINING_EXPRESSIONS, evaluate_functional
+from figp.storage import load_model, save_model
 
 from figp_testlib import brute_loocv, count_psi_triangles, \
     full_profile_scan, random_poly_inputs, scan_grid
@@ -536,11 +537,39 @@ def test_isotropic_linear_fit_builds_psi_once(bench_inputs, bench_outputs,
     assert model.factorization.triangle is not None
 
 
+def test_one_geometry_per_grid(tmp_path, monkeypatch):
+    # the folded node distances depend on the grid alone: a search, the
+    # model build, a model load and a batch prediction share one build
+    real = figp.kernels._Fold._row_geometry
+    builds = []
+
+    def counted(fold, i0, i1, anisotropic):
+        if i0 == 0:
+            builds.append(anisotropic)
+        return real(fold, i0, i1, anisotropic)
+
+    monkeypatch.setattr(figp.kernels._Fold, "_row_geometry", counted)
+    figp.kernels._fold.cache_clear()
+    grid = build_grid(Domain(((0.0, 1.0), (0.0, 2.0))), 9)
+    inputs = [sample_function(e, grid) for e in TRAINING_EXPRESSIONS]
+    y = np.array([evaluate_functional("f1", g) for g in inputs])
+    model, report = select_kernel(inputs, y, FitConfig(multistarts=1))
+    assert model.spec.family == LINEAR
+    assert [e["family"] for e in report] == [LINEAR, NONLINEAR]
+    save_model(str(tmp_path / "model.json"), model)
+    loaded = load_model(str(tmp_path / "model.json"))
+    predict_many(loaded, inputs[:3])
+    assert builds == [False]
+    fit(inputs, y, LINEAR, FitConfig(multistarts=1, anisotropic=True))
+    assert builds == [False, True]
+    figp.kernels._fold.cache_clear()
+
+
 def test_fit_frees_its_likelihood_before_the_model_build(bench_inputs,
                                                        bench_outputs,
                                                        monkeypatch):
-    # the hoisted node distances are as large as the folded Psi; holding
-    # them while the model profiles its own would raise the peak memory
+    # the likelihood's memo holds a factorization of every spec the search
+    # tried, which the model build has no use for
     real = figp.gp.build_model
     live = []
 

@@ -391,8 +391,8 @@ def test_linear_gram_triangle_is_bitwise_the_prediction_cross_matrix(
                          ids=["isotropic", "anisotropic"])
 def test_folded_linear_kernel_is_the_dense_quadrature(dim, res, rule, theta):
     # W^T Psi W with Psi the whole base-kernel matrix on the nodes
-    grid = build_grid(Domain(((0.0, 1.0), (-1.0, 2.0), (0.5, 0.75))[:dim]),
-                      res, rule)
+    domain = Domain(((0.0, 1.0), (-1.0, 2.0), (0.5, 0.75))[:dim])
+    grid = build_grid(domain, res, rule)
     rng = np.random.default_rng(res * 10 + dim)
     n = min(4, grid.n_points)
     W = rng.uniform(0.5, 1.5, size=(grid.n_points, 2 * n))
@@ -401,11 +401,19 @@ def test_folded_linear_kernel_is_the_dense_quadrature(dim, res, rule, theta):
     W *= grid.weights[:, None]
     want = W.T @ base_kernel_matrix(grid.nodes, grid.nodes, spec.base) @ W
     scale = np.abs(want).max()
+    figp.kernels._fold.cache_clear()
     K, variances = kernel_matrix(ins[:n], ins[n:], spec)
     assert np.abs(K - want[:n, n:]).max() <= 1e-13 * scale
     assert np.abs(variances - np.diag(want)[n:]).max() <= 1e-13 * scale
     assert np.abs(gram(ins[:n], spec).gram - want[:n, :n]).max() <= \
         1e-13 * scale
+    # a second build on an equal grid reads the geometry the first built
+    again = [FunctionalInput(build_grid(domain, res, rule), g.values)
+             for g in ins]
+    K2, variances2 = kernel_matrix(again[:n], again[n:], spec)
+    assert np.abs(K2 - want[:n, n:]).max() <= 1e-13 * scale
+    assert K2.tobytes() == K.tobytes()
+    assert variances2.tobytes() == variances.tobytes()
 
 
 @pytest.mark.parametrize("call", [kernel_matrix])
